@@ -400,19 +400,25 @@ def observation_covariance(times, cov: GridSurface, sigma2: float,
     eigenvalues of the process block are clipped to zero first (a no-op
     whenever the surface is positive semidefinite there). A diagonal jitter
     of 1e-8 tr(Sigma)/n is applied when the condition number still exceeds
-    cond_limit.
+    cond_limit. That condition number is read off the eigenvalues already
+    computed: before the jitter Sigma has eigenvalues max(lambda, 0) + sigma2,
+    all positive, so their ratio is its 2-norm condition number (1 for a
+    single observation).
     """
     times = np.asarray(times, dtype=float)
     tt1, tt2 = np.meshgrid(times, times, indexing="ij")
     sigma = cov.at(tt1.ravel(), tt2.ravel()).reshape(times.size, times.size)
     sigma = (sigma + sigma.T) / 2.0
+    noise = max(sigma2, VARIANCE_FLOOR)
+    cond = 1.0
     if times.size > 1:
         eigvals, eigvecs = np.linalg.eigh(sigma)
         if eigvals[0] < 0:
             sigma = (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
             sigma = (sigma + sigma.T) / 2.0
-    sigma[np.diag_indices_from(sigma)] += max(sigma2, VARIANCE_FLOOR)
-    if np.linalg.cond(sigma) > cond_limit:
+        cond = (max(eigvals[-1], 0.0) + noise) / (max(eigvals[0], 0.0) + noise)
+    sigma[np.diag_indices_from(sigma)] += noise
+    if cond > cond_limit:
         sigma[np.diag_indices_from(sigma)] += 1e-8 * np.trace(sigma) / times.size
     return sigma
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import BinPartition, LongitudinalDataset, explicit_bins, partition as make_partition
-from .errors import CovariateOutOfDomain, TruncationTooLarge
+from .errors import CovariateOutOfDomain, InsufficientLocalData, TruncationTooLarge
 from .grids import Grid, GridFunction, GridSurface, make_grid
 from .kernels import Kernel1D
 from .fpca import (
@@ -185,7 +185,11 @@ def _usable_subjects(ds: LongitudinalDataset) -> LongitudinalDataset:
 
 def _resolve_bandwidths(subjects, cfg: FitConfig, s_grid: Grid,
                         t_grid: Grid | None) -> BinBandwidths:
-    """Per-bin smoother bandwidths: overrides win, then CV, then defaults."""
+    """Per-bin smoother bandwidths: overrides win, then CV, then defaults.
+
+    The default is used when the bin has too few subjects for two folds or
+    when every CV candidate lacks local data; any other CV error propagates.
+    """
     from . import selection
 
     scalar = t_grid is None
@@ -203,14 +207,14 @@ def _resolve_bandwidths(subjects, cfg: FitConfig, s_grid: Grid,
         if key in cfg.bandwidths:
             return float(cfg.bandwidths[key])
         h0 = default_bandwidth(length, n)
-        if not use_cv:
+        if not use_cv or folds < 2:
             return h0
         cands = tuple(h0 * f for f in cfg.cv_factors)
         try:
             return selection.cv_smoother_bandwidth(
                 subjects, kind, folds, cands, s_grid, t_grid,
                 kernel=kernel, ridge=cfg.ridge)
-        except Exception:
+        except InsufficientLocalData:
             return h0
 
     cv_means = cfg.bandwidth_policy == "cv"
@@ -225,20 +229,22 @@ def _resolve_bandwidths(subjects, cfg: FitConfig, s_grid: Grid,
             return tuple(float(b) for b in bw) if isinstance(bw, (tuple, list)) \
                 else (float(bw), float(bw))
         h1, h2 = default_bandwidth(length1, n), default_bandwidth(length2, n)
-        if not cfg.cv_surfaces:
+        if not cfg.cv_surfaces or folds < 2:
             return (h1, h2)
         cands = tuple((h1 * f, h2 * f) for f in cfg.cv_factors)
         try:
             return selection.cv_smoother_bandwidth(
                 subjects, kind, folds, cands, s_grid, t_grid,
                 kernel=kernel, ridge=cfg.ridge, mean_bandwidths=(mean_x, mean_y))
-        except Exception:
+        except InsufficientLocalData:
             return (h1, h2)
 
     cov_x = resolve_2d("cov_x", s_len, s_len, pairs_x, "cov_x")
     cov_y = None if scalar else resolve_2d("cov_y", t_len, t_len, pairs_y, "cov_y")
     if scalar:
-        cross = resolve_1d("cross", s_len, n_cross, "cross", cv_means)
+        # like the diagonal smoothers, the scalar cross-moment curve keeps
+        # its default scale; only the mean smoothers are cross-validated
+        cross = resolve_1d("cross", s_len, n_cross, "cross", False)
     else:
         cross = resolve_2d("cross", s_len, t_len, n_cross, "cross")
     # 2D smoothers take a single per-axis bandwidth pair; collapse symmetric ones
@@ -257,7 +263,8 @@ def fit(ds: LongitudinalDataset, config: FitConfig | None = None) -> FittedModel
     Bin the subjects by covariate, compute raw per-bin estimates, average the
     per-bin error variances, resolve the truncation orders and the refinement
     bandwidth (by pseudo-AIC/BIC when not fixed in the config), and attach
-    the truncated raw slope to every bin.
+    the truncated raw slope to every bin. Without a fixed bin count, each
+    candidate count is fitted once and the best-scoring fit is returned.
     """
     from . import selection
 
@@ -266,12 +273,9 @@ def fit(ds: LongitudinalDataset, config: FitConfig | None = None) -> FittedModel
     kernel = cfg.kernel1d()
 
     if cfg.explicit_centers is None and cfg.n_bins is None:
-        chosen_p, chosen_b, p_table = selection.select_binwidth(
+        model, p_table = selection._select_binwidth_model(
             ds, cfg, cfg.bin_candidates, cfg.binwidth_criterion)
-        cfg = replace(cfg, n_bins=chosen_p, refine_bandwidth=chosen_b)
-        model = fit(ds, cfg)
         model.selection.tables["P"] = p_table
-        model.selection.chosen["P"] = chosen_p
         return model
 
     if cfg.explicit_centers is not None:
@@ -343,9 +347,10 @@ def fit(ds: LongitudinalDataset, config: FitConfig | None = None) -> FittedModel
             lo = part.width / 2.0
             hi = z_len / 2.0
             cands = tuple(np.geomspace(lo, hi, 8)) if lo < hi else (hi,)
-        b_star, b_table, _ = selection.select_bandwidth(model, ds, cands, cfg.criterion)
+        b_star, b_table, resid = selection.select_bandwidth(model, ds, cands, cfg.criterion)
         model.refine_bandwidth = b_star
         report.tables["b"] = b_table
+        report.refined_residual = resid
     report.chosen["b"] = model.refine_bandwidth
     report.chosen["P"] = part.n_bins
     return model

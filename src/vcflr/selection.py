@@ -54,12 +54,18 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass
 class SelectionReport:
-    """Chosen hyperparameters plus the score tables behind them."""
+    """Chosen hyperparameters plus the score tables behind them.
+
+    ``refined_residual`` is the deviance part of the refined-fit criterion at
+    the selected refinement bandwidth (None when b was fixed); bin-count
+    selection adds the 2MKP penalty to it. It is not serialized.
+    """
 
     criterion: str
     chosen: dict = field(default_factory=dict)
     tables: dict = field(default_factory=dict)
     bandwidths: list = field(default_factory=list)
+    refined_residual: float | None = None
 
     def to_rows(self) -> list[tuple[str, str, float]]:
         """Flatten score tables to (candidate, criterion, score) rows."""
@@ -98,15 +104,19 @@ def _truncation_table(bins: list[BinEstimate], subjects_by_bin: list[list[Subjec
         cov = b.cov_x if stream == "x" else b.cov_y
         mean = b.mean_x if stream == "x" else b.mean_y
         sigma2 = max(b.sigma2_x if stream == "x" else b.sigma2_y, VARIANCE_FLOOR)
+        by_times = {}   # subjects sharing a time vector share Sigma and phi
         for sub in subjects:
             times = sub.x_times if stream == "x" else sub.y_times
             values = sub.x_values if stream == "x" else sub.y_values
             if times.size == 0:
                 continue
+            key = times.tobytes()
+            if key not in by_times:
+                by_times[key] = (observation_covariance(times, cov, sigma2),
+                                 eig.at(times)[:, :kmax])
+            sigma, phi = by_times[key]
             resid0 = values - mean.at(times)
-            sigma = observation_covariance(times, cov, sigma2)
             alpha = np.linalg.solve(sigma, resid0)
-            phi = eig.at(times)[:, :kmax]
             scores = eig.values[:kmax] * (phi.T @ alpha)
             eps = resid0.copy()
             for k in range(1, kmax + 1):
@@ -156,10 +166,13 @@ def select_truncation(bins: list[BinEstimate], subjects_by_bin: list[list[Subjec
 class _RefinementResiduals:
     """Shared precomputation for the refined-fit residual criterion.
 
-    Per (subject, bin): an LU factor of the predictor observation covariance,
-    eigenfunction values at the subject's own observation times, and the
-    slope coefficient matrix sigma_mk / rho_m. Only the refined means depend
-    on the refinement bandwidth, so scoring one more candidate is cheap.
+    Per bin: the slope coefficient matrix sigma_mk / rho_m, and, once per
+    distinct predictor time vector, an LU factor of the observation
+    covariance and the eigenfunction values at those times (likewise the
+    response eigenfunctions per distinct response time vector). Subjects
+    observed at identical times share these entries. Only the refined means
+    depend on the refinement bandwidth, so scoring one more candidate is
+    cheap.
     """
 
     def __init__(self, model: "FittedModel", ds: LongitudinalDataset):
@@ -183,14 +196,26 @@ class _RefinementResiduals:
         self.lu = []
         self.psi = []
         self.phi = []
+        x_memo = [{} for _ in model.bins]   # per bin: x_times bytes -> (LU, psi)
+        y_memo = [{} for _ in model.bins]   # per bin: y_times bytes -> phi
         for sub in ds.subjects:
+            x_key = sub.x_times.tobytes()
+            y_key = None if self.scalar else sub.y_times.tobytes()
             lus, psis, phis = [], [], []
-            for b in model.bins:
-                sigma = observation_covariance(
-                    sub.x_times, b.cov_x, max(b.sigma2_x, VARIANCE_FLOOR))
-                lus.append(lu_factor(sigma))
-                psis.append(b.eig_x.at(sub.x_times)[:, :m])
-                phis.append(None if self.scalar else b.eig_y.at(sub.y_times)[:, :k])
+            for b, xm, ym in zip(model.bins, x_memo, y_memo):
+                if x_key not in xm:
+                    sigma = observation_covariance(
+                        sub.x_times, b.cov_x, max(b.sigma2_x, VARIANCE_FLOOR))
+                    xm[x_key] = (lu_factor(sigma), b.eig_x.at(sub.x_times)[:, :m])
+                lu, psi = xm[x_key]
+                lus.append(lu)
+                psis.append(psi)
+                if self.scalar:
+                    phis.append(None)
+                    continue
+                if y_key not in ym:
+                    ym[y_key] = b.eig_y.at(sub.y_times)[:, :k]
+                phis.append(ym[y_key])
             self.lu.append(lus)
             self.psi.append(psis)
             self.phi.append(phis)
@@ -206,19 +231,21 @@ class _RefinementResiduals:
         """Sum over subjects of eps'eps / sigma2 + N log(2 pi sigma2) at
         refinement bandwidth b.
 
-        Weights widen exactly as refine() does at prediction time, so the
-        criterion scores the model as deployed; InsufficientCenters escapes
-        only when widening is exhausted at some subject's covariate.
+        Weights use the model's refinement order and widen exactly as
+        refine() does at prediction time, so the criterion scores the model as
+        deployed; InsufficientCenters escapes only when widening is exhausted
+        at some subject's covariate.
         """
         model = self.model
         centers = model.partition.centers
         grid_s = model.s_grid.points
         grid_t = None if self.scalar else model.t_grid.points
         kernel = model.kernel
+        order = model.refine_order
 
         def weights_at(z: float) -> np.ndarray:
             return widen_until_fit(
-                lambda c: lp_weights(0, 1, centers, z, float(c.bandwidth), kernel),
+                lambda c: lp_weights(0, order, centers, z, float(c.bandwidth), kernel),
                 LocalFitConfig(b, kernel))
 
         sse = 0.0
@@ -264,7 +291,8 @@ def select_bandwidth(model: "FittedModel", ds: LongitudinalDataset, candidates,
     resid_by_b = {}
     for b in sorted(set(float(b) for b in candidates)):
         try:
-            _, trace = smoothing_matrix(model.partition.centers, b, model.kernel)
+            _, trace = smoothing_matrix(model.partition.centers, b, model.kernel,
+                                        model.refine_order)
             resid = prep.residual_term(b)
         except (InsufficientCenters, InsufficientLocalData):
             continue
@@ -276,13 +304,13 @@ def select_bandwidth(model: "FittedModel", ds: LongitudinalDataset, candidates,
     return b_star, table, resid_by_b[b_star]
 
 
-def select_binwidth(ds: LongitudinalDataset, config, candidates,
-                    criterion: str = "AIC"):
-    """Bin count minimizing the refined-fit deviance plus the 2MKP penalty.
+def _select_binwidth_model(ds: LongitudinalDataset, config, candidates,
+                           criterion: str = "AIC"):
+    """Bin-count selection returning (winning fitted model, score table).
 
-    Every candidate gets a full refit (including truncation and refinement
-    bandwidth selection); candidates violating bin occupancy are skipped.
-    Ties break toward fewer bins. Returns (P, b*(P), score table).
+    Each candidate is fitted once with truncation and refinement bandwidth
+    selected, and scored with the refined-fit residual term its bandwidth
+    selection already computed, so the winner is deployed as fitted.
     """
     from dataclasses import replace
 
@@ -298,16 +326,27 @@ def select_binwidth(ds: LongitudinalDataset, config, candidates,
         except EmptyBin:
             warnings.warn(f"skipping bin-count candidate P={p}: occupancy violated")
             continue
-        prep = _RefinementResiduals(model_p, ds)
-        resid = prep.residual_term(model_p.refine_bandwidth)
         m, k = model_p.truncation
-        score = resid + pen_scale * m * (k or 1) * p
+        score = model_p.selection.refined_residual + pen_scale * m * (k or 1) * p
         table.append((p, score))
         if best is None or score < best[0]:
-            best = (score, p, model_p.refine_bandwidth)
+            best = (score, model_p)
     if best is None:
         raise EmptyBin("no bin-count candidate satisfies the occupancy minimum")
-    return best[1], best[2], table
+    return best[1], table
+
+
+def select_binwidth(ds: LongitudinalDataset, config, candidates,
+                    criterion: str = "AIC"):
+    """Bin count minimizing the refined-fit deviance plus the 2MKP penalty.
+
+    Every candidate is fitted once (including truncation and refinement
+    bandwidth selection) and scored at its selected bandwidth; candidates
+    violating bin occupancy are skipped. Ties break toward fewer bins.
+    Returns (P, b*(P), score table).
+    """
+    model, table = _select_binwidth_model(ds, config, candidates, criterion)
+    return model.n_bins, model.refine_bandwidth, table
 
 
 def _fold_of(n_subjects: int, n_folds: int) -> np.ndarray:

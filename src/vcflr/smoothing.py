@@ -302,15 +302,15 @@ def lp_weights(q: int, r: int, centers: np.ndarray, z: float, b: float,
         r_eff -= 1
 
 
-def smoothing_matrix(centers: np.ndarray, b: float,
-                     kernel: Kernel1D = Kernel1D()) -> tuple[np.ndarray, float]:
+def smoothing_matrix(centers: np.ndarray, b: float, kernel: Kernel1D = Kernel1D(),
+                     order: int = 1) -> tuple[np.ndarray, float]:
     """P x P refinement smoother matrix and tr(SᵀS).
 
-    Row p holds the local linear weights (q=0, r=1) evaluated at center p;
-    the trace of SᵀS is the effective number of parameters used by the
-    bandwidth selection criterion.
+    Row p holds the local polynomial weights (q=0, r=order) evaluated at
+    center p; the trace of SᵀS is the effective number of parameters used by
+    the bandwidth selection criterion.
     """
     centers = np.asarray(centers, dtype=float)
-    rows = [lp_weights(0, 1, centers, float(c), b, kernel) for c in centers]
+    rows = [lp_weights(0, order, centers, float(c), b, kernel) for c in centers]
     s = np.vstack(rows)
     return s, float(np.sum(s * s))

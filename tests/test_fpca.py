@@ -17,6 +17,7 @@ from vcflr.fpca import (
     eigendecompose,
     estimate_mean,
     estimate_sigma2,
+    observation_covariance,
     raw_covariances,
     sigma_mk,
     smooth_covariance,
@@ -451,3 +452,28 @@ class TestBlupScores:
         cov = GridSurface(grid, grid, np.ones((21, 21)))
         with pytest.raises(SingularCovariance):
             blup_scores(np.array([]), np.array([]), np.array([]), eig, cov, 0.5, 1)
+
+
+class TestObservationCovariance:
+    @pytest.mark.parametrize("kind, seed", [
+        ("psd", 90), ("psd", 91), ("indefinite", 92), ("indefinite", 93)])
+    def test_jitter_switches_at_svd_condition_number(self, kind, seed):
+        # the jitter rule reads the condition number off the eigenvalues it
+        # already has; it must agree with the SVD-based np.linalg.cond to 1e-8
+        rng = np.random.default_rng(seed)
+        grid = make_grid(0, 10, 31)
+        a = rng.normal(size=(grid.n, 3 if kind == "psd" else grid.n))
+        cov = GridSurface(grid, grid, a @ a.T if kind == "psd" else (a + a.T) / 2.0)
+        times = np.sort(rng.uniform(0, 10, 9))
+        tt1, tt2 = np.meshgrid(times, times, indexing="ij")
+        raw = cov.at(tt1.ravel(), tt2.ravel()).reshape(times.size, times.size)
+        assert kind == "psd" or np.linalg.eigvalsh((raw + raw.T) / 2.0)[0] < 0
+        sigma2 = 0.05
+        plain = observation_covariance(times, cov, sigma2, cond_limit=np.inf)
+        cond = np.linalg.cond(plain)
+        assert 10.0 < cond < 1e8
+        kept = observation_covariance(times, cov, sigma2, cond_limit=cond * (1 + 1e-8))
+        assert np.array_equal(kept, plain)
+        jittered = observation_covariance(times, cov, sigma2, cond_limit=cond * (1 - 1e-8))
+        jitter = 1e-8 * np.trace(plain) / times.size
+        assert np.array_equal(jittered, plain + jitter * np.eye(times.size))

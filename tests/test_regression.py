@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from vcflr import selection
 from vcflr.data import BinPartition, LongitudinalDataset, Subject
-from vcflr.errors import CovariateOutOfDomain, TruncationTooLarge
-from vcflr.fpca import BinEstimate, EigenSystem
+from vcflr.errors import CovariateOutOfDomain, InsufficientLocalData, TruncationTooLarge
+from vcflr.fpca import BinEstimate, EigenSystem, default_bandwidth
 from vcflr.grids import GridFunction, GridSurface, make_grid
 from vcflr.kernels import Kernel1D
 from vcflr.regression import (
@@ -207,6 +210,42 @@ class TestFit:
             model = fit(ds, cfg)
             chosen.append(model.truncation[0])
         assert all(2 <= m <= 4 for m in chosen)
+
+
+class TestBandwidthFallback:
+    CFG = FitConfig(n_bins=2, truncation=(2, 2), refine_bandwidth=0.3, min_bin_count=2)
+
+    def test_cv_failing_everywhere_falls_back_to_default(self, monkeypatch):
+        ds, _ = generate(REGULAR, 40, seed=45)
+        failed = []
+        real = selection.cv_smoother_bandwidth
+
+        def spy(subjects, kind, *args, **kwargs):
+            try:
+                return real(subjects, kind, *args, **kwargs)
+            except InsufficientLocalData:
+                failed.append(kind)
+                raise
+
+        monkeypatch.setattr(selection, "cv_smoother_bandwidth", spy)
+        model = fit(ds, replace(self.CFG, cv_factors=(1e-6,)))
+        assert failed == ["mean_x", "mean_y"] * 2
+        for p, b in enumerate(model.bins):
+            subjects = [ds.subjects[i] for i in model.partition.index_sets[p]]
+            assert b.bandwidths["mean_x"] == default_bandwidth(
+                10.0, sum(s.n_x for s in subjects))
+            assert b.bandwidths["mean_y"] == default_bandwidth(
+                10.0, sum(s.n_y for s in subjects))
+
+    def test_other_cv_errors_propagate(self, monkeypatch):
+        ds, _ = generate(REGULAR, 40, seed=45)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("cv broke")
+
+        monkeypatch.setattr(selection, "cv_smoother_bandwidth", broken)
+        with pytest.raises(RuntimeError, match="cv broke"):
+            fit(ds, self.CFG)
 
 
 class TestPredict:

@@ -1,13 +1,16 @@
+import dataclasses
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from vcflr.data import Subject
+from vcflr import regression
+from vcflr.data import LongitudinalDataset, Subject
 from vcflr.errors import InsufficientLocalData
 from vcflr.fpca import VARIANCE_FLOOR, observation_covariance
 from vcflr.grids import make_grid
-from vcflr.regression import FitConfig, fit
+from vcflr.regression import FitConfig, fit, refinement_weights
 from vcflr.selection import (
     cv_smoother_bandwidth,
     select_bandwidth,
@@ -84,19 +87,30 @@ class TestSelectTruncation:
         assert k <= cap
 
 
-def recompute_bandwidth_table(model, ds, candidates, criterion):
-    """Independent re-derivation of the refined-fit criterion."""
+def local_linear_weights(model):
+    return lambda z, b: lp_weights(0, 1, model.partition.centers, z, b, model.kernel)
+
+
+def recompute_bandwidth_table(model, ds, candidates, criterion, weights=None):
+    """Independent re-derivation of the refined-fit criterion.
+
+    ``weights(z, b)`` gives the refinement weights over the bin centers
+    (local linear by default); the smoother trace tr(SᵀS) is the sum of
+    squares of its rows at the centers.
+    """
+    if weights is None:
+        weights = local_linear_weights(model)
     n = ds.n
     pen_scale = 2.0 if criterion == "AIC" else math.log(n)
     sigma2 = max(model.sigma2_y, VARIANCE_FLOOR)
     m_ord, k_ord = model.truncation
     table = {}
     for b in candidates:
-        s, trace = smoothing_matrix(model.partition.centers, b, model.kernel)
+        trace = sum(float(r @ r) for r in (weights(c, b) for c in model.partition.centers))
         total = 0.0
         n_obs = 0
         for sub in ds.subjects:
-            w = lp_weights(0, 1, model.partition.centers, sub.z, b, model.kernel)
+            w = weights(sub.z, b)
             mu_x = sum(wp * bb.mean_x.values for wp, bb in zip(w, model.bins))
             mu_y = sum(wp * bb.mean_y.values for wp, bb in zip(w, model.bins))
             rx = sub.x_values - np.interp(sub.x_times, model.s_grid.points, mu_x)
@@ -134,6 +148,47 @@ class TestSelectBandwidth:
         for cand, score in table:
             assert score == pytest.approx(oracle[cand], rel=1e-9)
         assert b_star == min(oracle, key=oracle.get)
+
+    def test_matches_recompute_with_shared_and_unique_times(self):
+        # half the subjects keep the design's common time vector, half get
+        # their own, so the per-time-vector precomputation is both reused
+        # and rebuilt
+        ds, _ = generate(REGULAR, 80, seed=68)
+        rng = np.random.default_rng(68)
+        subjects = []
+        for i, s in enumerate(ds.subjects):
+            if i % 2:
+                x_t = np.clip(s.x_times + rng.uniform(-0.1, 0.1, s.n_x), 0.0, 10.0)
+                y_t = np.clip(s.y_times + rng.uniform(-0.1, 0.1, s.n_y), 0.0, 10.0)
+                s = Subject(s.id, s.z, x_t, s.x_values, y_t, s.y_values)
+            subjects.append(s)
+        mixed = LongitudinalDataset(subjects, ds.s_domain, ds.t_domain, ds.z_domain)
+        assert len({s.x_times.tobytes() for s in subjects}) == len(subjects) // 2 + 1
+        cfg = FitConfig(n_bins=4, truncation=(3, 3), refine_bandwidth=0.3,
+                        bandwidth_policy="default", min_bin_count=2)
+        model = fit(mixed, cfg)
+        candidates = (0.15, 0.3, 0.5)
+        _, table, _ = select_bandwidth(model, mixed, candidates, "BIC")
+        oracle = recompute_bandwidth_table(model, mixed, candidates, "BIC")
+        assert len(table) == len(candidates)
+        for cand, score in table:
+            assert score == pytest.approx(oracle[cand], rel=1e-9)
+
+    def test_refine_order_two_scores_deployed_model(self, fitted):
+        # the criterion must use the refinement order that refine() deploys
+        ds, _ = fitted
+        cfg = FitConfig(n_bins=5, truncation=(3, 3), refine_order=2,
+                        refine_bandwidth=None, refine_candidates=(0.3, 0.45, 0.6),
+                        bandwidth_policy="default", min_bin_count=2)
+        model = fit(ds, cfg)
+        b_star = model.refine_bandwidth
+        deployed = recompute_bandwidth_table(
+            model, ds, (b_star,), "BIC",
+            weights=lambda z, b: refinement_weights(replace(model, refine_bandwidth=b), z))
+        local_linear = recompute_bandwidth_table(model, ds, (b_star,), "BIC")
+        assert deployed[b_star] != pytest.approx(local_linear[b_star], rel=1e-6)
+        assert dict(model.selection.tables["b"])[b_star] == pytest.approx(
+            deployed[b_star], rel=1e-9)
 
     def test_single_bin_ties_prefer_larger(self):
         ds, _ = generate(REGULAR, 30, seed=61)
@@ -182,6 +237,61 @@ class TestSelectBinwidth:
             resid = _RefinementResiduals(model_c, ds).residual_term(
                 model_c.refine_bandwidth)
             assert score == pytest.approx(resid + 2.0 * 3 * 3 * cand, rel=1e-9)
+
+
+def assert_same(a, b, path):
+    """Exact recursive equality of model parts (dataclasses, arrays, containers)."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), path
+        for f in dataclasses.fields(a):
+            assert_same(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert np.array_equal(a, b), path
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same(x, y, f"{path}[{i}]")
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for key in a:
+            assert_same(a[key], b[key], f"{path}[{key!r}]")
+    else:
+        assert a == b, path
+
+
+class TestAutoSelectedFit:
+    @pytest.fixture(scope="class")
+    def data(self):
+        ds, _ = generate(REGULAR, 80, seed=67)
+        return ds
+
+    def test_winner_equals_fit_at_chosen_settings(self, data):
+        cfg = FitConfig(n_bins=None)
+        auto = fit(data, cfg)
+        chosen = auto.selection.chosen
+        fixed = fit(data, replace(cfg, n_bins=chosen["P"], refine_bandwidth=chosen["b"]))
+        for f in dataclasses.fields(auto):
+            if f.name != "selection":
+                assert_same(getattr(auto, f.name), getattr(fixed, f.name), f.name)
+        assert chosen == fixed.selection.chosen
+        assert_same(auto.selection.bandwidths, fixed.selection.bandwidths, "bandwidths")
+        for name in ("M", "K"):
+            assert_same(auto.selection.tables[name], fixed.selection.tables[name], name)
+        # the winner keeps its own refinement-bandwidth table
+        assert chosen["b"] in dict(auto.selection.tables["b"])
+
+    def test_each_candidate_fitted_once(self, data, monkeypatch):
+        centers = []
+        real = regression.fit_bin
+
+        def counting(subjects, center, *args, **kwargs):
+            centers.append(center)
+            return real(subjects, center, *args, **kwargs)
+
+        monkeypatch.setattr(regression, "fit_bin", counting)
+        model = fit(data, FitConfig(n_bins=None, bin_candidates=(3, 4)))
+        assert len(centers) == 3 + 4
+        assert model.n_bins in (3, 4)
 
 
 class TestCvSmootherBandwidth:
