@@ -16,14 +16,13 @@ from .fpca import (
     blup_scores,
     eigendecompose,
     estimate_mean,
-    estimate_scores,
     estimate_sigma2,
     raw_covariances,
     sigma_mk,
     smooth_covariance,
     smooth_cross_covariance,
 )
-from .grids import Grid, GridFunction, GridSurface, double_integral, inner_product, integrate, make_grid
+from .grids import Grid, GridFunction, GridSurface, make_grid
 from .kernels import Kernel1D, Kernel2D, kernel_eval
 from .regression import (
     FitConfig,
@@ -44,7 +43,7 @@ from .selection import (
 )
 from .serialize import load_model, save_model
 from .simulation import REGULAR, SPARSE, SimDesign, SimTruth, generate, mispe
-from .smoothing import LocalFitConfig, local_linear_1d, local_linear_2d, lp_weights, smoothing_matrix
+from .smoothing import LocalFitConfig, lp_weights, smoothing_matrix
 
 __version__ = "0.1.0"
 
@@ -53,11 +52,10 @@ __all__ = [
     "Grid", "GridFunction", "GridSurface", "Kernel1D", "Kernel2D",
     "LocalFitConfig", "LongitudinalDataset", "Prediction", "REGULAR", "SPARSE",
     "SelectionReport", "SimDesign", "SimTruth", "Subject", "VcflrError",
-    "blup_scores", "cv_smoother_bandwidth", "double_integral", "eigendecompose",
-    "estimate_mean", "estimate_scores", "estimate_sigma2", "explicit_bins",
-    "fit", "fit_global", "generate", "inner_product", "integrate",
-    "kernel_eval", "load_csv", "load_model", "local_linear_1d",
-    "local_linear_2d", "lp_weights", "make_grid", "mispe", "partition",
+    "blup_scores", "cv_smoother_bandwidth", "eigendecompose",
+    "estimate_mean", "estimate_sigma2", "explicit_bins",
+    "fit", "fit_global", "generate", "kernel_eval", "load_csv", "load_model",
+    "lp_weights", "make_grid", "mispe", "partition",
     "predict", "raw_beta", "raw_covariances", "refine", "save_csv",
     "save_model", "select_bandwidth", "select_binwidth", "select_truncation",
     "sigma_mk", "smooth_covariance", "smooth_cross_covariance",

@@ -58,7 +58,6 @@ DEFAULT_CONFIG = {
     "eigen_floor": 0.03,
     "min_bin_count": 5,
     "seed": 0,
-    "threads": 1,
 }
 
 
@@ -75,31 +74,44 @@ def load_config(path: str | None) -> dict:
         unknown = set(user) - set(cfg)
         if unknown:
             raise ModelFormatError(f"{path}: unknown config keys {sorted(unknown)}")
+        if "domains" in user:
+            domains = user["domains"]
+            if not isinstance(domains, dict) or set(domains) - set(cfg["domains"]):
+                raise ModelFormatError(
+                    f"{path}: domains must be an object with keys among s, t, z")
+            user = {**user, "domains": {**cfg["domains"], **domains}}
         cfg.update(user)
     return cfg
 
 
-def fit_config_from(cfg: dict, bins_override: int | None = None,
-                    threads: int | None = None) -> FitConfig:
-    truncation = cfg["truncation"]
-    if truncation is not None:
-        truncation = (int(truncation[0]),
-                      None if truncation[1] is None else int(truncation[1]))
-    return FitConfig(
-        n_bins=bins_override if bins_override is not None else cfg["bins"],
-        grid_size=int(cfg["grid_size"]),
-        truncation=truncation,
-        refine_bandwidth=cfg["refine_bandwidth"],
-        criterion=cfg["criterion"],
-        binwidth_criterion=cfg["binwidth_criterion"],
-        kernel=cfg["kernel"],
-        bandwidths=dict(cfg["bandwidths"]),
-        bandwidth_policy=cfg["bandwidth_policy"],
-        cv_surfaces=bool(cfg["cv_surfaces"]),
-        eigen_floor=float(cfg["eigen_floor"]),
-        min_bin_count=int(cfg["min_bin_count"]),
-        threads=threads if threads is not None else int(cfg["threads"]),
-    )
+def fit_config_from(cfg: dict, bins_override: int | None = None) -> FitConfig:
+    """FitConfig from a loaded config document; values of the wrong type or
+    out of range raise ModelFormatError."""
+    try:
+        bins = bins_override if bins_override is not None else cfg["bins"]
+        truncation = cfg["truncation"]
+        if truncation is not None:
+            truncation = (int(truncation[0]),
+                          None if truncation[1] is None else int(truncation[1]))
+        refine_bandwidth = cfg["refine_bandwidth"]
+        fc = FitConfig(
+            n_bins=None if bins is None else int(bins),
+            grid_size=int(cfg["grid_size"]),
+            truncation=truncation,
+            refine_bandwidth=None if refine_bandwidth is None else float(refine_bandwidth),
+            criterion=cfg["criterion"],
+            binwidth_criterion=cfg["binwidth_criterion"],
+            kernel=cfg["kernel"],
+            bandwidths=dict(cfg["bandwidths"]),
+            bandwidth_policy=cfg["bandwidth_policy"],
+            cv_surfaces=bool(cfg["cv_surfaces"]),
+            eigen_floor=float(cfg["eigen_floor"]),
+            min_bin_count=int(cfg["min_bin_count"]),
+        )
+        fc.kernel1d()   # rejects an unknown kernel family
+    except (TypeError, ValueError) as err:
+        raise ModelFormatError(f"config: invalid value ({err})") from None
+    return fc
 
 
 def _write_rows(path, header, rows):
@@ -130,10 +142,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = load_config(args.config)
+    fc = fit_config_from(cfg, bins_override=args.bins)
     t_domain = None if cfg["scalar_response"] else tuple(cfg["domains"]["t"])
     ds = load_csv(args.train, tuple(cfg["domains"]["s"]), tuple(cfg["domains"]["z"]),
                   t_domain, scalar_response=cfg["scalar_response"])
-    fc = fit_config_from(cfg, bins_override=args.bins, threads=args.threads)
     model = fit_global(ds, fc) if getattr(args, "global_model", False) else fit(ds, fc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -243,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--bins", type=int, default=None)
     p_fit.add_argument("--global", dest="global_model", action="store_true",
                        help="fit the global (single-bin) baseline")
-    p_fit.add_argument("--threads", type=int, default=None)
     p_fit.set_defaults(func=cmd_fit)
 
     p_pred = sub.add_parser("predict", help="predict test subjects from a model")

@@ -63,4 +63,5 @@ class CovariateOutOfDomain(VcflrError):
 
 
 class ModelFormatError(VcflrError):
-    """A serialized model file is corrupt or has the wrong format version."""
+    """A model or config document is corrupt, ill-typed or has the wrong
+    format version."""

@@ -163,19 +163,28 @@ def raw_covariances(subjects: list[Subject], mean: GridFunction, stream: str = "
     return off, diag
 
 
-def smooth_covariance(pairs: np.ndarray, cfg: LocalFitConfig, grid: Grid) -> GridSurface:
-    """Smooth raw off-diagonal covariances onto grid x grid and symmetrize."""
-    pairs = np.asarray(pairs, dtype=float).reshape(-1, 3)
-    x1, x2, ybar, w = aggregate_2d(pairs[:, 0], pairs[:, 1], pairs[:, 2])
+def _smooth_2d(points: np.ndarray, cfg: LocalFitConfig, grid1: Grid,
+               grid2: Grid) -> np.ndarray:
+    """Local linear surface of raw (x1, x2, y) rows on grid1 x grid2.
+
+    Duplicate locations are aggregated and a scalar bandwidth or a 1D kernel
+    is expanded to its symmetric pair or product kernel once; the pair then
+    widens until every grid point has enough local data.
+    """
+    x1, x2, ybar, w = aggregate_2d(points[:, 0], points[:, 1], points[:, 2])
     bw = cfg.bandwidth if isinstance(cfg.bandwidth, tuple) else (cfg.bandwidth, cfg.bandwidth)
     kern = cfg.kernel if isinstance(cfg.kernel, Kernel2D) else Kernel2D(cfg.kernel, cfg.kernel)
 
     def attempt(c: LocalFitConfig) -> np.ndarray:
-        b = c.bandwidth if isinstance(c.bandwidth, tuple) else (c.bandwidth, c.bandwidth)
-        return local_linear_2d_at(x1, x2, ybar, grid.points, grid.points, b,
+        return local_linear_2d_at(x1, x2, ybar, grid1.points, grid2.points, c.bandwidth,
                                   kernel=kern, ridge=c.ridge, weights=w)
 
-    values = widen_until_fit(attempt, LocalFitConfig(bw, kern, cfg.ridge))
+    return widen_until_fit(attempt, LocalFitConfig(bw, kern, cfg.ridge))
+
+
+def smooth_covariance(pairs: np.ndarray, cfg: LocalFitConfig, grid: Grid) -> GridSurface:
+    """Smooth raw off-diagonal covariances onto grid x grid and symmetrize."""
+    values = _smooth_2d(np.asarray(pairs, dtype=float).reshape(-1, 3), cfg, grid, grid)
     return GridSurface(grid, grid, (values + values.T) / 2.0)
 
 
@@ -186,34 +195,15 @@ def smooth_cross_covariance(subjects: list[Subject], mean_x: GridFunction,
 
     Functional responses use every (l, j) observation pair (measurement
     errors are independent across streams, so no diagonal is removed) and a
-    2D smoother; scalar responses reduce to a curve smoothed in s.
+    2D smoother; scalar responses reduce to a curve in s, smoothed like a
+    mean curve.
     """
-    if isinstance(mean_y, GridFunction):
-        raw = raw_cross_products(subjects, mean_x, mean_y)
-        grid_s, grid_t = grids
-        x1, x2, ybar, w = aggregate_2d(raw[:, 0], raw[:, 1], raw[:, 2])
-        bw = cfg.bandwidth if isinstance(cfg.bandwidth, tuple) else (cfg.bandwidth, cfg.bandwidth)
-        kern = cfg.kernel if isinstance(cfg.kernel, Kernel2D) else Kernel2D(cfg.kernel, cfg.kernel)
-
-        def attempt(c: LocalFitConfig) -> np.ndarray:
-            b = c.bandwidth if isinstance(c.bandwidth, tuple) else (c.bandwidth, c.bandwidth)
-            return local_linear_2d_at(x1, x2, ybar, grid_s.points, grid_t.points, b,
-                                      kernel=kern, ridge=c.ridge, weights=w)
-
-        values = widen_until_fit(attempt, LocalFitConfig(bw, kern, cfg.ridge))
-        return GridSurface(grid_s, grid_t, values)
-
     raw = raw_cross_products(subjects, mean_x, mean_y)
+    if isinstance(mean_y, GridFunction):
+        grid_s, grid_t = grids
+        return GridSurface(grid_s, grid_t, _smooth_2d(raw, cfg, grid_s, grid_t))
     grid_s = grids if isinstance(grids, Grid) else grids[0]
-    xu, ybar, w = aggregate_1d(raw[:, 0], raw[:, 1])
-    kern = cfg.kernel if isinstance(cfg.kernel, Kernel1D) else cfg.kernel.kx
-
-    def attempt1d(c: LocalFitConfig) -> GridFunction:
-        vals = local_linear_1d_at(xu, ybar, grid_s.points, float(c.bandwidth),
-                                  kernel=kern, ridge=c.ridge, weights=w)
-        return GridFunction(grid_s, vals)
-
-    return widen_until_fit(attempt1d, cfg)
+    return estimate_mean(raw[:, 0], raw[:, 1], cfg, grid_s)
 
 
 def raw_cross_products(subjects: list[Subject], mean_x: GridFunction,
@@ -446,20 +436,6 @@ def blup_scores(times, values, mean_values, eig: EigenSystem,
     return eig.values[:n_components] * (phi.T @ alpha)
 
 
-def estimate_scores(subject: Subject, bin_est: BinEstimate, stream: str,
-                    n_components: int) -> np.ndarray:
-    """BLUP scores of one subject against a bin's raw estimates."""
-    if stream == "x":
-        return blup_scores(subject.x_times, subject.x_values,
-                           bin_est.mean_x.at(subject.x_times), bin_est.eig_x,
-                           bin_est.cov_x, bin_est.sigma2_x, n_components)
-    if bin_est.eig_y is None:
-        raise ValueError("scalar-response bins carry no response eigensystem")
-    return blup_scores(subject.y_times, subject.y_values,
-                       bin_est.mean_y.at(subject.y_times), bin_est.eig_y,
-                       bin_est.cov_y, bin_est.sigma2_y, n_components)
-
-
 def default_bandwidth(domain_length: float, n_points: int) -> float:
     """Deterministic bandwidth scale: (range) * n^(-1/5)."""
     return domain_length * max(int(n_points), 2) ** (-0.2)
@@ -498,7 +474,6 @@ def fit_bin(subjects: list[Subject], center: float, s_grid: Grid,
     that truncation selection can slice it without refitting.
     """
     scalar = t_grid is None
-    kern2 = Kernel2D(kernel, kernel)
 
     x_times = np.concatenate([s.x_times for s in subjects])
     x_values = np.concatenate([s.x_values for s in subjects])
@@ -514,7 +489,7 @@ def fit_bin(subjects: list[Subject], center: float, s_grid: Grid,
                                LocalFitConfig(bandwidths.mean_y, kernel, ridge), t_grid)
 
     off_x, diag_x = raw_covariances(subjects, mean_x, "x")
-    cov_x = smooth_covariance(off_x, LocalFitConfig(bandwidths.cov_x, kern2, ridge), s_grid)
+    cov_x = smooth_covariance(off_x, LocalFitConfig(bandwidths.cov_x, kernel, ridge), s_grid)
     sigma2_x = estimate_sigma2(diag_x, off_x,
                                LocalFitConfig(bandwidths.diag_x, kernel, ridge), s_grid)
     eig_x = eigendecompose(cov_x, s_grid, max_m, rel_tol=max(1e-10, eigen_floor))
@@ -525,17 +500,13 @@ def fit_bin(subjects: list[Subject], center: float, s_grid: Grid,
         sigma2_y = None
     else:
         off_y, diag_y = raw_covariances(subjects, mean_y, "y")
-        cov_y = smooth_covariance(off_y, LocalFitConfig(bandwidths.cov_y, kern2, ridge), t_grid)
+        cov_y = smooth_covariance(off_y, LocalFitConfig(bandwidths.cov_y, kernel, ridge), t_grid)
         sigma2_y = estimate_sigma2(diag_y, off_y,
                                    LocalFitConfig(bandwidths.diag_y, kernel, ridge), t_grid)
         eig_y = eigendecompose(cov_y, t_grid, max_k, rel_tol=max(1e-10, eigen_floor))
 
-    cross_bw = bandwidths.cross
-    cross_cfg = LocalFitConfig(
-        cross_bw if isinstance(cross_bw, tuple) or scalar else (cross_bw, cross_bw),
-        kernel if scalar else kern2, ridge)
     cross = smooth_cross_covariance(
-        subjects, mean_x, mean_y, cross_cfg,
+        subjects, mean_x, mean_y, LocalFitConfig(bandwidths.cross, kernel, ridge),
         s_grid if scalar else (s_grid, t_grid))
 
     m_avail = eig_x.n_components

@@ -2,7 +2,8 @@
 
 All curves and surfaces in the pipeline live on dense equally spaced grids;
 integrals, inner products and the double integrals that project
-cross-covariances onto eigenfunction pairs are trapezoid sums on those grids.
+cross-covariances onto eigenfunction pairs are trapezoid sums on those grids,
+written at their call sites as products with ``Grid.weights``.
 """
 
 from __future__ import annotations
@@ -120,30 +121,6 @@ def make_grid(lower: float, upper: float, n: int) -> Grid:
         raise InvalidInterval("need at least 2 grid points")
     points = np.linspace(float(lower), float(upper), int(n))
     return Grid(float(lower), float(upper), points, trapezoid_weights(points))
-
-
-def integrate(f: GridFunction) -> float:
-    """Trapezoid integral of a curve over its grid."""
-    return float(f.grid.weights @ f.values)
-
-
-def inner_product(f: GridFunction, g: GridFunction) -> float:
-    """Trapezoid approximation of the L2 inner product on a shared grid."""
-    if not f.grid.same_as(g.grid):
-        raise GridMismatch("inner_product requires both curves on the same grid")
-    return float((f.grid.weights * f.values) @ g.values)
-
-
-def double_integral(kernel: GridSurface, left: GridFunction, right: GridFunction) -> float:
-    """Trapezoid approximation of the bilinear form
-    integral of left(s) * kernel(s, t) * right(t) ds dt."""
-    if not left.grid.same_as(kernel.row_grid):
-        raise GridMismatch("left curve must live on the kernel's row grid")
-    if not right.grid.same_as(kernel.col_grid):
-        raise GridMismatch("right curve must live on the kernel's column grid")
-    lw = left.grid.weights * left.values
-    rw = right.grid.weights * right.values
-    return float(lw @ kernel.values @ rw)
 
 
 def bilinear(gx: np.ndarray, gy: np.ndarray, z: np.ndarray, x, y) -> np.ndarray:

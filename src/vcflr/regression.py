@@ -1,23 +1,25 @@
-"""Model fitting, cross-bin refinement, prediction and serialization.
+"""Model fitting, cross-bin refinement and prediction.
 
 Fitting is a two-step scheme: subjects are binned by the scalar covariate and
 each bin gets raw functional-principal-component estimates (means, covariance
 surfaces, eigenpairs, mixed moments, a truncated slope surface); the final
-estimators at any covariate level are local polynomial combinations of the
-per-bin raw estimates. A single-bin fit degenerates to the global functional
-linear regression baseline.
+estimators at any covariate level are local linear combinations of the
+per-bin raw estimates. Without a fixed bin count, ``fit`` fits every
+candidate count and hands the fitted models to ``selection.select_binwidth``
+to pick one. A single-bin fit degenerates to the global functional linear
+regression baseline.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import selection
 from .data import BinPartition, LongitudinalDataset, explicit_bins, partition as make_partition
-from .errors import CovariateOutOfDomain, InsufficientLocalData, TruncationTooLarge
+from .errors import CovariateOutOfDomain, EmptyBin, InsufficientLocalData, TruncationTooLarge
 from .grids import Grid, GridFunction, GridSurface, make_grid
 from .kernels import Kernel1D
 from .fpca import (
@@ -35,11 +37,12 @@ class FitConfig:
     """Everything `fit` needs beyond the dataset.
 
     ``None`` for ``n_bins``, ``truncation`` or ``refine_bandwidth`` requests
-    data-driven selection. Bandwidth overrides (``bandwidths`` keys mean_x,
-    mean_y, cov_x, cov_y, diag_x, diag_y, cross) apply to every bin; without
-    an override each smoother gets the deterministic default scale, refined
-    by k-fold cross-validation for the 1D mean smoothers (and for the
-    surfaces too when ``cv_surfaces`` is set).
+    data-driven selection; the refinement across bins is always local linear.
+    Bandwidth overrides (``bandwidths`` keys mean_x, mean_y, cov_x, cov_y,
+    diag_x, diag_y, cross) apply to every bin; without an override each
+    smoother gets the deterministic default scale, refined by k-fold
+    cross-validation for the 1D mean smoothers (and for the covariance and
+    functional cross-covariance surfaces too when ``cv_surfaces`` is set).
     """
 
     n_bins: int | None = 8
@@ -52,7 +55,6 @@ class FitConfig:
     # eigenvalue; at a few dozen subjects per bin anything below a few percent
     # is sampling noise, and the raw slope divides by these eigenvalues
     eigen_floor: float = 0.03
-    refine_order: int = 1
     refine_bandwidth: float | None = None
     refine_candidates: tuple[float, ...] | None = None
     criterion: str = "BIC"                     # truncation and refine bandwidth
@@ -65,7 +67,6 @@ class FitConfig:
     cv_factors: tuple[float, ...] = (0.5, 0.7071, 1.0, 1.4142, 2.0)
     min_bin_count: int = 5
     ridge: float = 1e-10
-    threads: int = 1
 
     def kernel1d(self) -> Kernel1D:
         return Kernel1D(self.kernel)
@@ -83,7 +84,6 @@ class FittedModel:
     partition: BinPartition
     bins: list[BinEstimate]
     truncation: tuple[int, int | None]
-    refine_order: int
     refine_bandwidth: float
     kernel: Kernel1D
     sigma2_x: float
@@ -132,12 +132,12 @@ def raw_beta(bin_est: BinEstimate, m: int, k: int | None = None):
 
 
 def refinement_weights(model: FittedModel, z: float) -> np.ndarray:
-    """Local polynomial weights over bin centers at covariate level z,
+    """Local linear weights over bin centers at covariate level z,
     widening the refinement bandwidth when too few centers carry weight."""
     cfg = LocalFitConfig(model.refine_bandwidth, model.kernel)
 
     def attempt(c: LocalFitConfig) -> np.ndarray:
-        return lp_weights(0, model.refine_order, model.partition.centers, z,
+        return lp_weights(0, 1, model.partition.centers, z,
                           float(c.bandwidth), model.kernel)
 
     return widen_until_fit(attempt, cfg)
@@ -187,11 +187,12 @@ def _resolve_bandwidths(subjects, cfg: FitConfig, s_grid: Grid,
                         t_grid: Grid | None) -> BinBandwidths:
     """Per-bin smoother bandwidths: overrides win, then CV, then defaults.
 
-    The default is used when the bin has too few subjects for two folds or
-    when every CV candidate lacks local data; any other CV error propagates.
+    Only the mean smoothers (and, with ``cv_surfaces``, the 2D surfaces) are
+    cross-validated; the diagonal smoothers and the scalar cross curve keep
+    their default scale. A CV smoother falls back to its default when the bin
+    has too few subjects for two folds or when every CV candidate lacks local
+    data; any other CV error propagates.
     """
-    from . import selection
-
     scalar = t_grid is None
     kernel = cfg.kernel1d()
     s_len = s_grid.length
@@ -203,27 +204,29 @@ def _resolve_bandwidths(subjects, cfg: FitConfig, s_grid: Grid,
     n_cross = sum(s.n_x * s.n_y for s in subjects)
     folds = min(cfg.cv_folds, len(subjects))
 
-    def resolve_1d(key: str, length: float, n: int, kind: str, use_cv: bool) -> float:
+    def fixed_1d(key: str, length: float, n: int) -> float:
         if key in cfg.bandwidths:
             return float(cfg.bandwidths[key])
-        h0 = default_bandwidth(length, n)
-        if not use_cv or folds < 2:
+        return default_bandwidth(length, n)
+
+    def mean_1d(key: str, length: float, n: int) -> float:
+        h0 = fixed_1d(key, length, n)
+        if key in cfg.bandwidths or cfg.bandwidth_policy != "cv" or folds < 2:
             return h0
         cands = tuple(h0 * f for f in cfg.cv_factors)
         try:
             return selection.cv_smoother_bandwidth(
-                subjects, kind, folds, cands, s_grid, t_grid,
+                subjects, key, folds, cands, s_grid, t_grid,
                 kernel=kernel, ridge=cfg.ridge)
         except InsufficientLocalData:
             return h0
 
-    cv_means = cfg.bandwidth_policy == "cv"
-    mean_x = resolve_1d("mean_x", s_len, n_x, "mean_x", cv_means)
-    mean_y = None if scalar else resolve_1d("mean_y", t_len, n_y, "mean_y", cv_means)
-    diag_x = resolve_1d("diag_x", s_len, n_x, "diag_x", False)
-    diag_y = None if scalar else resolve_1d("diag_y", t_len, n_y, "diag_y", False)
+    mean_x = mean_1d("mean_x", s_len, n_x)
+    mean_y = None if scalar else mean_1d("mean_y", t_len, n_y)
+    diag_x = fixed_1d("diag_x", s_len, n_x)
+    diag_y = None if scalar else fixed_1d("diag_y", t_len, n_y)
 
-    def resolve_2d(key: str, length1: float, length2: float, n: int, kind: str):
+    def surface_2d(key: str, length1: float, length2: float, n: int):
         if key in cfg.bandwidths:
             bw = cfg.bandwidths[key]
             return tuple(float(b) for b in bw) if isinstance(bw, (tuple, list)) \
@@ -234,19 +237,17 @@ def _resolve_bandwidths(subjects, cfg: FitConfig, s_grid: Grid,
         cands = tuple((h1 * f, h2 * f) for f in cfg.cv_factors)
         try:
             return selection.cv_smoother_bandwidth(
-                subjects, kind, folds, cands, s_grid, t_grid,
+                subjects, key, folds, cands, s_grid, t_grid,
                 kernel=kernel, ridge=cfg.ridge, mean_bandwidths=(mean_x, mean_y))
         except InsufficientLocalData:
             return (h1, h2)
 
-    cov_x = resolve_2d("cov_x", s_len, s_len, pairs_x, "cov_x")
-    cov_y = None if scalar else resolve_2d("cov_y", t_len, t_len, pairs_y, "cov_y")
+    cov_x = surface_2d("cov_x", s_len, s_len, pairs_x)
+    cov_y = None if scalar else surface_2d("cov_y", t_len, t_len, pairs_y)
     if scalar:
-        # like the diagonal smoothers, the scalar cross-moment curve keeps
-        # its default scale; only the mean smoothers are cross-validated
-        cross = resolve_1d("cross", s_len, n_cross, "cross", False)
+        cross = fixed_1d("cross", s_len, n_cross)
     else:
-        cross = resolve_2d("cross", s_len, t_len, n_cross, "cross")
+        cross = surface_2d("cross", s_len, t_len, n_cross)
     # 2D smoothers take a single per-axis bandwidth pair; collapse symmetric ones
     return BinBandwidths(
         mean_x=mean_x, mean_y=mean_y,
@@ -264,17 +265,24 @@ def fit(ds: LongitudinalDataset, config: FitConfig | None = None) -> FittedModel
     per-bin error variances, resolve the truncation orders and the refinement
     bandwidth (by pseudo-AIC/BIC when not fixed in the config), and attach
     the truncated raw slope to every bin. Without a fixed bin count, each
-    candidate count is fitted once and the best-scoring fit is returned.
+    candidate count is fitted once with its refinement bandwidth selected
+    (counts that violate bin occupancy are skipped with a warning), and the
+    fit that ``selection.select_binwidth`` scores best is returned as fitted.
     """
-    from . import selection
-
     cfg = config if config is not None else FitConfig()
     ds = _usable_subjects(ds)
     kernel = cfg.kernel1d()
 
     if cfg.explicit_centers is None and cfg.n_bins is None:
-        model, p_table = selection._select_binwidth_model(
-            ds, cfg, cfg.bin_candidates, cfg.binwidth_criterion)
+        models = []
+        for p in sorted(set(int(p) for p in cfg.bin_candidates)):
+            try:
+                models.append(fit(ds, replace(cfg, n_bins=p, refine_bandwidth=None)))
+            except EmptyBin:
+                warnings.warn(f"skipping bin-count candidate P={p}: occupancy violated")
+        if not models:
+            raise EmptyBin("no bin-count candidate satisfies the occupancy minimum")
+        model, p_table = selection.select_binwidth(models, cfg.binwidth_criterion, ds.n)
         model.selection.tables["P"] = p_table
         return model
 
@@ -293,20 +301,12 @@ def fit(ds: LongitudinalDataset, config: FitConfig | None = None) -> FittedModel
     else:
         max_m = max_k = max(cfg.truncation_candidates)
 
-    def build(p: int) -> tuple[BinEstimate, BinBandwidths]:
+    bins = []
+    for p in range(part.n_bins):
         subjects = [ds.subjects[i] for i in part.index_sets[p]]
         bw = _resolve_bandwidths(subjects, cfg, s_grid, t_grid)
-        est = fit_bin(subjects, part.centers[p], s_grid, t_grid, bw, kernel,
-                      max_m, max_k, ridge=cfg.ridge,
-                      eigen_floor=cfg.eigen_floor)
-        return est, bw
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(build, range(part.n_bins)))
-    else:
-        results = [build(p) for p in range(part.n_bins)]
-    bins = [est for est, _ in results]
+        bins.append(fit_bin(subjects, part.centers[p], s_grid, t_grid, bw, kernel,
+                            max_m, max_k, ridge=cfg.ridge, eigen_floor=cfg.eigen_floor))
 
     sigma2_x = float(np.mean([b.sigma2_x for b in bins]))
     sigma2_y = None if ds.scalar_response else float(np.mean([b.sigma2_y for b in bins]))
@@ -333,7 +333,7 @@ def fit(ds: LongitudinalDataset, config: FitConfig | None = None) -> FittedModel
     model = FittedModel(
         s_grid=s_grid, t_grid=t_grid, s_domain=ds.s_domain, t_domain=ds.t_domain,
         z_domain=ds.z_domain, partition=part, bins=bins, truncation=(m, k),
-        refine_order=cfg.refine_order, refine_bandwidth=float("nan"),
+        refine_bandwidth=float("nan"),
         kernel=kernel, sigma2_x=sigma2_x, sigma2_y=sigma2_y,
         scalar_response=ds.scalar_response, selection=report,
     )

@@ -5,7 +5,8 @@ The truncation criterion scores BLUP reconstructions of each subject's
 observations inside its own bin; the bandwidth and bin-count criteria score
 the full refined regression fit of the response observations, penalized by
 the effective parameter count of the refinement smoother (trace form) or by
-the total parameter count 2MKP.
+the total parameter count 2MKP. Bin-count selection only scores models that
+``regression.fit`` has already fitted at each candidate count.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .data import LongitudinalDataset, Subject
 from .errors import (
-    EmptyBin,
     InsufficientCenters,
     InsufficientLocalData,
     TruncationTooLarge,
@@ -35,7 +35,7 @@ from .fpca import (
     raw_covariances,
     raw_cross_products,
 )
-from .grids import Grid
+from .grids import Grid, GridSurface
 from .kernels import Kernel1D, Kernel2D
 from .smoothing import (
     LocalFitConfig,
@@ -231,21 +231,20 @@ class _RefinementResiduals:
         """Sum over subjects of eps'eps / sigma2 + N log(2 pi sigma2) at
         refinement bandwidth b.
 
-        Weights use the model's refinement order and widen exactly as
-        refine() does at prediction time, so the criterion scores the model as
-        deployed; InsufficientCenters escapes only when widening is exhausted
-        at some subject's covariate.
+        Weights are the local linear refinement weights and widen exactly
+        as refine() does at prediction time, so the criterion scores the
+        model as deployed; InsufficientCenters escapes only when widening is
+        exhausted at some subject's covariate.
         """
         model = self.model
         centers = model.partition.centers
         grid_s = model.s_grid.points
         grid_t = None if self.scalar else model.t_grid.points
         kernel = model.kernel
-        order = model.refine_order
 
         def weights_at(z: float) -> np.ndarray:
             return widen_until_fit(
-                lambda c: lp_weights(0, order, centers, z, float(c.bandwidth), kernel),
+                lambda c: lp_weights(0, 1, centers, z, float(c.bandwidth), kernel),
                 LocalFitConfig(b, kernel))
 
         sse = 0.0
@@ -291,8 +290,7 @@ def select_bandwidth(model: "FittedModel", ds: LongitudinalDataset, candidates,
     resid_by_b = {}
     for b in sorted(set(float(b) for b in candidates)):
         try:
-            _, trace = smoothing_matrix(model.partition.centers, b, model.kernel,
-                                        model.refine_order)
+            _, trace = smoothing_matrix(model.partition.centers, b, model.kernel)
             resid = prep.residual_term(b)
         except (InsufficientCenters, InsufficientLocalData):
             continue
@@ -304,49 +302,24 @@ def select_bandwidth(model: "FittedModel", ds: LongitudinalDataset, candidates,
     return b_star, table, resid_by_b[b_star]
 
 
-def _select_binwidth_model(ds: LongitudinalDataset, config, candidates,
-                           criterion: str = "AIC"):
-    """Bin-count selection returning (winning fitted model, score table).
-
-    Each candidate is fitted once with truncation and refinement bandwidth
-    selected, and scored with the refined-fit residual term its bandwidth
-    selection already computed, so the winner is deployed as fitted.
-    """
-    from dataclasses import replace
-
-    from . import regression
-
-    pen_scale = 2.0 if criterion == "AIC" else math.log(ds.n)
-    table = []
-    best = None
-    for p in sorted(set(int(p) for p in candidates)):
-        cfg_p = replace(config, n_bins=p, refine_bandwidth=None)
-        try:
-            model_p = regression.fit(ds, cfg_p)
-        except EmptyBin:
-            warnings.warn(f"skipping bin-count candidate P={p}: occupancy violated")
-            continue
-        m, k = model_p.truncation
-        score = model_p.selection.refined_residual + pen_scale * m * (k or 1) * p
-        table.append((p, score))
-        if best is None or score < best[0]:
-            best = (score, model_p)
-    if best is None:
-        raise EmptyBin("no bin-count candidate satisfies the occupancy minimum")
-    return best[1], table
-
-
-def select_binwidth(ds: LongitudinalDataset, config, candidates,
-                    criterion: str = "AIC"):
+def select_binwidth(models: list["FittedModel"], criterion: str, n_total: int):
     """Bin count minimizing the refined-fit deviance plus the 2MKP penalty.
 
-    Every candidate is fitted once (including truncation and refinement
-    bandwidth selection) and scored at its selected bandwidth; candidates
-    violating bin occupancy are skipped. Ties break toward fewer bins.
-    Returns (P, b*(P), score table).
+    ``models`` are fits at the candidate bin counts, each with its truncation
+    and refinement bandwidth selected, so its ``selection.refined_residual``
+    is the deviance of its refined fit at its own bandwidth. The penalty is
+    M K P scaled by 2 (AIC) or log n_total (BIC). Ties break toward fewer
+    bins. Returns (winning model, score table).
     """
-    model, table = _select_binwidth_model(ds, config, candidates, criterion)
-    return model.n_bins, model.refine_bandwidth, table
+    pen_scale = 2.0 if criterion == "AIC" else math.log(n_total)
+    ranked = sorted(models, key=lambda mdl: mdl.n_bins)
+    table = []
+    for mdl in ranked:
+        m, k = mdl.truncation
+        table.append((mdl.n_bins, mdl.selection.refined_residual
+                      + pen_scale * m * (k or 1) * mdl.n_bins))
+    p_star = _argmin_with_ties(table)
+    return next(mdl for mdl in ranked if mdl.n_bins == p_star), table
 
 
 def _fold_of(n_subjects: int, n_folds: int) -> np.ndarray:
@@ -359,13 +332,19 @@ def cv_smoother_bandwidth(subjects: list[Subject], kind: str, n_folds: int,
                           mean_bandwidths: tuple | None = None):
     """K-fold-by-subject CV for one smoother's bandwidth.
 
-    ``kind`` is one of mean_x, mean_y, cov_x, cov_y, cross. Covariance and
-    cross kinds center observations with mean curves fitted once on all
-    subjects (``mean_bandwidths`` gives their bandwidths). Held-out squared
-    error is measured at the held-out raw points against the fitted curve or
-    surface interpolated off the grid. Candidates that fail anywhere are
-    skipped; ties go to the larger bandwidth.
+    ``kind`` is one of mean_x, mean_y, cov_x, cov_y, cross; every kind but
+    mean_x and cov_x needs the response grid ``t_grid``, so a scalar
+    response has no cross kind. Covariance and cross kinds center
+    observations with mean curves fitted once on all subjects
+    (``mean_bandwidths`` gives their bandwidths). Held-out squared error is
+    measured at the held-out raw points against the fitted curve or surface
+    interpolated off the grid. Candidates that fail anywhere are skipped;
+    ties go to the larger bandwidth.
     """
+    if kind not in ("mean_x", "mean_y", "cov_x", "cov_y", "cross"):
+        raise ValueError(f"unknown smoother kind {kind!r}")
+    if t_grid is None and kind not in ("mean_x", "cov_x"):
+        raise ValueError(f"{kind} CV needs a response grid; scalar responses have none")
     if n_folds < 2:
         raise ValueError("need at least 2 folds")
     if n_folds > len(subjects):
@@ -378,46 +357,29 @@ def cv_smoother_bandwidth(subjects: list[Subject], kind: str, n_folds: int,
         grid = s_grid if stream == "x" else t_grid
         pts = [( s.x_times if stream == "x" else s.y_times,
                  s.x_values if stream == "x" else s.y_values) for s in subjects]
-        raw = None
-        scalar = False
     else:
         if mean_bandwidths is None:
             raise ValueError(f"{kind} CV needs mean_bandwidths to center observations")
-        scalar = t_grid is None
-        mean_x = estimate_mean(
-            np.concatenate([s.x_times for s in subjects]),
-            np.concatenate([s.x_values for s in subjects]),
-            LocalFitConfig(mean_bandwidths[0], kernel, ridge), s_grid)
-        if kind == "cov_x":
-            raw, _ = raw_covariances(subjects, mean_x, "x")
-            grids = (s_grid, s_grid)
-        elif kind == "cov_y":
+        if kind != "cov_y":
+            mean_x = estimate_mean(
+                np.concatenate([s.x_times for s in subjects]),
+                np.concatenate([s.x_values for s in subjects]),
+                LocalFitConfig(mean_bandwidths[0], kernel, ridge), s_grid)
+        if kind != "cov_x":
             mean_y = estimate_mean(
                 np.concatenate([s.y_times for s in subjects]),
                 np.concatenate([s.y_values for s in subjects]),
                 LocalFitConfig(mean_bandwidths[1], kernel, ridge), t_grid)
-            raw, _ = raw_covariances(subjects, mean_y, "y")
-            grids = (t_grid, t_grid)
-        else:  # cross
-            if scalar:
-                mean_y = float(np.mean([s.y_scalar for s in subjects]))
-                grid = s_grid
-            else:
-                mean_y = estimate_mean(
-                    np.concatenate([s.y_times for s in subjects]),
-                    np.concatenate([s.y_values for s in subjects]),
-                    LocalFitConfig(mean_bandwidths[1], kernel, ridge), t_grid)
-                grids = (s_grid, t_grid)
         # raw parts per subject so folds can split them
-        per_subject_raw = []
-        for s in subjects:
-            if kind == "cov_x":
-                r, _ = raw_covariances([s], mean_x, "x")
-            elif kind == "cov_y":
-                r, _ = raw_covariances([s], mean_y, "y")
-            else:
-                r = raw_cross_products([s], mean_x, mean_y)
-            per_subject_raw.append(r)
+        if kind == "cov_x":
+            grids = (s_grid, s_grid)
+            per_subject_raw = [raw_covariances([s], mean_x, "x")[0] for s in subjects]
+        elif kind == "cov_y":
+            grids = (t_grid, t_grid)
+            per_subject_raw = [raw_covariances([s], mean_y, "y")[0] for s in subjects]
+        else:
+            grids = (s_grid, t_grid)
+            per_subject_raw = [raw_cross_products([s], mean_x, mean_y) for s in subjects]
 
     kern2 = Kernel2D(kernel, kernel)
     results = []
@@ -437,28 +399,17 @@ def cv_smoother_bandwidth(subjects: list[Subject], kind: str, n_folds: int,
                     for i in test:
                         pred = np.interp(pts[i][0], grid.points, curve)
                         sse += float(np.sum((pts[i][1] - pred) ** 2))
-                elif kind == "cross" and scalar:
-                    tr = np.vstack([per_subject_raw[i] for i in train])
-                    xu, ybar, w = aggregate_1d(tr[:, 0], tr[:, 1])
-                    curve = local_linear_1d_at(xu, ybar, grid.points, float(cand),
-                                               kernel=kernel, ridge=ridge, weights=w)
-                    for i in test:
-                        r = per_subject_raw[i]
-                        pred = np.interp(r[:, 0], grid.points, curve)
-                        sse += float(np.sum((r[:, 1] - pred) ** 2))
                 else:
                     tr = np.vstack([per_subject_raw[i] for i in train])
                     x1, x2, ybar, w = aggregate_2d(tr[:, 0], tr[:, 1], tr[:, 2])
                     bw = tuple(cand) if isinstance(cand, (tuple, list)) \
                         else (float(cand), float(cand))
-                    surf = local_linear_2d_at(x1, x2, ybar, grids[0].points,
-                                              grids[1].points, bw, kernel=kern2,
-                                              ridge=ridge, weights=w)
-                    from .grids import bilinear
+                    surf = GridSurface(grids[0], grids[1], local_linear_2d_at(
+                        x1, x2, ybar, grids[0].points, grids[1].points, bw,
+                        kernel=kern2, ridge=ridge, weights=w))
                     for i in test:
                         r = per_subject_raw[i]
-                        pred = bilinear(grids[0].points, grids[1].points, surf,
-                                        r[:, 0], r[:, 1])
+                        pred = surf.at(r[:, 0], r[:, 1])
                         sse += float(np.sum((r[:, 2] - pred) ** 2))
             except InsufficientLocalData:
                 ok = False

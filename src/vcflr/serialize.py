@@ -2,8 +2,10 @@
 
 One document holds the grids, the partition, every bin's arrays (surfaces
 row-major), the refinement configuration, truncation orders, averaged error
-variances and the selection report. Floats survive a round trip exactly
-(json emits shortest-repr doubles), comfortably inside the 1e-12 contract.
+variances and the selection report. The refinement is always local linear;
+the document still records its order (1), and any other order is rejected.
+Floats survive a round trip exactly (json emits shortest-repr doubles),
+comfortably inside the 1e-12 contract.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def save_model(model: FittedModel, path) -> None:
         },
         "truncation": list(model.truncation),
         "refine": {
-            "order": model.refine_order,
+            "order": 1,
             "bandwidth": model.refine_bandwidth,
             "kernel": model.kernel.family,
         },
@@ -164,6 +166,10 @@ def load_model(path) -> FittedModel:
                 tables={k: [(c, s) for c, s in v] for k, v in sel["tables"].items()},
                 bandwidths=sel.get("bandwidths", []))
         trunc = doc["truncation"]
+        order = doc["refine"]["order"]
+        if order != 1:
+            raise ModelFormatError(
+                f"{path}: refinement order {order!r} unsupported (only local linear, 1)")
         return FittedModel(
             s_grid=s_grid, t_grid=t_grid,
             s_domain=tuple(doc["domains"]["s"]),
@@ -171,7 +177,6 @@ def load_model(path) -> FittedModel:
             z_domain=tuple(doc["domains"]["z"]),
             partition=partition, bins=bins,
             truncation=(int(trunc[0]), None if trunc[1] is None else int(trunc[1])),
-            refine_order=int(doc["refine"]["order"]),
             refine_bandwidth=float(doc["refine"]["bandwidth"]),
             kernel=Kernel1D(doc["refine"]["kernel"]),
             sigma2_x=float(doc["sigma2_x"]),

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import InsufficientCenters, InsufficientLocalData
-from .grids import Grid, GridFunction, GridSurface
 from .kernels import Kernel1D, Kernel2D, kernel_eval
 
 # Relative determinant below which a local system counts as near-singular.
@@ -136,19 +135,6 @@ def local_linear_1d_at(
     return out
 
 
-def local_linear_1d(points: Sequence[tuple[float, float]] | np.ndarray,
-                    cfg: LocalFitConfig, eval_grid: Grid,
-                    weights: np.ndarray | None = None) -> GridFunction:
-    """Smooth scattered (x, y) points onto a grid with a local linear fit."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    values = local_linear_1d_at(
-        pts[:, 0], pts[:, 1], eval_grid.points, float(cfg.bandwidth),
-        kernel=cfg.kernel if isinstance(cfg.kernel, Kernel1D) else cfg.kernel.kx,
-        ridge=cfg.ridge, weights=weights,
-    )
-    return GridFunction(eval_grid, values)
-
-
 def local_linear_2d_at(
     x1: np.ndarray,
     x2: np.ndarray,
@@ -244,21 +230,6 @@ def local_linear_2d_at(
     return sol
 
 
-def local_linear_2d(points: Sequence[tuple[float, float, float]] | np.ndarray,
-                    cfg: LocalFitConfig, eval_grids: tuple[Grid, Grid],
-                    weights: np.ndarray | None = None) -> GridSurface:
-    """Smooth scattered (x1, x2, y) points onto a grid pair."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    bw = cfg.bandwidth if isinstance(cfg.bandwidth, tuple) else (cfg.bandwidth, cfg.bandwidth)
-    kern = cfg.kernel if isinstance(cfg.kernel, Kernel2D) else Kernel2D(cfg.kernel, cfg.kernel)
-    g1, g2 = eval_grids
-    values = local_linear_2d_at(
-        pts[:, 0], pts[:, 1], pts[:, 2], g1.points, g2.points, bw,
-        kernel=kern, ridge=cfg.ridge, weights=weights,
-    )
-    return GridSurface(g1, g2, values)
-
-
 def lp_weights(q: int, r: int, centers: np.ndarray, z: float, b: float,
                kernel: Kernel1D = Kernel1D()) -> np.ndarray:
     """Local polynomial weights for the q-th derivative of a degree-r fit.
@@ -302,15 +273,15 @@ def lp_weights(q: int, r: int, centers: np.ndarray, z: float, b: float,
         r_eff -= 1
 
 
-def smoothing_matrix(centers: np.ndarray, b: float, kernel: Kernel1D = Kernel1D(),
-                     order: int = 1) -> tuple[np.ndarray, float]:
+def smoothing_matrix(centers: np.ndarray, b: float,
+                     kernel: Kernel1D = Kernel1D()) -> tuple[np.ndarray, float]:
     """P x P refinement smoother matrix and tr(SᵀS).
 
-    Row p holds the local polynomial weights (q=0, r=order) evaluated at
-    center p; the trace of SᵀS is the effective number of parameters used by
-    the bandwidth selection criterion.
+    Row p holds the local linear weights (q=0, r=1) evaluated at center p;
+    the trace of SᵀS is the effective number of parameters used by the
+    bandwidth selection criterion.
     """
     centers = np.asarray(centers, dtype=float)
-    rows = [lp_weights(0, order, centers, float(c), b, kernel) for c in centers]
+    rows = [lp_weights(0, 1, centers, float(c), b, kernel) for c in centers]
     s = np.vstack(rows)
     return s, float(np.sum(s * s))

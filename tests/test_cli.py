@@ -97,6 +97,30 @@ class TestFit:
                      "--config", str(cfg), "--out", str(tmp_path / "m")])
         assert code == 3
 
+    def test_partial_domains_merge_over_defaults(self, sim_dir, cfg_path, tmp_path):
+        cfg = json.loads(cfg_path.read_text())
+        cfg["domains"] = {"s": [0, 10], "z": [0, 1]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["fit", "--train", str(sim_dir / "train.csv"),
+                     "--config", str(path), "--out", str(tmp_path / "m")])
+        assert code == 0
+        assert load_model(tmp_path / "m" / "model.json").t_domain == (0.0, 10.0)
+
+    def test_ill_typed_config_value_exit_4(self, sim_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_size": "fifty"}))
+        code = main(["fit", "--train", str(sim_dir / "train.csv"),
+                     "--config", str(cfg), "--out", str(tmp_path / "m")])
+        assert code == 4
+        assert "fifty" in capsys.readouterr().err
+
+    def test_no_threads_option(self, sim_dir, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--train", str(sim_dir / "train.csv"),
+                  "--threads", "2", "--out", str(tmp_path / "m")])
+        assert exc.value.code == 2
+
     def test_unknown_config_key_exit_4(self, sim_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bin_count": 4}))

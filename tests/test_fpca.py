@@ -23,7 +23,7 @@ from vcflr.fpca import (
     smooth_covariance,
     smooth_cross_covariance,
 )
-from vcflr.grids import GridFunction, GridSurface, inner_product, make_grid
+from vcflr.grids import GridFunction, GridSurface, make_grid
 from vcflr.smoothing import LocalFitConfig
 
 
@@ -234,7 +234,7 @@ class TestEigendecompose:
         eig = eigendecompose(self.make_surface(grid), grid, 6)
         for a in range(eig.n_components):
             for b in range(eig.n_components):
-                ip = inner_product(eig.function(a), eig.function(b))
+                ip = grid.weights @ (eig.functions[:, a] * eig.functions[:, b])
                 assert ip == pytest.approx(1.0 if a == b else 0.0, abs=1e-8)
 
     def test_sign_convention(self):

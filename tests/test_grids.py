@@ -2,16 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vcflr.errors import GridMismatch, InvalidInterval
-from vcflr.grids import (
-    GridFunction,
-    GridSurface,
-    bilinear,
-    double_integral,
-    inner_product,
-    integrate,
-    make_grid,
-)
+from vcflr.errors import InvalidInterval
+from vcflr.grids import GridSurface, bilinear, make_grid
 
 
 def basis(k, s):
@@ -55,19 +47,23 @@ class TestMakeGrid:
         assert abs(g.weights.sum() - length) < 1e-12 * max(1.0, length)
 
 
+def integrate(g, values):
+    """Trapezoid integral as the pipeline writes it: weights times values."""
+    return float(g.weights @ values)
+
+
 class TestIntegrate:
     def test_constant(self):
         g = make_grid(0, 10, 17)
-        assert integrate(GridFunction(g, np.ones(17))) == pytest.approx(10.0)
+        assert integrate(g, np.ones(17)) == pytest.approx(10.0)
 
     def test_linear_exact(self):
         g = make_grid(0, 10, 23)
-        assert integrate(GridFunction(g, g.points)) == pytest.approx(50.0, abs=1e-12)
+        assert integrate(g, g.points) == pytest.approx(50.0, abs=1e-12)
 
     def test_unit_norm_basis(self):
         g = make_grid(0, 10, 201)
-        f = GridFunction(g, basis(1, g.points) ** 2)
-        assert integrate(f) == pytest.approx(1.0, abs=1e-6)
+        assert integrate(g, basis(1, g.points) ** 2) == pytest.approx(1.0, abs=1e-6)
 
     def test_linearity(self):
         rng = np.random.default_rng(0)
@@ -75,35 +71,33 @@ class TestIntegrate:
         f = rng.normal(size=31)
         h = rng.normal(size=31)
         a, b = 2.5, -1.25
-        lhs = integrate(GridFunction(g, a * f + b * h))
-        rhs = a * integrate(GridFunction(g, f)) + b * integrate(GridFunction(g, h))
+        lhs = integrate(g, a * f + b * h)
+        rhs = a * integrate(g, f) + b * integrate(g, h)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 class TestInnerProduct:
     def test_orthogonal_basis(self):
         g = make_grid(0, 10, 201)
-        f1 = GridFunction(g, basis(1, g.points))
-        f2 = GridFunction(g, basis(2, g.points))
-        assert inner_product(f1, f2) == pytest.approx(0.0, abs=1e-6)
+        assert integrate(g, basis(1, g.points) * basis(2, g.points)) == \
+            pytest.approx(0.0, abs=1e-6)
 
     def test_nonnegative_square(self):
         rng = np.random.default_rng(1)
         g = make_grid(0, 1, 11)
         for _ in range(20):
-            f = GridFunction(g, rng.normal(size=11))
-            assert inner_product(f, f) >= 0
+            f = rng.normal(size=11)
+            assert integrate(g, f * f) >= 0
 
     def test_constants(self):
         g = make_grid(0, 10, 41)
-        one = GridFunction(g, np.ones(41))
-        assert inner_product(one, one) == pytest.approx(10.0)
+        assert integrate(g, np.ones(41)) == pytest.approx(10.0)
 
-    def test_grid_mismatch(self):
-        f = GridFunction(make_grid(0, 1, 5), np.ones(5))
-        g = GridFunction(make_grid(0, 1, 6), np.ones(6))
-        with pytest.raises(GridMismatch):
-            inner_product(f, g)
+
+def double_integral(surf, left, right):
+    """Trapezoid bilinear form as sigma_mk writes it: (w l)' K (w r)."""
+    return float((surf.row_grid.weights * left) @ surf.values
+                 @ (surf.col_grid.weights * right))
 
 
 class TestDoubleIntegral:
@@ -112,20 +106,17 @@ class TestDoubleIntegral:
         psi = basis(1, g.points)
         phi = basis(2, g.points)
         surf = GridSurface(g, g, np.outer(psi, phi))
-        val = double_integral(surf, GridFunction(g, psi), GridFunction(g, phi))
-        assert val == pytest.approx(1.0, abs=1e-5)
+        assert double_integral(surf, psi, phi) == pytest.approx(1.0, abs=1e-5)
 
     def test_zero_kernel(self):
         g = make_grid(0, 1, 9)
         surf = GridSurface(g, g, np.zeros((9, 9)))
-        one = GridFunction(g, np.ones(9))
-        assert double_integral(surf, one, one) == 0.0
+        assert double_integral(surf, np.ones(9), np.ones(9)) == 0.0
 
     def test_constant_kernel(self):
         g = make_grid(0, 10, 21)
         surf = GridSurface(g, g, np.ones((21, 21)))
-        one = GridFunction(g, np.ones(21))
-        assert double_integral(surf, one, one) == pytest.approx(100.0)
+        assert double_integral(surf, np.ones(21), np.ones(21)) == pytest.approx(100.0)
 
     def test_separable_factorizes(self):
         rng = np.random.default_rng(2)
@@ -134,21 +125,12 @@ class TestDoubleIntegral:
         for _ in range(25):
             u = rng.normal(size=17)
             v = rng.normal(size=23)
-            left = GridFunction(g1, rng.normal(size=17))
-            right = GridFunction(g2, rng.normal(size=23))
+            left = rng.normal(size=17)
+            right = rng.normal(size=23)
             surf = GridSurface(g1, g2, np.outer(u, v))
             got = double_integral(surf, left, right)
-            want = inner_product(left, GridFunction(g1, u)) * \
-                inner_product(right, GridFunction(g2, v))
+            want = integrate(g1, left * u) * integrate(g2, right * v)
             assert got == pytest.approx(want, abs=1e-10 * max(1, abs(want)))
-
-    def test_mismatch(self):
-        g1 = make_grid(0, 1, 5)
-        g2 = make_grid(0, 1, 7)
-        surf = GridSurface(g1, g2, np.zeros((5, 7)))
-        with pytest.raises(GridMismatch):
-            double_integral(surf, GridFunction(g2, np.ones(7)),
-                            GridFunction(g2, np.ones(7)))
 
 
 class TestBilinear:

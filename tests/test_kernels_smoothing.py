@@ -6,9 +6,7 @@ from vcflr.grids import make_grid
 from vcflr.kernels import Kernel1D, Kernel2D, kernel_eval
 from vcflr.smoothing import (
     LocalFitConfig,
-    local_linear_1d,
     local_linear_1d_at,
-    local_linear_2d,
     local_linear_2d_at,
     lp_weights,
     smoothing_matrix,
@@ -77,14 +75,14 @@ class TestLocalLinear1D:
         y = 2.0 + 3.0 * x
         grid = make_grid(0, 10, 21)
         for b in (0.5, 1.7, 40.0):
-            curve = local_linear_1d(np.column_stack([x, y]),
-                                    LocalFitConfig(b), grid)
-            assert np.allclose(curve.values, 2.0 + 3.0 * grid.points, atol=1e-9)
+            curve = local_linear_1d_at(x, y, grid.points, b)
+            assert np.allclose(curve, 2.0 + 3.0 * grid.points, atol=1e-9)
 
     def test_identical_x_insufficient(self):
-        pts = np.array([[2.0, 1.0], [2.0, 1.5], [2.0, 0.5]])
+        x = np.array([2.0, 2.0, 2.0])
+        y = np.array([1.0, 1.5, 0.5])
         with pytest.raises(InsufficientLocalData):
-            local_linear_1d(pts, LocalFitConfig(1.0), make_grid(0, 4, 5))
+            local_linear_1d_at(x, y, make_grid(0, 4, 5).points, 1.0)
 
     def test_matches_direct_solve_on_sine(self):
         rng = np.random.default_rng(6)
@@ -115,10 +113,10 @@ class TestLocalLinear1D:
         grid = make_grid(0, 1, 11)
 
         def attempt(cfg):
-            return local_linear_1d(np.column_stack([x, y]), cfg, grid)
+            return local_linear_1d_at(x, y, grid.points, cfg.bandwidth)
 
         curve = widen_until_fit(attempt, LocalFitConfig(0.1))
-        assert np.allclose(curve.values, 1 + 2 * grid.points, atol=1e-9)
+        assert np.allclose(curve, 1 + 2 * grid.points, atol=1e-9)
 
 
 def oracle_local_linear_2d(x1, x2, y, s1, s2, b, kernel2):
@@ -136,24 +134,22 @@ class TestLocalLinear2D:
         x2 = rng.uniform(0, 10, 150)
         y = 1.0 + 2.0 * x1 - x2
         g = make_grid(0, 10, 11)
-        surf = local_linear_2d(np.column_stack([x1, x2, y]),
-                               LocalFitConfig((3.0, 3.0)), (g, g))
+        surf = local_linear_2d_at(x1, x2, y, g.points, g.points, (3.0, 3.0))
         want = 1.0 + 2.0 * g.points[:, None] - g.points[None, :]
-        assert np.allclose(surf.values, want, atol=1e-9)
+        assert np.allclose(surf, want, atol=1e-9)
 
     def test_single_location_insufficient(self):
-        pts = np.array([[1.0, 1.0, 2.0]] * 5)
+        ones = np.ones(5)
+        g = make_grid(0, 2, 3).points
         with pytest.raises(InsufficientLocalData):
-            local_linear_2d(pts, LocalFitConfig((5.0, 5.0)),
-                            (make_grid(0, 2, 3), make_grid(0, 2, 3)))
+            local_linear_2d_at(ones, ones, 2.0 * ones, g, g, (5.0, 5.0))
 
     def test_collinear_locations_insufficient(self):
         # all points on the line x1 = x2: affinely dependent design
         t = np.linspace(0, 2, 8)
-        pts = np.column_stack([t, t, 1.0 + t])
+        g = make_grid(0, 2, 3).points
         with pytest.raises(InsufficientLocalData):
-            local_linear_2d(pts, LocalFitConfig((5.0, 5.0)),
-                            (make_grid(0, 2, 3), make_grid(0, 2, 3)))
+            local_linear_2d_at(t, t, 1.0 + t, g, g, (5.0, 5.0))
 
     def test_matches_direct_solve_on_cosine(self):
         rng = np.random.default_rng(9)

@@ -1,10 +1,10 @@
-"""Cross-module pipeline behaviors: score estimation against fitted bins,
+"""Cross-module pipeline behaviors: BLUP scores against fitted bins,
 per-subject prediction quality versus the global baseline, and bandwidth CV
 on realistic bins."""
 
 import numpy as np
 
-from vcflr.fpca import estimate_scores
+from vcflr.fpca import blup_scores
 from vcflr.grids import make_grid
 from vcflr.regression import FitConfig, fit, fit_global, predict
 from vcflr.selection import cv_smoother_bandwidth
@@ -12,23 +12,6 @@ from vcflr.simulation import REGULAR, generate
 
 
 class TestEstimateScores:
-    def test_wrapper_matches_low_level(self):
-        from vcflr.fpca import blup_scores
-
-        ds, _ = generate(REGULAR, 60, seed=95)
-        model = fit(ds, FitConfig(n_bins=2, truncation=(2, 2),
-                                  refine_bandwidth=0.3,
-                                  bandwidth_policy="default", min_bin_count=2))
-        bin_est = model.bins[0]
-        sub = ds.subjects[int(model.partition.index_sets[0][0])]
-        got = estimate_scores(sub, bin_est, "x", 2)
-        want = blup_scores(sub.x_times, sub.x_values,
-                           bin_est.mean_x.at(sub.x_times), bin_est.eig_x,
-                           bin_est.cov_x, bin_est.sigma2_x, 2)
-        assert np.array_equal(got, want)
-        got_y = estimate_scores(sub, bin_est, "y", 2)
-        assert got_y.shape == (2,)
-
     def test_score_scale_tracks_truth(self):
         # X-side BLUP scores across a fitted bin should have roughly the
         # right spread for the leading component
@@ -37,8 +20,10 @@ class TestEstimateScores:
                                   refine_bandwidth=0.4,
                                   bandwidth_policy="default"))
         bin_est = model.bins[0]
-        scores = np.array([estimate_scores(s, bin_est, "x", 1)[0]
-                           for s in ds.subjects])
+        scores = np.array([
+            blup_scores(s.x_times, s.x_values, bin_est.mean_x.at(s.x_times),
+                        bin_est.eig_x, bin_est.cov_x, bin_est.sigma2_x, 1)[0]
+            for s in ds.subjects])
         corr = np.corrcoef(scores, truth.zeta[:, 0] * np.sign(
             bin_est.eig_x.functions[10, 0] /
             (-np.sqrt(0.2) * np.cos(np.pi * model.s_grid.points[10] / 5))))[0, 1]

@@ -62,7 +62,7 @@ def model_from_bins(bins, grid, b=0.2, trunc=(3, 3)):
     return FittedModel(
         s_grid=grid, t_grid=grid, s_domain=(0, 10), t_domain=(0, 10),
         z_domain=(0, 1), partition=part, bins=bins, truncation=trunc,
-        refine_order=1, refine_bandwidth=b, kernel=Kernel1D(),
+        refine_bandwidth=b, kernel=Kernel1D(),
         sigma2_x=1.0, sigma2_y=1.0,
     )
 
@@ -246,6 +246,32 @@ class TestBandwidthFallback:
         monkeypatch.setattr(selection, "cv_smoother_bandwidth", broken)
         with pytest.raises(RuntimeError, match="cv broke"):
             fit(ds, self.CFG)
+
+
+    def test_scalar_cross_curve_keeps_default_bandwidth(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        subjects = []
+        for i in range(30):
+            st_ = np.sort(rng.uniform(0, 10, 8))
+            x = np.sin(st_) + rng.normal(0, 0.3, 8)
+            subjects.append(Subject(f"s{i}", rng.uniform(0, 1), st_, x, None,
+                                    np.array([float(x.mean())])))
+        ds = LongitudinalDataset(subjects, (0, 10), None, (0, 1), scalar_response=True)
+        kinds = []
+        real = selection.cv_smoother_bandwidth
+
+        def spy(subjects, kind, *args, **kwargs):
+            kinds.append(kind)
+            return real(subjects, kind, *args, **kwargs)
+
+        monkeypatch.setattr(selection, "cv_smoother_bandwidth", spy)
+        model = fit(ds, FitConfig(n_bins=2, truncation=(2, None), refine_bandwidth=0.4,
+                                  min_bin_count=2, cv_surfaces=True))
+        assert kinds == ["mean_x", "cov_x"] * 2
+        for p, b in enumerate(model.bins):
+            subs = [ds.subjects[i] for i in model.partition.index_sets[p]]
+            assert b.bandwidths["cross"] == default_bandwidth(
+                10.0, sum(s.n_x * s.n_y for s in subs))
 
 
 class TestPredict:

@@ -10,7 +10,7 @@ from vcflr.data import LongitudinalDataset, Subject
 from vcflr.errors import InsufficientLocalData
 from vcflr.fpca import VARIANCE_FLOOR, observation_covariance
 from vcflr.grids import make_grid
-from vcflr.regression import FitConfig, fit, refinement_weights
+from vcflr.regression import FitConfig, fit
 from vcflr.selection import (
     cv_smoother_bandwidth,
     select_bandwidth,
@@ -87,19 +87,16 @@ class TestSelectTruncation:
         assert k <= cap
 
 
-def local_linear_weights(model):
-    return lambda z, b: lp_weights(0, 1, model.partition.centers, z, b, model.kernel)
-
-
-def recompute_bandwidth_table(model, ds, candidates, criterion, weights=None):
+def recompute_bandwidth_table(model, ds, candidates, criterion):
     """Independent re-derivation of the refined-fit criterion.
 
-    ``weights(z, b)`` gives the refinement weights over the bin centers
-    (local linear by default); the smoother trace tr(SᵀS) is the sum of
-    squares of its rows at the centers.
+    The refinement weights over the bin centers are local linear; the
+    smoother trace tr(SᵀS) is the sum of squares of their rows at the
+    centers.
     """
-    if weights is None:
-        weights = local_linear_weights(model)
+    def weights(z, b):
+        return lp_weights(0, 1, model.partition.centers, z, b, model.kernel)
+
     n = ds.n
     pen_scale = 2.0 if criterion == "AIC" else math.log(n)
     sigma2 = max(model.sigma2_y, VARIANCE_FLOOR)
@@ -174,22 +171,6 @@ class TestSelectBandwidth:
         for cand, score in table:
             assert score == pytest.approx(oracle[cand], rel=1e-9)
 
-    def test_refine_order_two_scores_deployed_model(self, fitted):
-        # the criterion must use the refinement order that refine() deploys
-        ds, _ = fitted
-        cfg = FitConfig(n_bins=5, truncation=(3, 3), refine_order=2,
-                        refine_bandwidth=None, refine_candidates=(0.3, 0.45, 0.6),
-                        bandwidth_policy="default", min_bin_count=2)
-        model = fit(ds, cfg)
-        b_star = model.refine_bandwidth
-        deployed = recompute_bandwidth_table(
-            model, ds, (b_star,), "BIC",
-            weights=lambda z, b: refinement_weights(replace(model, refine_bandwidth=b), z))
-        local_linear = recompute_bandwidth_table(model, ds, (b_star,), "BIC")
-        assert deployed[b_star] != pytest.approx(local_linear[b_star], rel=1e-6)
-        assert dict(model.selection.tables["b"])[b_star] == pytest.approx(
-            deployed[b_star], rel=1e-9)
-
     def test_single_bin_ties_prefer_larger(self):
         ds, _ = generate(REGULAR, 30, seed=61)
         cfg = FitConfig(n_bins=1, truncation=(2, 2), refine_bandwidth=0.3,
@@ -209,34 +190,50 @@ class TestSelectBandwidth:
 class TestSelectBinwidth:
     def test_single_candidate_returned(self):
         ds, _ = generate(REGULAR, 60, seed=62)
-        cfg = FitConfig(truncation=(2, 2), bandwidth_policy="default",
-                        min_bin_count=2)
-        p, b, table = select_binwidth(ds, cfg, (3,), "AIC")
-        assert p == 3
-        assert len(table) == 1
+        cfg = FitConfig(n_bins=None, bin_candidates=(3,), truncation=(2, 2),
+                        bandwidth_policy="default", min_bin_count=2)
+        model = fit(ds, cfg)
+        assert model.n_bins == 3
+        assert len(model.selection.tables["P"]) == 1
 
     def test_occupancy_violators_skipped(self):
         ds, _ = generate(REGULAR, 30, seed=63)
-        cfg = FitConfig(truncation=(2, 2), bandwidth_policy="default",
-                        min_bin_count=8)
+        cfg = FitConfig(n_bins=None, bin_candidates=(2, 16), truncation=(2, 2),
+                        bandwidth_policy="default", min_bin_count=8)
         with pytest.warns(UserWarning, match="occupancy"):
-            p, _, table = select_binwidth(ds, cfg, (2, 16), "AIC")
-        assert p == 2
-        assert [c for c, _ in table] == [2]
+            model = fit(ds, cfg)
+        assert model.n_bins == 2
+        assert [c for c, _ in model.selection.tables["P"]] == [2]
 
     def test_penalty_uses_2mkp(self):
         ds, _ = generate(REGULAR, 60, seed=64)
         cfg = FitConfig(truncation=(3, 3), bandwidth_policy="default",
                         min_bin_count=2)
-        p, b_star, table = select_binwidth(ds, cfg, (2, 3), "AIC")
+        auto = fit(ds, replace(cfg, n_bins=None, bin_candidates=(2, 3)))
         # recompute each candidate's score independently
-        from dataclasses import replace
         from vcflr.selection import _RefinementResiduals
-        for cand, score in table:
-            model_c = fit(ds, replace(cfg, n_bins=cand, refine_bandwidth=None))
-            resid = _RefinementResiduals(model_c, ds).residual_term(
-                model_c.refine_bandwidth)
-            assert score == pytest.approx(resid + 2.0 * 3 * 3 * cand, rel=1e-9)
+        models = [fit(ds, replace(cfg, n_bins=p, refine_bandwidth=None)) for p in (2, 3)]
+        resid = [_RefinementResiduals(m, ds).residual_term(m.refine_bandwidth)
+                 for m in models]
+        for (cand, score), r in zip(auto.selection.tables["P"], resid):
+            assert score == pytest.approx(r + 2.0 * 3 * 3 * cand, rel=1e-9)
+        _, bic_table = select_binwidth(models, "BIC", ds.n)
+        for (cand, score), r in zip(bic_table, resid):
+            assert score == pytest.approx(r + math.log(ds.n) * 3 * 3 * cand, rel=1e-9)
+
+    def test_ties_prefer_fewer_bins(self):
+        ds, _ = generate(REGULAR, 60, seed=64)
+        cfg = FitConfig(truncation=(3, 3), bandwidth_policy="default",
+                        min_bin_count=2)
+        small, large = (fit(ds, replace(cfg, n_bins=p, refine_bandwidth=None))
+                        for p in (2, 3))
+        # equal penalized scores: 100 + 2*3*3*2 == 82 + 2*3*3*3
+        small.selection.refined_residual = 100.0
+        large.selection.refined_residual = 82.0
+        winner, table = select_binwidth([large, small], "AIC", ds.n)
+        assert winner is small
+        assert [c for c, _ in table] == [2, 3]
+        assert table[0][1] == table[1][1]
 
 
 def assert_same(a, b, path):
@@ -348,6 +345,13 @@ class TestCvSmootherBandwidth:
                                     ((2.0, 2.0), (4.0, 4.0)), grid, grid,
                                     mean_bandwidths=(2.0, 2.0))
         assert got in ((2.0, 2.0), (4.0, 4.0))
+
+    def test_scalar_response_has_no_cross_kind(self):
+        subjects = self.make_subjects(10, 83)
+        grid = make_grid(0, 10, 21)
+        with pytest.raises(ValueError, match="response grid"):
+            cv_smoother_bandwidth(subjects, "cross", 5, (2.0,), grid, None,
+                                  mean_bandwidths=(2.0, None))
 
     def test_all_fail_raises(self):
         subjects = self.make_subjects(10, 82)

@@ -85,6 +85,25 @@ class TestRoundTrip:
             predict(model, x_obs, 0.5).y_hat
 
 
+class TestRefinementOrder:
+    def test_local_linear_order_round_trips(self, model, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert json.loads(path.read_text())["refine"]["order"] == 1
+        back = load_model(path)
+        save_model(back, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text() == path.read_text()
+
+    def test_other_order_rejected(self, model, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["refine"]["order"] = 2
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="refinement order 2"):
+            load_model(path)
+
+
 class TestFormatErrors:
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
