@@ -79,9 +79,24 @@ def load_config(path: str | None) -> dict:
             if not isinstance(domains, dict) or set(domains) - set(cfg["domains"]):
                 raise ModelFormatError(
                     f"{path}: domains must be an object with keys among s, t, z")
+            for key, pair in domains.items():
+                if not _is_interval(pair):
+                    raise ModelFormatError(
+                        f"{path}: domain {key} must be a pair of finite numbers "
+                        f"[lo, hi] with lo < hi, got {pair!r}")
             user = {**user, "domains": {**cfg["domains"], **domains}}
         cfg.update(user)
     return cfg
+
+
+def _is_interval(pair) -> bool:
+    """True for a JSON pair [lo, hi] of finite numbers with lo < hi."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        return False
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair):
+        return False
+    lo, hi = (float(v) for v in pair)
+    return bool(np.isfinite(lo) and np.isfinite(hi) and lo < hi)
 
 
 def fit_config_from(cfg: dict, bins_override: int | None = None) -> FitConfig:

@@ -54,11 +54,11 @@ class EigenSystem:
         return GridFunction(self.grid, self.functions[:, k].copy())
 
     def at(self, times) -> np.ndarray:
-        """All eigenfunctions linearly interpolated at given times: (n, n_comp)."""
+        """All eigenfunctions interpolated at times: shape times.shape + (n_comp,)."""
         times = np.asarray(times, dtype=float)
-        out = np.empty((times.size, self.n_components))
+        out = np.empty(times.shape + (self.n_components,))
         for k in range(self.n_components):
-            out[:, k] = np.interp(times, self.grid.points, self.functions[:, k])
+            out[..., k] = np.interp(times, self.grid.points, self.functions[:, k])
         return out
 
 
@@ -381,36 +381,70 @@ def sigma_mk(eig_x: EigenSystem, eig_y: EigenSystem | None,
 
 def observation_covariance(times, cov: GridSurface, sigma2: float,
                            cond_limit: float = 1e12) -> np.ndarray:
-    """Covariance of one subject's noisy observations.
+    """Covariance of one subject's noisy observations: (n, n) for one time
+    vector, (g, n, n) for a (g, n) stack of them, each matrix on its own.
 
-    The smoothed covariance surface is interpolated at observation-time pairs
-    and the error variance added on the diagonal. Noisy surfaces can be
-    locally negative definite at close time pairs, which would let the
-    process part eat the noise variance and blow up the BLUP, so negative
-    eigenvalues of the process block are clipped to zero first (a no-op
-    whenever the surface is positive semidefinite there). A diagonal jitter
-    of 1e-8 tr(Sigma)/n is applied when the condition number still exceeds
-    cond_limit. That condition number is read off the eigenvalues already
-    computed: before the jitter Sigma has eigenvalues max(lambda, 0) + sigma2,
-    all positive, so their ratio is its 2-norm condition number (1 for a
-    single observation).
+    The smoothed surface is interpolated at observation-time pairs and the
+    error variance added on the diagonal. Noisy surfaces can be locally
+    negative definite at close time pairs, which would let the process part
+    eat the noise variance and blow up the BLUP, so negative eigenvalues of
+    the process block are clipped to zero first. A diagonal jitter of
+    1e-8 tr(Sigma)/n is applied when the condition number still exceeds
+    cond_limit; before the jitter Sigma has eigenvalues max(lambda, 0) +
+    sigma2, so that number is read off the eigenvalues already computed
+    (1 for a single observation).
     """
     times = np.asarray(times, dtype=float)
-    tt1, tt2 = np.meshgrid(times, times, indexing="ij")
-    sigma = cov.at(tt1.ravel(), tt2.ravel()).reshape(times.size, times.size)
-    sigma = (sigma + sigma.T) / 2.0
+    stack = np.atleast_2d(times)
+    g, n = stack.shape
+    sigma = cov.at(stack[:, :, None], stack[:, None, :])   # broadcasts to (g, n, n)
+    sigma = (sigma + sigma.swapaxes(1, 2)) / 2.0
     noise = max(sigma2, VARIANCE_FLOOR)
-    cond = 1.0
-    if times.size > 1:
+    jitter = np.zeros(g, dtype=bool)
+    if n > 1:
         eigvals, eigvecs = np.linalg.eigh(sigma)
-        if eigvals[0] < 0:
-            sigma = (eigvecs * np.maximum(eigvals, 0.0)) @ eigvecs.T
-            sigma = (sigma + sigma.T) / 2.0
-        cond = (max(eigvals[-1], 0.0) + noise) / (max(eigvals[0], 0.0) + noise)
-    sigma[np.diag_indices_from(sigma)] += noise
-    if cond > cond_limit:
-        sigma[np.diag_indices_from(sigma)] += 1e-8 * np.trace(sigma) / times.size
-    return sigma
+        neg = eigvals[:, 0] < 0
+        if neg.any():
+            vecs = eigvecs[neg]
+            clipped = (vecs * np.maximum(eigvals[neg], 0.0)[:, None, :]) @ vecs.swapaxes(1, 2)
+            sigma[neg] = (clipped + clipped.swapaxes(1, 2)) / 2.0
+        jitter = (np.maximum(eigvals[:, -1], 0.0) + noise) \
+            / (np.maximum(eigvals[:, 0], 0.0) + noise) > cond_limit
+    diag = np.einsum("gii->gi", sigma)   # writable view of every diagonal
+    diag += noise
+    if jitter.any():
+        diag += np.where(jitter, 1e-8 * diag.sum(axis=1) / n, 0.0)[:, None]
+    return sigma[0] if times.ndim == 1 else sigma
+
+
+def _count_groups(sizes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per nonzero observation count n: the indices of the subjects with n
+    observations and the (g, n) positions of those observations in the
+    concatenation of all subjects' observations (``sizes`` in order)."""
+    sizes = np.asarray(sizes, dtype=int)
+    starts = np.cumsum(sizes) - sizes
+    groups = []
+    for n in np.unique(sizes[sizes > 0]):
+        idx = np.flatnonzero(sizes == n)
+        groups.append((idx, starts[idx, None] + np.arange(n)))
+    return groups
+
+
+def _blup_operator(times: np.ndarray, eig: EigenSystem, cov: GridSurface,
+                   sigma2: float, n_components: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenfunctions psi (g, n, m) and BLUP operators A = Lambda psi^T Sigma^{-1}
+    (g, m, n) at a (g, n) stack of time vectors: one stacked covariance build
+    and solve, shared by repeated vectors. Scores are A (values - mean)."""
+    rows = slice(None)
+    if times.shape[0] > 1:
+        times, rows = np.unique(times, axis=0, return_inverse=True)
+        rows = rows.ravel()
+    psi = eig.at(times)[..., :n_components]
+    try:
+        sol = np.linalg.solve(observation_covariance(times, cov, sigma2), psi)
+    except np.linalg.LinAlgError as err:
+        raise SingularCovariance(f"observation covariance is singular: {err}") from None
+    return psi[rows], (eig.values[:n_components, None] * sol.swapaxes(1, 2))[rows]
 
 
 def blup_scores(times, values, mean_values, eig: EigenSystem,
@@ -427,13 +461,8 @@ def blup_scores(times, values, mean_values, eig: EigenSystem,
         raise TruncationTooLarge(
             f"requested {n_components} components, {eig.n_components} available")
     resid = np.asarray(values, dtype=float) - np.asarray(mean_values, dtype=float)
-    sigma = observation_covariance(times, cov, sigma2)
-    try:
-        alpha = np.linalg.solve(sigma, resid)
-    except np.linalg.LinAlgError as err:
-        raise SingularCovariance(f"observation covariance is singular: {err}") from None
-    phi = eig.at(times)[:, :n_components]
-    return eig.values[:n_components] * (phi.T @ alpha)
+    _, ops = _blup_operator(times[None, :], eig, cov, sigma2, n_components)
+    return ops[0] @ resid
 
 
 def default_bandwidth(domain_length: float, n_points: int) -> float:

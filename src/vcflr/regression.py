@@ -29,7 +29,7 @@ from .fpca import (
     default_bandwidth,
     fit_bin,
 )
-from .smoothing import LocalFitConfig, lp_weights, widen_until_fit
+from .smoothing import local_linear_weights
 
 
 @dataclass
@@ -67,6 +67,12 @@ class FitConfig:
     cv_factors: tuple[float, ...] = (0.5, 0.7071, 1.0, 1.4142, 2.0)
     min_bin_count: int = 5
     ridge: float = 1e-10
+
+    def __post_init__(self):
+        for name in ("criterion", "binwidth_criterion"):
+            value = getattr(self, name)
+            if value not in ("AIC", "BIC"):
+                raise ValueError(f"{name} must be 'AIC' or 'BIC', got {value!r}")
 
     def kernel1d(self) -> Kernel1D:
         return Kernel1D(self.kernel)
@@ -132,15 +138,11 @@ def raw_beta(bin_est: BinEstimate, m: int, k: int | None = None):
 
 
 def refinement_weights(model: FittedModel, z: float) -> np.ndarray:
-    """Local linear weights over bin centers at covariate level z,
-    widening the refinement bandwidth when too few centers carry weight."""
-    cfg = LocalFitConfig(model.refine_bandwidth, model.kernel)
-
-    def attempt(c: LocalFitConfig) -> np.ndarray:
-        return lp_weights(0, 1, model.partition.centers, z,
-                          float(c.bandwidth), model.kernel)
-
-    return widen_until_fit(attempt, cfg)
+    """Local linear weights over bin centers at covariate level z, widening
+    the refinement bandwidth when no center carries weight; the weights
+    bandwidth selection scores (``smoothing.local_linear_weights``)."""
+    return local_linear_weights(model.partition.centers, z, model.refine_bandwidth,
+                                model.kernel)
 
 
 def refine(model: FittedModel, z: float):

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .data import LongitudinalDataset, Subject
 from .errors import (
@@ -28,10 +27,11 @@ from .errors import (
 from .fpca import (
     VARIANCE_FLOOR,
     BinEstimate,
+    _blup_operator,
+    _count_groups,
     aggregate_1d,
     aggregate_2d,
     estimate_mean,
-    observation_covariance,
     raw_covariances,
     raw_cross_products,
 )
@@ -41,9 +41,8 @@ from .smoothing import (
     LocalFitConfig,
     local_linear_1d_at,
     local_linear_2d_at,
-    lp_weights,
+    local_linear_weights,
     smoothing_matrix,
-    widen_until_fit,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -76,14 +75,24 @@ class SelectionReport:
         return rows
 
 
+def _penalty_scale(criterion: str, n: int) -> float:
+    """Per-parameter penalty: 2 for AIC, log n for BIC."""
+    if criterion == "AIC":
+        return 2.0
+    if criterion == "BIC":
+        return math.log(n)
+    raise ValueError(f"unknown criterion {criterion!r}; choose AIC or BIC")
+
+
 def _truncation_table(bins: list[BinEstimate], subjects_by_bin: list[list[Subject]],
                       candidates, stream: str, criterion: str, n_total: int):
-    """Penalized pseudo-deviance of BLUP reconstructions per candidate order."""
-    avail = []
-    for b in bins:
-        eig = b.eig_x if stream == "x" else b.eig_y
-        avail.append(eig.n_components)
-    cap = min(avail)
+    """Penalized pseudo-deviance of BLUP reconstructions per candidate order.
+
+    Each bin scores its subjects in groups of equal observation count, with
+    one stacked BLUP operator per group.
+    """
+    pen_scale = _penalty_scale(criterion, n_total)
+    cap = min(getattr(b, f"eig_{stream}").n_components for b in bins)
     feasible = [c for c in candidates if c <= cap]
     skipped = [c for c in candidates if c > cap]
     if skipped:
@@ -95,41 +104,28 @@ def _truncation_table(bins: list[BinEstimate], subjects_by_bin: list[list[Subjec
             f"no feasible truncation candidate on the {stream.upper()} side "
             f"(bins provide at most {cap} component(s))")
     kmax = max(feasible)
-    n_bins = len(bins)
 
     sse = dict.fromkeys(feasible, 0.0)
     base = 0.0
     for b, subjects in zip(bins, subjects_by_bin):
-        eig = b.eig_x if stream == "x" else b.eig_y
-        cov = b.cov_x if stream == "x" else b.cov_y
-        mean = b.mean_x if stream == "x" else b.mean_y
-        sigma2 = max(b.sigma2_x if stream == "x" else b.sigma2_y, VARIANCE_FLOOR)
-        by_times = {}   # subjects sharing a time vector share Sigma and phi
-        for sub in subjects:
-            times = sub.x_times if stream == "x" else sub.y_times
-            values = sub.x_values if stream == "x" else sub.y_values
-            if times.size == 0:
-                continue
-            key = times.tobytes()
-            if key not in by_times:
-                by_times[key] = (observation_covariance(times, cov, sigma2),
-                                 eig.at(times)[:, :kmax])
-            sigma, phi = by_times[key]
-            resid0 = values - mean.at(times)
-            alpha = np.linalg.solve(sigma, resid0)
-            scores = eig.values[:kmax] * (phi.T @ alpha)
-            eps = resid0.copy()
+        if not subjects:
+            continue
+        sigma2 = max(getattr(b, f"sigma2_{stream}"), VARIANCE_FLOOR)
+        times = [getattr(sub, f"{stream}_times") for sub in subjects]
+        flat = np.concatenate(times)
+        resid = np.concatenate([getattr(sub, f"{stream}_values") for sub in subjects]) \
+            - getattr(b, f"mean_{stream}").at(flat)
+        for _, pos in _count_groups([t.size for t in times]):
+            phi, ops = _blup_operator(flat[pos], getattr(b, f"eig_{stream}"),
+                                      getattr(b, f"cov_{stream}"), sigma2, kmax)
+            eps = resid[pos]
+            scores = np.einsum("gkn,gn->gk", ops, eps)
             for k in range(1, kmax + 1):
-                eps -= scores[k - 1] * phi[:, k - 1]
+                eps = eps - scores[:, k - 1, None] * phi[:, :, k - 1]
                 if k in sse:
-                    sse[k] += float(eps @ eps) / sigma2
-            base += times.size * (_LOG_2PI + math.log(sigma2))
-
-    table = []
-    for c in feasible:
-        penalty = 2.0 * n_bins * c if criterion == "AIC" else math.log(n_total) * n_bins * c
-        table.append((c, sse[c] + base + penalty))
-    return table
+                    sse[k] += float(np.sum(eps * eps)) / sigma2
+        base += flat.size * (_LOG_2PI + math.log(sigma2))
+    return [(c, sse[c] + base + pen_scale * len(bins) * c) for c in feasible]
 
 
 def _argmin_with_ties(table, prefer_last: bool = False):
@@ -166,112 +162,69 @@ def select_truncation(bins: list[BinEstimate], subjects_by_bin: list[list[Subjec
 class _RefinementResiduals:
     """Shared precomputation for the refined-fit residual criterion.
 
-    Per bin: the slope coefficient matrix sigma_mk / rho_m, and, once per
-    distinct predictor time vector, an LU factor of the observation
-    covariance and the eigenfunction values at those times (likewise the
-    response eigenfunctions per distinct response time vector). Subjects
-    observed at identical times share these entries. Only the refined means
-    depend on the refinement bandwidth, so scoring one more candidate is
-    cheap.
+    With w_i the refinement weights at subject i's covariate, the residual
+    is eps_i = y_i - sum_q w_iq mu_{y,q}(t_i) - sum_p w_ip G_ip (U_ip - V_ip w_i):
+    A_ip = Lambda Psi^T Sigma^{-1} is bin p's BLUP operator at subject i's
+    predictor times, U_ip = A_ip x_i, V_ip = A_ip [mu_{x,q}(s_i)]_q and
+    G_ip = phi_p(t_i) Gamma_p^T, Gamma_p = sigma_mk / rho_m (phi = 1 for a
+    scalar response). U, V, G (one stacked BLUP operator per bin and
+    observation count) and the bin response means at the flat, subject-tagged
+    response observations are built once; a candidate bandwidth then costs a
+    weight matrix and a few contractions.
     """
 
     def __init__(self, model: "FittedModel", ds: LongitudinalDataset):
         self.model = model
-        self.ds = ds
         m, k = model.truncation
-        self.m = m
-        self.k = k
-        self.scalar = model.scalar_response
-        self.gamma = []
-        for b in model.bins:
-            if self.scalar:
-                self.gamma.append(b.sigma_mk[:m] / b.eig_x.values[:m])
-            else:
-                self.gamma.append(b.sigma_mk[:m, :k] / b.eig_x.values[:m, None])
-        self.mean_x_stack = np.stack([b.mean_x.values for b in model.bins])
-        if self.scalar:
-            self.mean_y_stack = np.array([b.mean_y for b in model.bins])
+        subjects = ds.subjects
+        self.z = np.array([sub.z for sub in subjects])
+        x_times = np.concatenate([sub.x_times for sub in subjects])
+        x_values = np.concatenate([sub.x_values for sub in subjects])
+        mean_x = np.column_stack([b.mean_x.at(x_times) for b in model.bins])   # (N_x, P)
+        self.u = np.zeros((ds.n, model.n_bins, m))     # no observations: zero scores
+        self.v = np.zeros((ds.n, model.n_bins, m, model.n_bins))
+        groups = _count_groups([sub.n_x for sub in subjects])
+        for p, b in enumerate(model.bins):
+            for idx, pos in groups:
+                _, ops = _blup_operator(x_times[pos], b.eig_x, b.cov_x,
+                                        max(b.sigma2_x, VARIANCE_FLOOR), m)
+                self.u[idx, p] = np.einsum("gmn,gn->gm", ops, x_values[pos])
+                self.v[idx, p] = ops @ mean_x[pos]
+
+        if model.scalar_response:
+            self.subject_of = np.arange(ds.n)
+            self.y = np.array([sub.y_scalar for sub in subjects])
+            self.mean_y = np.tile([b.mean_y for b in model.bins], (ds.n, 1))
+            gamma = np.stack([b.sigma_mk[:m] / b.eig_x.values[:m] for b in model.bins])
+            self.g = np.broadcast_to(gamma, (ds.n,) + gamma.shape)
+            self.sigma2_y = max(float(np.var(self.y)), VARIANCE_FLOOR)
         else:
-            self.mean_y_stack = np.stack([b.mean_y.values for b in model.bins])
-        self.lu = []
-        self.psi = []
-        self.phi = []
-        x_memo = [{} for _ in model.bins]   # per bin: x_times bytes -> (LU, psi)
-        y_memo = [{} for _ in model.bins]   # per bin: y_times bytes -> phi
-        for sub in ds.subjects:
-            x_key = sub.x_times.tobytes()
-            y_key = None if self.scalar else sub.y_times.tobytes()
-            lus, psis, phis = [], [], []
-            for b, xm, ym in zip(model.bins, x_memo, y_memo):
-                if x_key not in xm:
-                    sigma = observation_covariance(
-                        sub.x_times, b.cov_x, max(b.sigma2_x, VARIANCE_FLOOR))
-                    xm[x_key] = (lu_factor(sigma), b.eig_x.at(sub.x_times)[:, :m])
-                lu, psi = xm[x_key]
-                lus.append(lu)
-                psis.append(psi)
-                if self.scalar:
-                    phis.append(None)
-                    continue
-                if y_key not in ym:
-                    ym[y_key] = b.eig_y.at(sub.y_times)[:, :k]
-                phis.append(ym[y_key])
-            self.lu.append(lus)
-            self.psi.append(psis)
-            self.phi.append(phis)
-        if self.scalar:
-            resp = np.array([s.y_scalar for s in ds.subjects])
-            self.sigma2_y = max(float(np.var(resp)), VARIANCE_FLOOR)
-            self.n_obs_y = ds.n
-        else:
+            self.subject_of = np.repeat(np.arange(ds.n), [sub.n_y for sub in subjects])
+            y_times = np.concatenate([sub.y_times for sub in subjects])
+            self.y = np.concatenate([sub.y_values for sub in subjects])
+            self.mean_y = np.column_stack([b.mean_y.at(y_times) for b in model.bins])
+            self.g = np.stack([
+                b.eig_y.at(y_times)[:, :k] @ (b.sigma_mk[:m, :k] / b.eig_x.values[:m, None]).T
+                for b in model.bins], axis=1)                    # (N_y, P, M)
             self.sigma2_y = max(model.sigma2_y, VARIANCE_FLOOR)
-            self.n_obs_y = sum(s.n_y for s in ds.subjects)
 
     def residual_term(self, b: float) -> float:
         """Sum over subjects of eps'eps / sigma2 + N log(2 pi sigma2) at
         refinement bandwidth b.
 
-        Weights are the local linear refinement weights and widen exactly
-        as refine() does at prediction time, so the criterion scores the
-        model as deployed; InsufficientCenters escapes only when widening is
-        exhausted at some subject's covariate.
+        The weights are the ones refine() deploys (``local_linear_weights``,
+        widening included), so the criterion scores the model as deployed;
+        InsufficientCenters escapes only when widening is exhausted at some
+        subject's covariate.
         """
-        model = self.model
-        centers = model.partition.centers
-        grid_s = model.s_grid.points
-        grid_t = None if self.scalar else model.t_grid.points
-        kernel = model.kernel
-
-        def weights_at(z: float) -> np.ndarray:
-            return widen_until_fit(
-                lambda c: lp_weights(0, 1, centers, z, float(c.bandwidth), kernel),
-                LocalFitConfig(b, kernel))
-
-        sse = 0.0
-        for i, sub in enumerate(self.ds.subjects):
-            w = weights_at(sub.z)
-            mu_x = w @ self.mean_x_stack
-            rx = sub.x_values - np.interp(sub.x_times, grid_s, mu_x)
-            if self.scalar:
-                mu_y = float(w @ self.mean_y_stack)
-                fitted = 0.0
-            else:
-                mu_y = np.interp(sub.y_times, grid_t, w @ self.mean_y_stack)
-                fitted = np.zeros(sub.n_y)
-            for p in np.flatnonzero(w != 0.0):
-                alpha = lu_solve(self.lu[i][p], rx)
-                zeta = model.bins[p].eig_x.values[:self.m] * (self.psi[i][p].T @ alpha)
-                if self.scalar:
-                    fitted += w[p] * float(self.gamma[p] @ zeta)
-                else:
-                    fitted += w[p] * (self.phi[i][p] @ (self.gamma[p].T @ zeta))
-            if self.scalar:
-                eps = sub.y_scalar - mu_y - fitted
-                sse += eps * eps
-            else:
-                eps = sub.y_values - mu_y - fitted
-                sse += float(eps @ eps)
-        return sse / self.sigma2_y + self.n_obs_y * (_LOG_2PI + math.log(self.sigma2_y))
+        w = local_linear_weights(self.model.partition.centers, self.z, b,
+                                 self.model.kernel)               # (n, P)
+        zeta = self.u - np.einsum("ipmq,iq->ipm", self.v, w)      # BLUP scores
+        sid = self.subject_of
+        eps = (self.y - np.einsum("op,op->o", w[sid], self.mean_y)
+               - np.einsum("opm,opm->o", self.g, (w[:, :, None] * zeta)[sid]))
+        return float(eps @ eps) / self.sigma2_y \
+            + self.y.size * (_LOG_2PI + math.log(self.sigma2_y))
 
 
 def select_bandwidth(model: "FittedModel", ds: LongitudinalDataset, candidates,
@@ -284,15 +237,15 @@ def select_bandwidth(model: "FittedModel", ds: LongitudinalDataset, candidates,
 
     Returns (chosen bandwidth, score table, residual term at the chosen b).
     """
+    pen_scale = _penalty_scale(criterion, ds.n)
     prep = _RefinementResiduals(model, ds)
-    pen_scale = 2.0 if criterion == "AIC" else math.log(ds.n)
     table = []
     resid_by_b = {}
     for b in sorted(set(float(b) for b in candidates)):
         try:
             _, trace = smoothing_matrix(model.partition.centers, b, model.kernel)
             resid = prep.residual_term(b)
-        except (InsufficientCenters, InsufficientLocalData):
+        except InsufficientCenters:
             continue
         resid_by_b[b] = resid
         table.append((b, resid + pen_scale * trace))
@@ -311,7 +264,7 @@ def select_binwidth(models: list["FittedModel"], criterion: str, n_total: int):
     M K P scaled by 2 (AIC) or log n_total (BIC). Ties break toward fewer
     bins. Returns (winning model, score table).
     """
-    pen_scale = 2.0 if criterion == "AIC" else math.log(n_total)
+    pen_scale = _penalty_scale(criterion, n_total)
     ranked = sorted(models, key=lambda mdl: mdl.n_bins)
     table = []
     for mdl in ranked:

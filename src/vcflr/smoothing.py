@@ -2,8 +2,9 @@
 
 The one- and two-dimensional smoothers return the local intercept of a
 kernel-weighted least-squares fit at each evaluation point; both reproduce
-affine data exactly for any bandwidth. ``lp_weights`` builds the linear
-weights that combine per-bin raw estimates across the covariate axis.
+affine data exactly for any bandwidth. ``local_linear_weights`` builds the
+linear weights that combine per-bin raw estimates across the covariate axis;
+``lp_weights`` is the general local polynomial reference they agree with.
 
 Points may carry multiplicity weights: a weighted point (x, y, w) enters the
 normal equations exactly like w copies of (x, y), which lets callers collapse
@@ -26,6 +27,9 @@ from .kernels import Kernel1D, Kernel2D, kernel_eval
 _SINGULAR_RTOL = 1e-14
 # Relative centered-moment determinant below which a 2D design is degenerate.
 _DEGENERATE_RTOL = 1e-13
+# Bandwidth growth per retry, and retries, when a local fit lacks data.
+_WIDEN_FACTOR = 1.5
+_WIDEN_ATTEMPTS = 5
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,7 @@ class LocalFitConfig:
 
 
 def widen_until_fit(fit: Callable[[LocalFitConfig], object], cfg: LocalFitConfig,
-                    factor: float = 1.5, attempts: int = 5):
+                    factor: float = _WIDEN_FACTOR, attempts: int = _WIDEN_ATTEMPTS):
     """Run ``fit(cfg)``, widening the bandwidth on insufficient-data errors.
 
     Retries with bandwidth * factor**k for k = 1..attempts, then re-raises the
@@ -273,15 +277,54 @@ def lp_weights(q: int, r: int, centers: np.ndarray, z: float, b: float,
         r_eff -= 1
 
 
+def local_linear_weights(centers: np.ndarray, z, b: float,
+                         kernel: Kernel1D = Kernel1D()) -> np.ndarray:
+    """``lp_weights(0, 1, centers, z, b, kernel)`` in closed form, for a
+    scalar z (shape (P,)) or an array of z (shape (len(z), P)).
+
+    With K_p the kernel weight of center p and u_p its scaled distance to z,
+    w_p = K_p (S2 - u_p S1) / (S0 S2 - S1²), S_j = sum_q K_q u_q^j, evaluated
+    as a_p (V - ū (u_p - ū)) / V with a = K / S0, ū = sum a u and
+    V = sum a (u - ū)², moments taken about the heaviest center so that tiny
+    weights do not cancel. A row where one center carries weight is that
+    center's indicator (the local constant fit); a row where none does widens
+    its own bandwidth as ``widen_until_fit`` does, raising
+    InsufficientCenters when exhausted.
+    """
+    if not b > 0:
+        raise ValueError("bandwidths must be strictly positive")
+    centers = np.asarray(centers, dtype=float)
+    z = np.asarray(z, dtype=float)
+    zz = np.atleast_1d(z)
+    d = centers[None, :] - zz[:, None]
+    bw = np.full((zz.size, 1), float(b))
+    for _ in range(_WIDEN_ATTEMPTS + 1):
+        kw = kernel_eval(kernel, d / bw)
+        empty = ~np.any(kw > 0, axis=1)
+        if not empty.any():
+            break
+        bw[empty] *= _WIDEN_FACTOR
+    else:
+        raise InsufficientCenters(
+            f"no bin center carries weight at z={zz[np.argmax(empty)]:g} with b={b:g}")
+    u = d / bw
+    a = kw / kw.sum(axis=1, keepdims=True)
+    ref = np.take_along_axis(u, np.argmax(kw, axis=1)[:, None], axis=1)
+    m1 = (a * (u - ref)).sum(axis=1, keepdims=True)
+    c = (u - ref) - m1
+    var = (a * c * c).sum(axis=1, keepdims=True)
+    # V = 0 when all weight sits at one location: a is then the local
+    # constant fit, the indicator of a single weighted center
+    flat = var[:, 0] == 0.0
+    w = a * (var - (ref + m1) * c) / np.where(flat[:, None], 1.0, var)
+    w[flat] = a[flat]
+    return w[0] if z.ndim == 0 else w
+
+
 def smoothing_matrix(centers: np.ndarray, b: float,
                      kernel: Kernel1D = Kernel1D()) -> tuple[np.ndarray, float]:
-    """P x P refinement smoother matrix and tr(SᵀS).
-
-    Row p holds the local linear weights (q=0, r=1) evaluated at center p;
-    the trace of SᵀS is the effective number of parameters used by the
-    bandwidth selection criterion.
-    """
-    centers = np.asarray(centers, dtype=float)
-    rows = [lp_weights(0, 1, centers, float(c), b, kernel) for c in centers]
-    s = np.vstack(rows)
+    """P x P refinement smoother matrix (row p: the local linear weights at
+    center p) and tr(SᵀS), the bandwidth criterion's effective parameter
+    count."""
+    s = local_linear_weights(centers, centers, b, kernel)
     return s, float(np.sum(s * s))

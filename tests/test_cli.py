@@ -115,6 +115,26 @@ class TestFit:
         assert code == 4
         assert "fifty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["criterion", "binwidth_criterion"])
+    def test_lowercase_criterion_exit_4(self, sim_dir, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "aic"}))
+        code = main(["fit", "--train", str(sim_dir / "train.csv"),
+                     "--config", str(cfg), "--out", str(tmp_path / "m")])
+        assert code == 4
+        assert "'aic'" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("pair", ["ab", [0, "10"], [10, 0], [0, 0], [0],
+                                      [0, 10, 20], [0, float("inf")], [True, 10], None])
+    def test_bad_domain_exit_4(self, sim_dir, tmp_path, capsys, pair):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"domains": {"s": pair}}))
+        code = main(["fit", "--train", str(sim_dir / "train.csv"),
+                     "--config", str(cfg), "--out", str(tmp_path / "m")])
+        assert code == 4
+        assert "domain s" in capsys.readouterr().err
+
     def test_no_threads_option(self, sim_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--train", str(sim_dir / "train.csv"),

@@ -10,6 +10,8 @@ from vcflr.errors import (
 )
 from vcflr.fpca import (
     EigenSystem,
+    _blup_operator,
+    _count_groups,
     aggregate_1d,
     aggregate_2d,
     blup_scores,
@@ -477,3 +479,64 @@ class TestObservationCovariance:
         jittered = observation_covariance(times, cov, sigma2, cond_limit=cond * (1 - 1e-8))
         jitter = 1e-8 * np.trace(plain) / times.size
         assert np.array_equal(jittered, plain + jitter * np.eye(times.size))
+
+
+class TestBatchedObservationCovariance:
+    GRID = make_grid(0, 10, 31)
+
+    def surfaces(self):
+        rng = np.random.default_rng(94)
+        psd = basis(self.GRID.points) * np.array([4e5, 2e5, 1e5])
+        a = rng.normal(size=(self.GRID.n, self.GRID.n))
+        return {"psd": GridSurface(self.GRID, self.GRID, psd @ basis(self.GRID.points).T),
+                "indefinite": GridSurface(self.GRID, self.GRID, (a + a.T) / 2.0)}
+
+    def stack(self, n, seed):
+        rng = np.random.default_rng(seed)
+        times = np.sort(rng.uniform(0, 10, (12, n)), axis=1)
+        times[5] = times[4]                 # a repeated time vector
+        return times
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_matches_per_vector_calls(self, n):
+        for name, cov in self.surfaces().items():
+            times = self.stack(n, 95 + n)
+            sigma2 = 1e-12 if name == "psd" else 0.3
+            conds = [np.linalg.cond(observation_covariance(t, cov, sigma2, cond_limit=np.inf))
+                     for t in times]
+            limit = float(np.median(conds)) if n > 1 else 1e12
+            batched = observation_covariance(times, cov, sigma2, cond_limit=limit)
+            assert batched.shape == (12, n, n)
+            single = np.stack([observation_covariance(t, cov, sigma2, cond_limit=limit)
+                               for t in times])
+            assert np.allclose(batched, single, rtol=1e-14, atol=0)
+            if n == 1:
+                continue
+            full = times.shape + (n,)
+            raw = cov.at(np.broadcast_to(times[:, :, None], full),
+                         np.broadcast_to(times[:, None, :], full))
+            clipped = np.linalg.eigvalsh((raw + raw.swapaxes(1, 2)) / 2.0)[:, 0] < 0
+            if name == "indefinite":
+                assert clipped.any()      # the clip fires inside the stack
+            else:
+                jittered = np.array(conds) > limit
+                assert jittered.any() and not jittered.all()
+
+    def test_blup_operator_shares_repeated_vectors(self):
+        psi = basis(self.GRID.points)
+        eig = EigenSystem(self.GRID, RHO.copy(), psi.copy())
+        cov = GridSurface(self.GRID, self.GRID, (psi * RHO) @ psi.T)
+        times = self.stack(5, 99)
+        phi, ops = _blup_operator(times, eig, cov, 0.5, 2)
+        assert phi.shape == (12, 5, 2) and ops.shape == (12, 2, 5)
+        assert np.array_equal(ops[4], ops[5])
+        rng = np.random.default_rng(99)
+        for t, op in zip(times, ops):
+            r = rng.normal(size=5)
+            want = blup_scores(t, r, np.zeros(5), eig, cov, 0.5, 2)
+            assert np.allclose(op @ r, want, rtol=1e-12, atol=1e-14)
+
+    def test_count_groups_positions(self):
+        groups = _count_groups([3, 0, 2, 3])
+        assert [idx.tolist() for idx, _ in groups] == [[2], [0, 3]]
+        assert [pos.tolist() for _, pos in groups] == [[[3, 4]], [[0, 1, 2], [5, 6, 7]]]

@@ -8,6 +8,7 @@ from vcflr.smoothing import (
     LocalFitConfig,
     local_linear_1d_at,
     local_linear_2d_at,
+    local_linear_weights,
     lp_weights,
     smoothing_matrix,
     widen_until_fit,
@@ -234,6 +235,81 @@ class TestLpWeights:
         assert w.sum() == pytest.approx(0.0, abs=1e-9)
         assert (w @ d) == pytest.approx(1.0, abs=1e-9)
         assert (w @ d**2) == pytest.approx(0.0, abs=1e-9)
+
+
+class TestLocalLinearWeights:
+    CENTERS = np.array([0.05, 0.15, 0.3, 0.5, 0.7, 0.95])
+
+    def reference(self, z, b, kernel):
+        return widen_until_fit(
+            lambda c: lp_weights(0, 1, self.CENTERS, z, float(c.bandwidth), kernel),
+            LocalFitConfig(b, kernel))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("b", [0.06, 0.12, 0.3, 1.0])
+    def test_matches_lp_weights(self, family, b):
+        kernel = Kernel1D(family)
+        z = np.concatenate([np.linspace(0.0, 1.0, 81), self.CENTERS])
+        got = local_linear_weights(self.CENTERS, z, b, kernel)
+        want = np.vstack([self.reference(zz, b, kernel) for zz in z])
+        assert got.shape == (z.size, self.CENTERS.size)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert np.allclose(local_linear_weights(self.CENTERS, z[7], b, kernel),
+                           want[7], rtol=0, atol=1e-12)
+
+    def test_grid_covers_single_center_and_widened_rows(self):
+        # at b=0.06 some rows see one center, and some none until widened
+        kernel = Kernel1D()
+        z = np.linspace(0.0, 1.0, 81)
+        counts = np.count_nonzero(
+            kernel_eval(kernel, (self.CENTERS[None, :] - z[:, None]) / 0.06) > 0, axis=1)
+        assert np.any(counts == 1) and np.any(counts == 0) and np.any(counts >= 2)
+
+    def test_single_center_row_is_indicator(self):
+        w = local_linear_weights(self.CENTERS, [0.3, 0.31], 0.05)
+        want = np.zeros(self.CENTERS.size)
+        want[2] = 1.0
+        assert np.array_equal(w[0], want) and np.array_equal(w[1], want)
+
+    def test_widening_is_per_row(self):
+        # z=0.82 needs two widenings; z=0.5 none, so its weights keep b
+        w = local_linear_weights(self.CENTERS, [0.5, 0.82], 0.05)
+        assert np.array_equal(w[0], local_linear_weights(self.CENTERS, 0.5, 0.05))
+        assert np.allclose(w[1], self.reference(0.82, 0.05, Kernel1D()), atol=1e-12)
+        assert w[1][4] != 0.0 and w[1][5] != 0.0
+
+    def test_exhausted_row_raises(self):
+        centers = np.array([0.0, 1.0])
+        # the gap needs b > 0.5; 0.05 * 1.5**5 = 0.38 is not enough
+        with pytest.raises(InsufficientCenters):
+            local_linear_weights(centers, [0.0, 0.5], 0.05)
+        with pytest.raises(InsufficientCenters):
+            widen_until_fit(lambda c: lp_weights(0, 1, centers, 0.5, float(c.bandwidth)),
+                            LocalFitConfig(0.05))
+        assert local_linear_weights(centers, 0.5, 0.07).tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("b", [0.0, -0.3, float("nan")])
+    def test_nonpositive_bandwidth_rejected(self, b):
+        # as LocalFitConfig rejects it on the lp_weights path
+        with pytest.raises(ValueError, match="positive"):
+            local_linear_weights(self.CENTERS, 0.5, b)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_reproduces_constants_and_lines(self, family):
+        rng = np.random.default_rng(41)
+        centers = np.sort(rng.uniform(0, 1, 9))
+        z = rng.uniform(0, 1, 200)
+        # every row has at least two weighted centers, so no order drop
+        w = local_linear_weights(centers, z, 0.9, Kernel1D(family))
+        assert np.allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.allclose(w @ (2.0 - 3.0 * centers), 2.0 - 3.0 * z, rtol=0, atol=1e-12)
+
+    def test_tiny_weight_stays_exact(self):
+        # the right center's weight is about 1e-31: S0 S2 - S1² would cancel
+        centers = (np.arange(8) + 0.5) / 8
+        w = local_linear_weights(centers, 0.3375, 0.1, Kernel1D("quartic"))
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        assert w @ centers == pytest.approx(0.3375, abs=1e-12)
 
 
 class TestSmoothingMatrix:

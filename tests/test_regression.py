@@ -178,6 +178,14 @@ def small_fit():
 
 
 class TestFit:
+    @pytest.mark.parametrize("field", ["criterion", "binwidth_criterion"])
+    @pytest.mark.parametrize("value", ["aic", "bic", "AICc", ""])
+    def test_criterion_must_be_aic_or_bic(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FitConfig(**{field: value})
+        FitConfig(**{field: "AIC"})
+        FitConfig(**{field: "BIC"})
+
     def test_sigma2_is_bin_average(self, small_fit):
         assert small_fit.sigma2_x == pytest.approx(
             np.mean([b.sigma2_x for b in small_fit.bins]))

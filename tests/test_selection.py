@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from vcflr.selection import (
     select_binwidth,
     select_truncation,
 )
-from vcflr.simulation import REGULAR, generate
+from vcflr.simulation import REGULAR, SPARSE, generate
 from vcflr.smoothing import lp_weights, smoothing_matrix
 
 
@@ -87,19 +88,52 @@ class TestSelectTruncation:
         assert k <= cap
 
 
+def recompute_truncation_table(bins, subjects_by_bin, candidates, stream, criterion,
+                               n_total):
+    """Independent re-derivation of the truncation criterion: one
+    observation covariance and one np.linalg.solve per subject."""
+    pen_scale = 2.0 if criterion == "AIC" else math.log(n_total)
+    table = {}
+    for c in candidates:
+        total = 0.0
+        for bb, subjects in zip(bins, subjects_by_bin):
+            eig = bb.eig_x if stream == "x" else bb.eig_y
+            cov = bb.cov_x if stream == "x" else bb.cov_y
+            mean = bb.mean_x if stream == "x" else bb.mean_y
+            sigma2 = max(bb.sigma2_x if stream == "x" else bb.sigma2_y, VARIANCE_FLOOR)
+            for sub in subjects:
+                times = sub.x_times if stream == "x" else sub.y_times
+                values = sub.x_values if stream == "x" else sub.y_values
+                resid = values - np.interp(times, mean.grid.points, mean.values)
+                phi = np.column_stack([np.interp(times, eig.grid.points, eig.functions[:, k])
+                                       for k in range(c)])
+                sig = observation_covariance(times, cov, sigma2)
+                scores = eig.values[:c] * (phi.T @ np.linalg.solve(sig, resid))
+                eps = resid - phi @ scores
+                total += float(eps @ eps) / sigma2 \
+                    + times.size * (math.log(2 * math.pi) + math.log(sigma2))
+        table[c] = total + pen_scale * len(bins) * c
+    return table
+
+
 def recompute_bandwidth_table(model, ds, candidates, criterion):
     """Independent re-derivation of the refined-fit criterion.
 
     The refinement weights over the bin centers are local linear; the
     smoother trace tr(SᵀS) is the sum of squares of their rows at the
-    centers.
+    centers. A scalar response is one observation per subject, scored
+    against the variance of the responses.
     """
     def weights(z, b):
         return lp_weights(0, 1, model.partition.centers, z, b, model.kernel)
 
     n = ds.n
     pen_scale = 2.0 if criterion == "AIC" else math.log(n)
-    sigma2 = max(model.sigma2_y, VARIANCE_FLOOR)
+    scalar = model.scalar_response
+    if scalar:
+        sigma2 = max(float(np.var([sub.y_scalar for sub in ds.subjects])), VARIANCE_FLOOR)
+    else:
+        sigma2 = max(model.sigma2_y, VARIANCE_FLOOR)
     m_ord, k_ord = model.truncation
     table = {}
     for b in candidates:
@@ -109,9 +143,10 @@ def recompute_bandwidth_table(model, ds, candidates, criterion):
         for sub in ds.subjects:
             w = weights(sub.z, b)
             mu_x = sum(wp * bb.mean_x.values for wp, bb in zip(w, model.bins))
-            mu_y = sum(wp * bb.mean_y.values for wp, bb in zip(w, model.bins))
+            mu_y = sum(wp * (bb.mean_y if scalar else bb.mean_y.values)
+                       for wp, bb in zip(w, model.bins))
             rx = sub.x_values - np.interp(sub.x_times, model.s_grid.points, mu_x)
-            fitted_vals = np.zeros(sub.n_y)
+            fitted_vals = 0.0 if scalar else np.zeros(sub.n_y)
             for p, bb in enumerate(model.bins):
                 if w[p] == 0.0:
                     continue
@@ -122,21 +157,63 @@ def recompute_bandwidth_table(model, ds, candidates, criterion):
                     np.interp(sub.x_times, model.s_grid.points,
                               bb.eig_x.functions[:, m]) for m in range(m_ord)])
                 zeta = bb.eig_x.values[:m_ord] * (psi_i.T @ alpha)
+                if scalar:
+                    fitted_vals += w[p] * float(bb.sigma_mk[:m_ord] / bb.eig_x.values[:m_ord]
+                                                @ zeta)
+                    continue
                 gamma = bb.sigma_mk[:m_ord, :k_ord] / bb.eig_x.values[:m_ord, None]
                 phi_i = np.column_stack([
                     np.interp(sub.y_times, model.t_grid.points,
                               bb.eig_y.functions[:, k]) for k in range(k_ord)])
                 fitted_vals += w[p] * (phi_i @ (gamma.T @ zeta))
-            eps = sub.y_values - np.interp(sub.y_times, model.t_grid.points,
-                                           mu_y) - fitted_vals
+            if scalar:
+                eps = np.array([sub.y_scalar - mu_y - fitted_vals])
+            else:
+                eps = sub.y_values - np.interp(sub.y_times, model.t_grid.points,
+                                               mu_y) - fitted_vals
             total += float(eps @ eps) / sigma2
-            n_obs += sub.n_y
+            n_obs += eps.size
         total += n_obs * (math.log(2 * math.pi) + math.log(sigma2))
         table[b] = total + pen_scale * trace
     return table
 
 
+class TestTruncationOracle:
+    def test_matches_per_subject_recompute_on_sparse_design(self):
+        ds, _ = generate(SPARSE, 150, seed=70)
+        cfg = FitConfig(n_bins=3, truncation=None, refine_bandwidth=0.3,
+                        bandwidth_policy="default", min_bin_count=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # skipped truncation candidates
+            model = fit(ds, cfg)
+        subjects_by_bin = [[ds.subjects[i] for i in model.partition.index_sets[p]]
+                           for p in range(model.n_bins)]
+        for name, stream in (("M", "x"), ("K", "y")):
+            table = model.selection.tables[name]
+            oracle = recompute_truncation_table(
+                model.bins, subjects_by_bin, [c for c, _ in table], stream, "BIC", ds.n)
+            assert len(table) >= 2
+            for cand, score in table:
+                assert score == pytest.approx(oracle[cand], rel=1e-9)
+
+
 class TestSelectBandwidth:
+    def test_scalar_response_matches_recompute(self):
+        ds, _ = generate(SPARSE, 150, seed=69)
+        subjects = [Subject(s.id, s.z, s.x_times, s.x_values, None,
+                            np.array([float(s.y_values.mean())])) for s in ds.subjects]
+        scalar = LongitudinalDataset(subjects, ds.s_domain, None, ds.z_domain,
+                                     scalar_response=True)
+        model = fit(scalar, FitConfig(n_bins=4, truncation=(3, None), refine_bandwidth=0.3,
+                                      bandwidth_policy="default", min_bin_count=2))
+        candidates = (0.2, 0.3, 0.5)
+        b_star, table, _ = select_bandwidth(model, scalar, candidates, "AIC")
+        oracle = recompute_bandwidth_table(model, scalar, candidates, "AIC")
+        assert len(table) == len(candidates)
+        for cand, score in table:
+            assert score == pytest.approx(oracle[cand], rel=1e-9)
+        assert b_star == min(oracle, key=oracle.get)
+
     def test_matches_independent_recompute(self, fitted):
         ds, model = fitted
         candidates = (0.15, 0.3, 0.5)
@@ -180,6 +257,13 @@ class TestSelectBandwidth:
         scores = [s for _, s in table]
         assert np.allclose(scores, scores[0])    # identical residuals and trace
         assert b_star == 0.4
+
+    def test_unknown_criterion_raises(self, fitted):
+        ds, model = fitted
+        with pytest.raises(ValueError, match="'aic'"):
+            select_bandwidth(model, ds, (0.3,), "aic")
+        with pytest.raises(ValueError, match="'aic'"):
+            select_binwidth([model], "aic", ds.n)
 
     def test_tiny_bandwidth_trace_is_bin_count(self, fitted):
         ds, model = fitted
