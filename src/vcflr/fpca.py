@@ -24,8 +24,10 @@ from .errors import (
 from .grids import Grid, GridFunction, GridSurface, make_grid
 from .kernels import Kernel1D, Kernel2D, kernel_eval
 from .smoothing import (
+    _CELL_POINTS,
     _SINGULAR_RTOL,
     _support_counts,
+    _window,
     LocalFitConfig,
     local_linear_1d_at,
     local_linear_2d_at,
@@ -137,30 +139,44 @@ def estimate_mean(times, values, cfg: LocalFitConfig, grid: Grid) -> GridFunctio
     return widen_until_fit(attempt, cfg)
 
 
+def _stacked(arrays) -> np.ndarray:
+    """Concatenation of per-subject arrays; empty for no subjects."""
+    return np.concatenate(arrays) if arrays else np.empty(0)
+
+
+def _pair_index(n_a, n_b) -> tuple[np.ndarray, np.ndarray]:
+    """Every within-subject pair (j, l) of a subject's j-th observation in
+    one stream and l-th in another, subject by subject and row-major: the
+    positions of both in the concatenations of all subjects' observations
+    (``n_a``/``n_b`` the per-subject counts, in order)."""
+    n_a = np.asarray(n_a, dtype=int)
+    n_b = np.asarray(n_b, dtype=int)
+    reps = np.repeat(n_b, n_a)   # per a-observation: its subject's b-count
+    ia = np.repeat(np.arange(reps.size), reps)
+    shift = np.repeat(np.cumsum(n_b) - n_b, n_a) - (np.cumsum(reps) - reps)
+    ib = np.arange(reps.sum()) + np.repeat(shift, reps)
+    return ia, ib
+
+
 def raw_covariances(subjects: list[Subject], mean: GridFunction, stream: str = "x"):
     """Per-subject products of centered observations.
 
     Returns ``(off_diag, diag)`` where off_diag is an (n, 3) array of
     (s1, s2, value) with the j = l products excluded, and diag is an (m, 2)
     array of (s, value). Subjects with a single observation contribute only
-    diagonal entries.
+    diagonal entries. Rows come subject by subject, built for all subjects
+    at once.
     """
-    off_parts, diag_parts = [], []
-    for sub in subjects:
-        times = sub.x_times if stream == "x" else sub.y_times
-        values = sub.x_values if stream == "x" else sub.y_values
-        n = times.size
-        if n == 0:
-            continue
-        resid = values - mean.at(times)
-        prod = np.outer(resid, resid)
-        diag_parts.append(np.column_stack([times, resid * resid]))
-        if n >= 2:
-            ii, jj = np.where(~np.eye(n, dtype=bool))
-            off_parts.append(np.column_stack([times[ii], times[jj], prod[ii, jj]]))
-    off = np.vstack(off_parts) if off_parts else np.empty((0, 3))
-    diag = np.vstack(diag_parts) if diag_parts else np.empty((0, 2))
-    return off, diag
+    per_subject = [s.x_times if stream == "x" else s.y_times for s in subjects]
+    times = _stacked(per_subject)
+    values = _stacked([s.x_values if stream == "x" else s.y_values for s in subjects])
+    resid = values - mean.at(times)
+    sizes = [t.size for t in per_subject]
+    ia, ib = _pair_index(sizes, sizes)
+    off = ia != ib
+    ia, ib = ia[off], ib[off]
+    return (np.column_stack([times[ia], times[ib], resid[ia] * resid[ib]]),
+            np.column_stack([times, resid * resid]))
 
 
 def _smooth_2d(points: np.ndarray, cfg: LocalFitConfig, grid1: Grid,
@@ -209,22 +225,16 @@ def smooth_cross_covariance(subjects: list[Subject], mean_x: GridFunction,
 def raw_cross_products(subjects: list[Subject], mean_x: GridFunction,
                        mean_y: GridFunction | float) -> np.ndarray:
     """Raw centered cross products; (s, t, value) rows, or (s, value) rows
-    in scalar-response mode."""
-    parts = []
-    for sub in subjects:
-        if sub.n_x == 0 or sub.n_y == 0:
-            continue
-        rx = sub.x_values - mean_x.at(sub.x_times)
-        if isinstance(mean_y, GridFunction):
-            ry = sub.y_values - mean_y.at(sub.y_times)
-            ss, tt = np.meshgrid(sub.x_times, sub.y_times, indexing="ij")
-            parts.append(np.column_stack(
-                [ss.ravel(), tt.ravel(), np.outer(rx, ry).ravel()]))
-        else:
-            ry = sub.y_scalar - mean_y
-            parts.append(np.column_stack([sub.x_times, rx * ry]))
-    width = 3 if isinstance(mean_y, GridFunction) else 2
-    return np.vstack(parts) if parts else np.empty((0, width))
+    in scalar-response mode, subject by subject."""
+    x_times = _stacked([s.x_times for s in subjects])
+    rx = _stacked([s.x_values for s in subjects]) - mean_x.at(x_times)
+    ia, ib = _pair_index([s.n_x for s in subjects], [s.n_y for s in subjects])
+    if isinstance(mean_y, GridFunction):
+        y_times = _stacked([s.y_times for s in subjects])
+        ry = _stacked([s.y_values for s in subjects]) - mean_y.at(y_times)
+        return np.column_stack([x_times[ia], y_times[ib], rx[ia] * ry[ib]])
+    ry = _stacked([s.y_values for s in subjects]) - mean_y
+    return np.column_stack([x_times[ia], rx[ia] * ry[ib]])
 
 
 def covariance_diagonal(pairs: np.ndarray, bandwidth: float, grid: Grid,
@@ -238,6 +248,14 @@ def covariance_diagonal(pairs: np.ndarray, bandwidth: float, grid: Grid,
     so the across-diagonal curvature is absorbed by its own regressor and the
     along-diagonal bias matches the 1D smoother applied to the diagonal raw
     values (and cancels in their difference).
+
+    Cost: points with zero across-diagonal weight are dropped and the rest
+    sorted along the diagonal. The grid is split into runs about one
+    bandwidth wide, at most one per 1000 kept points, and each run is fitted
+    only from the points within one bandwidth of it, so the work follows the
+    kernel's support. An input under 2000 kept points is one run over the
+    whole grid. ``max_block`` bounds grid points times window points per
+    block, and so the temporaries.
     """
     pairs = np.asarray(pairs, dtype=float).reshape(-1, 3)
     x1, x2, ybar, w_mult = aggregate_2d(pairs[:, 0], pairs[:, 1], pairs[:, 2])
@@ -252,33 +270,41 @@ def covariance_diagonal(pairs: np.ndarray, bandwidth: float, grid: Grid,
             f"only {counts[p]} off-diagonal location(s) within bandwidth {b:g} "
             f"of diagonal point {grid.points[p]:g}")
 
+    ku = kernel_eval(kernel, u / b)
+    keep = np.flatnonzero(ku > 0)
+    keep = keep[np.argsort(v[keep], kind="stable")]
+    v, q, ku, w_mult, ybar = v[keep], u[keep] * u[keep], ku[keep], w_mult[keep], ybar[keep]
+
     out = np.empty(grid.n)
-    block = max(1, max_block // max(v.size, 1))
-    for start in range(0, grid.n, block):
-        s = grid.points[start:start + block, None]
-        dv = v[None, :] - s
-        kw = (kernel_eval(kernel, dv / b)
-              * kernel_eval(kernel, u[None, :] / b) * w_mult[None, :])
-        q = np.broadcast_to((u * u)[None, :], kw.shape)
-        m = np.empty((s.size, 3, 3))
-        rhs = np.empty((s.size, 3))
-        m[:, 0, 0] = kw.sum(axis=1)
-        m[:, 0, 1] = m[:, 1, 0] = (kw * dv).sum(axis=1)
-        m[:, 0, 2] = m[:, 2, 0] = (kw * q).sum(axis=1)
-        m[:, 1, 1] = (kw * dv * dv).sum(axis=1)
-        m[:, 1, 2] = m[:, 2, 1] = (kw * dv * q).sum(axis=1)
-        m[:, 2, 2] = (kw * q * q).sum(axis=1)
-        rhs[:, 0] = kw @ ybar
-        rhs[:, 1] = (kw * dv) @ ybar
-        rhs[:, 2] = (kw * q) @ ybar
-        det = np.linalg.det(m)
-        scale = m[:, 0, 0] * m[:, 1, 1] * m[:, 2, 2]
-        bad = det <= _SINGULAR_RTOL * scale
-        if np.any(bad):
-            lam = ridge * (m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]) / 3.0
-            for d in range(3):
-                m[bad, d, d] += lam[bad]
-        out[start:start + block] = np.linalg.solve(m, rhs[..., None])[:, 0, 0]
+    runs = max(1, min(v.size // _CELL_POINTS, int(grid.length / b), grid.n))
+    for run in np.array_split(np.arange(grid.n), runs):
+        win = _window(v, grid.points[run[0]], grid.points[run[-1]], b)
+        block = max(1, max_block // max(win.stop - win.start, 1))
+        for start in range(run[0], run[-1] + 1, block):
+            s = grid.points[start:min(start + block, run[-1] + 1), None]
+            dv = v[None, win] - s
+            kw = kernel_eval(kernel, dv / b) * ku[None, win] * w_mult[None, win]
+            qw = np.broadcast_to(q[None, win], kw.shape)
+            yw = ybar[win]
+            m = np.empty((s.size, 3, 3))
+            rhs = np.empty((s.size, 3))
+            m[:, 0, 0] = kw.sum(axis=1)
+            m[:, 0, 1] = m[:, 1, 0] = (kw * dv).sum(axis=1)
+            m[:, 0, 2] = m[:, 2, 0] = (kw * qw).sum(axis=1)
+            m[:, 1, 1] = (kw * dv * dv).sum(axis=1)
+            m[:, 1, 2] = m[:, 2, 1] = (kw * dv * qw).sum(axis=1)
+            m[:, 2, 2] = (kw * qw * qw).sum(axis=1)
+            rhs[:, 0] = kw @ yw
+            rhs[:, 1] = (kw * dv) @ yw
+            rhs[:, 2] = (kw * qw) @ yw
+            det = np.linalg.det(m)
+            scale = m[:, 0, 0] * m[:, 1, 1] * m[:, 2, 2]
+            bad = det <= _SINGULAR_RTOL * scale
+            if np.any(bad):
+                lam = ridge * (m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]) / 3.0
+                for d in range(3):
+                    m[bad, d, d] += lam[bad]
+            out[start:start + s.size] = np.linalg.solve(m, rhs[..., None])[:, 0, 0]
     return out
 
 

@@ -73,6 +73,10 @@ class FitConfig:
             value = getattr(self, name)
             if value not in ("AIC", "BIC"):
                 raise ValueError(f"{name} must be 'AIC' or 'BIC', got {value!r}")
+        fixed = () if self.refine_bandwidth is None else (self.refine_bandwidth,)
+        for b in fixed + tuple(self.refine_candidates or ()):
+            if not (np.isfinite(b) and b > 0):
+                raise ValueError(f"refine bandwidths must be finite and positive, got {b!r}")
 
     def kernel1d(self) -> Kernel1D:
         return Kernel1D(self.kernel)
@@ -177,10 +181,11 @@ def _usable_subjects(ds: LongitudinalDataset) -> LongitudinalDataset:
     for sub in ds.subjects:
         ok = sub.n_x >= 2 and sub.n_y >= 1
         (keep if ok else dropped).append(sub)
-    if dropped:
-        warnings.warn(
-            f"excluding {len(dropped)} subject(s) with fewer than 2 predictor "
-            f"observations or no response (e.g. {dropped[0].id})")
+    if not dropped:
+        return ds   # already validated; a copy would check every subject again
+    warnings.warn(
+        f"excluding {len(dropped)} subject(s) with fewer than 2 predictor "
+        f"observations or no response (e.g. {dropped[0].id})")
     return LongitudinalDataset(keep, ds.s_domain, ds.t_domain, ds.z_domain,
                                scalar_response=ds.scalar_response)
 

@@ -30,6 +30,11 @@ _DEGENERATE_RTOL = 1e-13
 # Bandwidth growth per retry, and retries, when a local fit lacks data.
 _WIDEN_FACTOR = 1.5
 _WIDEN_ATTEMPTS = 5
+# Fewest data points per tile, on average, for which local_linear_2d_at and
+# fpca.covariance_diagonal split their work into support-sized tiles: below
+# it a tile's loop overhead outweighs what it saves, so small inputs are one
+# tile.
+_CELL_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -139,6 +144,27 @@ def local_linear_1d_at(
     return out
 
 
+def _window(points: np.ndarray, lo: float, hi: float, b: float) -> slice:
+    """The run of sorted ``points`` within one bandwidth of [lo, hi].
+
+    Distances are tested as the kernels see them (|x - s| / b <= 1), so every
+    point that has a nonzero kernel weight against some location in [lo, hi]
+    is inside the run.
+    """
+    near = np.flatnonzero(((lo - points) / b <= 1.0) & ((points - hi) / b <= 1.0))
+    return slice(near[0], near[-1] + 1) if near.size else slice(0, 0)
+
+
+def _cells(x: np.ndarray, b: float, cap: int) -> tuple[np.ndarray, int]:
+    """Cell of each x among k equal cells over its range: k cells about one
+    bandwidth wide, at most ``cap`` and at least one."""
+    lo, span = (float(x.min()), float(x.max() - x.min())) if cap > 1 else (0.0, 0.0)
+    k = min(cap, int(span / b))
+    if k < 2:
+        return np.zeros(x.size, dtype=int), 1
+    return np.minimum(((x - lo) * (k / span)).astype(int), k - 1), k
+
+
 def local_linear_2d_at(
     x1: np.ndarray,
     x2: np.ndarray,
@@ -156,40 +182,73 @@ def local_linear_2d_at(
     The product-kernel structure makes every entry of the local normal
     equations a sum of separable terms, so the nine moment surfaces are
     accumulated with matrix products over chunks of data points.
+
+    Cost: the data points are bucketed into cells about one bandwidth wide
+    per axis, at most sqrt(N / 1000) per axis for N points, and each cell
+    only touches the evaluation rows and columns within one bandwidth of its
+    points, where its kernel weights can be nonzero. The work is then
+    proportional to the kernel support rather than to the whole grid. An
+    input under 4000 points is one cell covering the whole grid. ``chunk``
+    bounds the data points per matrix product, and so the temporaries.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     y = np.asarray(y, dtype=float)
-    eval1 = np.asarray(eval1, dtype=float)
-    eval2 = np.asarray(eval2, dtype=float)
     w_mult = np.ones_like(x1) if weights is None else np.asarray(weights, dtype=float)
     b1, b2 = float(bandwidths[0]), float(bandwidths[1])
+    # sorted evaluation points make the rows and columns a cell reaches contiguous
+    eval1 = np.asarray(eval1, dtype=float)
+    eval2 = np.asarray(eval2, dtype=float)
+    order1, order2 = np.argsort(eval1, kind="stable"), np.argsort(eval2, kind="stable")
+    eval1, eval2 = eval1[order1], eval2[order2]
 
     n1, n2 = eval1.size, eval2.size
+    cap = math.isqrt(x1.size // _CELL_POINTS)
+    c1, k1 = _cells(x1, b1, cap)
+    c2, k2 = _cells(x2, b2, cap)
+    if k1 * k2 == 1:
+        tiles = [(0, x1.size, slice(0, n1), slice(0, n2))]
+    else:
+        key = c1 * k2 + c2
+        order = np.argsort(key, kind="stable")
+        x1, x2, y, w_mult = x1[order], x2[order], y[order], w_mult[order]
+        bounds = np.searchsorted(key[order], np.arange(k1 * k2 + 1))
+        tiles = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if lo < hi:
+                tiles.append((lo, hi,
+                              _window(eval1, x1[lo:hi].min(), x1[lo:hi].max(), b1),
+                              _window(eval2, x2[lo:hi].min(), x2[lo:hi].max(), b2)))
+
     moments = np.zeros((9, n1, n2))
     count = np.zeros((n1, n2))
-    for start in range(0, x1.size, chunk):
-        sl = slice(start, start + chunk)
-        d1 = x1[None, sl] - eval1[:, None]   # d1[p, i] = x1_i - eval1_p
-        d2 = x2[None, sl] - eval2[:, None]
-        a0 = kernel_eval(kernel.kx, d1 / b1) * w_mult[None, sl]
-        b0 = kernel_eval(kernel.ky, d2 / b2)
-        a1 = a0 * d1
-        a2 = a1 * d1
-        bb1 = b0 * d2
-        bb2 = bb1 * d2
-        ya0 = a0 * y[None, sl]
-        ya1 = a1 * y[None, sl]
-        moments[0] += a0 @ b0.T    # S00
-        moments[1] += a1 @ b0.T    # S10
-        moments[2] += a0 @ bb1.T   # S01
-        moments[3] += a2 @ b0.T    # S20
-        moments[4] += a1 @ bb1.T   # S11
-        moments[5] += a0 @ bb2.T   # S02
-        moments[6] += ya0 @ b0.T   # T00
-        moments[7] += ya1 @ b0.T   # T10
-        moments[8] += ya0 @ bb1.T  # T01
-        count += (a0 > 0).astype(float) @ (b0 > 0).astype(float).T
+    for lo, hi, rows, cols in tiles:
+        if rows.start == rows.stop or cols.start == cols.stop:
+            continue
+        e1, e2 = eval1[rows], eval2[cols]
+        tile_moments = moments[:, rows, cols]
+        for start in range(lo, hi, chunk):
+            sl = slice(start, min(start + chunk, hi))
+            d1 = x1[None, sl] - e1[:, None]   # d1[p, i] = x1_i - eval1_p
+            d2 = x2[None, sl] - e2[:, None]
+            a0 = kernel_eval(kernel.kx, d1 / b1) * w_mult[None, sl]
+            b0 = kernel_eval(kernel.ky, d2 / b2)
+            a1 = a0 * d1
+            a2 = a1 * d1
+            bb1 = b0 * d2
+            bb2 = bb1 * d2
+            ya0 = a0 * y[None, sl]
+            ya1 = a1 * y[None, sl]
+            tile_moments[0] += a0 @ b0.T    # S00
+            tile_moments[1] += a1 @ b0.T    # S10
+            tile_moments[2] += a0 @ bb1.T   # S01
+            tile_moments[3] += a2 @ b0.T    # S20
+            tile_moments[4] += a1 @ bb1.T   # S11
+            tile_moments[5] += a0 @ bb2.T   # S02
+            tile_moments[6] += ya0 @ b0.T   # T00
+            tile_moments[7] += ya1 @ b0.T   # T10
+            tile_moments[8] += ya0 @ bb1.T  # T01
+            count[rows, cols] += (a0 > 0).astype(float) @ (b0 > 0).astype(float).T
 
     s00, s10, s01, s20, s11, s02, t00, t10, t01 = moments
     if np.any(count < 3):
@@ -231,7 +290,9 @@ def local_linear_2d_at(
         for d in range(3):
             m[idx[0], idx[1], d, d] += lam[idx]
     sol = np.linalg.solve(m, rhs[..., None])[..., 0, 0]
-    return sol
+    out = np.empty_like(sol)
+    out[np.ix_(order1, order2)] = sol
+    return out
 
 
 def lp_weights(q: int, r: int, centers: np.ndarray, z: float, b: float,
@@ -255,15 +316,23 @@ def lp_weights(q: int, r: int, centers: np.ndarray, z: float, b: float,
             f"{m} weighted center(s) cannot identify derivative order q={q} at z={z:g}"
         )
     r_eff = min(r, m - 1)
-    d = (centers - z) / b   # scaled distances keep the design conditioned
+    # The design is centred at the heaviest center, whose row of sqrt(W) C
+    # is then (sqrt(w), 0, ...): the QR mixes no rounding error of that
+    # row's size into the rows of nearly weightless centers, which would
+    # otherwise break the moment conditions. The derivative at z is read
+    # off the polynomial fitted in (c - ref) / b.
+    ref = centers[np.argmax(kw)]
+    d = (centers - ref) / b   # scaled distances keep the design conditioned
+    delta = (z - ref) / b
     sqw = np.sqrt(kw)
     while True:
-        # weights = q! e_{q+1}' (C'WC)^{-1} C'W computed through a thin QR of
-        # sqrt(W) C so the conditioning is not squared
+        # weights = a' (C'WC)^{-1} C'W, a_j = d^q/du^q u^j at u = delta,
+        # computed through a thin QR of sqrt(W) C so the conditioning is not
+        # squared
         powers = d[:, None] ** np.arange(r_eff + 1)[None, :]
         qmat, rmat = np.linalg.qr(sqw[:, None] * powers)
-        rhs = np.zeros(r_eff + 1)
-        rhs[q] = float(math.factorial(q))
+        rhs = np.array([math.perm(j, q) * delta ** (j - q) if j >= q else 0.0
+                        for j in range(r_eff + 1)])
         try:
             g = np.linalg.solve(rmat.T, rhs)
         except np.linalg.LinAlgError:

@@ -125,6 +125,17 @@ class TestFit:
         assert "'aic'" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
+    @pytest.mark.parametrize("b", [-0.3, float("nan")])
+    def test_bad_refine_bandwidth_exit_4(self, sim_dir, tmp_path, capsys, b):
+        # rejected at fit time, not left for predict to die on
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"refine_bandwidth": b}))
+        code = main(["fit", "--train", str(sim_dir / "train.csv"),
+                     "--config", str(cfg), "--out", str(tmp_path / "m")])
+        assert code == 4
+        assert "refine bandwidths" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
     @pytest.mark.parametrize("pair", ["ab", [0, "10"], [10, 0], [0, 0], [0],
                                       [0, 10, 20], [0, float("inf")], [True, 10], None])
     def test_bad_domain_exit_4(self, sim_dir, tmp_path, capsys, pair):

@@ -21,11 +21,13 @@ from vcflr.fpca import (
     estimate_sigma2,
     observation_covariance,
     raw_covariances,
+    raw_cross_products,
     sigma_mk,
     smooth_covariance,
     smooth_cross_covariance,
 )
 from vcflr.grids import GridFunction, GridSurface, make_grid
+from vcflr.kernels import Kernel1D, kernel_eval
 from vcflr.smoothing import LocalFitConfig
 
 
@@ -113,6 +115,95 @@ class TestRawCovariances:
         assert diag.shape[0] == 1
 
 
+def oracle_raw_covariances(subjects, mean, stream):
+    """The per-subject definition: centered products, j != l off the diagonal."""
+    off, diag = [np.empty((0, 3))], [np.empty((0, 2))]
+    for sub in subjects:
+        times = sub.x_times if stream == "x" else sub.y_times
+        values = sub.x_values if stream == "x" else sub.y_values
+        resid = values - mean.at(times)
+        prod = np.outer(resid, resid)
+        diag.append(np.column_stack([times, resid * resid]))
+        ii, jj = np.where(~np.eye(times.size, dtype=bool))
+        off.append(np.column_stack([times[ii], times[jj], prod[ii, jj]]))
+    return np.vstack(off), np.vstack(diag)
+
+
+def oracle_raw_cross_products(subjects, mean_x, mean_y):
+    rows = [np.empty((0, 3 if isinstance(mean_y, GridFunction) else 2))]
+    for sub in subjects:
+        if sub.n_x == 0 or sub.n_y == 0:
+            continue
+        rx = sub.x_values - mean_x.at(sub.x_times)
+        if isinstance(mean_y, GridFunction):
+            ry = sub.y_values - mean_y.at(sub.y_times)
+            ss, tt = np.meshgrid(sub.x_times, sub.y_times, indexing="ij")
+            rows.append(np.column_stack([ss.ravel(), tt.ravel(), np.outer(rx, ry).ravel()]))
+        else:
+            rows.append(np.column_stack([sub.x_times, rx * (sub.y_scalar - mean_y)]))
+    return np.vstack(rows)
+
+
+class TestRawPairsAllSubjects:
+    """Pairs built for all subjects at once equal the per-subject definition,
+    row for row, on mixed observation counts (0 and 1 included)."""
+
+    @staticmethod
+    def subjects(scalar=False):
+        rng = np.random.default_rng(71)
+        out = []
+        for i, (nx, ny) in enumerate([(3, 2), (0, 4), (1, 1), (5, 0), (2, 3), (0, 0),
+                                      (4, 4), (1, 3), (3, 1), (6, 2), (2, 2)]):
+            xt = np.sort(rng.uniform(0, 10, nx))
+            yt = None if scalar else np.sort(rng.uniform(0, 10, ny))
+            yv = rng.normal(size=1 if scalar else ny)
+            out.append(Subject(f"s{i}", 0.5, xt, rng.normal(size=nx), yt, yv))
+        return out
+
+    @staticmethod
+    def means():
+        grid = make_grid(0, 10, 21)
+        return (GridFunction(grid, np.sin(grid.points)),
+                GridFunction(grid, 0.1 * grid.points))
+
+    @pytest.mark.parametrize("stream", ["x", "y"])
+    def test_covariances(self, stream):
+        subjects = self.subjects()
+        mean = self.means()[0 if stream == "x" else 1]
+        off, diag = raw_covariances(subjects, mean, stream)
+        want_off, want_diag = oracle_raw_covariances(subjects, mean, stream)
+        assert off.shape[0] > 0 and np.array_equal(off, want_off)
+        assert np.array_equal(diag, want_diag)
+        # one subject at a time, as the surface cross-validation calls it
+        for sub in subjects:
+            got = raw_covariances([sub], mean, stream)
+            want = oracle_raw_covariances([sub], mean, stream)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_cross_products(self):
+        subjects = self.subjects()
+        mean_x, mean_y = self.means()
+        got = raw_cross_products(subjects, mean_x, mean_y)
+        assert got.shape[0] > 0
+        assert np.array_equal(got, oracle_raw_cross_products(subjects, mean_x, mean_y))
+        for sub in subjects:
+            assert np.array_equal(raw_cross_products([sub], mean_x, mean_y),
+                                  oracle_raw_cross_products([sub], mean_x, mean_y))
+
+    def test_scalar_cross_products(self):
+        subjects = self.subjects(scalar=True)
+        mean_x = self.means()[0]
+        got = raw_cross_products(subjects, mean_x, 0.25)
+        assert got.shape[1] == 2 and got.shape[0] > 0
+        assert np.array_equal(got, oracle_raw_cross_products(subjects, mean_x, 0.25))
+
+    def test_no_subjects(self):
+        mean = self.means()[0]
+        off, diag = raw_covariances([], mean, "x")
+        assert off.shape == (0, 3) and diag.shape == (0, 2)
+        assert raw_cross_products([], mean, mean).shape == (0, 3)
+
+
 class TestSmoothCovariance:
     def test_affine_pairs_exact_and_symmetric(self):
         rng = np.random.default_rng(22)
@@ -195,6 +286,80 @@ class TestCovarianceDiagonal:
         grid = make_grid(0, 10, 21)
         got = covariance_diagonal(pairs, 3.0, grid)
         assert np.allclose(got, 2.0 + 0.6 * grid.points, atol=1e-8)
+
+
+def oracle_covariance_diagonal(pairs, b, grid, kernel=Kernel1D(), ridge=1e-10):
+    """The dense rotated fit: every aggregated point against every grid point."""
+    x1, x2, ybar, w = aggregate_2d(pairs[:, 0], pairs[:, 1], pairs[:, 2])
+    v, u = (x1 + x2) / 2.0, (x1 - x2) / np.sqrt(2.0)
+    distinct = np.unique(v)
+    counts = np.array([np.count_nonzero(kernel_eval(kernel, (distinct - s) / b) > 0)
+                       if not kernel.closed_support
+                       else np.count_nonzero(np.abs(distinct - s) <= b) for s in grid.points])
+    if np.any(counts < 3):
+        raise InsufficientLocalData("fewer than three locations")
+    out = []
+    for s in grid.points:
+        dv = v - s
+        kw = kernel_eval(kernel, dv / b) * kernel_eval(kernel, u / b) * w
+        X = np.column_stack([np.ones_like(v), dv, u * u])
+        m = (X * kw[:, None]).T @ X
+        if np.linalg.det(m) <= 1e-14 * m[0, 0] * m[1, 1] * m[2, 2]:
+            m += ridge * np.trace(m) / 3.0 * np.eye(3)
+        out.append(np.linalg.solve(m, (X * kw[:, None]).T @ ybar)[0])
+    return np.array(out)
+
+
+class TestWindowedCovarianceDiagonal:
+    """Inputs of over 3000 kept pairs: several runs of grid points, each
+    fitted from its own window of points."""
+
+    @staticmethod
+    def pairs(seed, n=10000, n_lattice=0):
+        rng = np.random.default_rng(seed)
+        s1, s2 = rng.uniform(0, 10, (2, n))
+        # multiples of 0.125: exact distances to the grid along the diagonal
+        l1, l2 = rng.integers(0, 81, (2, n_lattice)) * 0.125
+        s1, s2 = np.concatenate([s1, l1]), np.concatenate([s2, l2])
+        vals = np.cos(0.4 * s1) * np.cos(0.4 * s2) + rng.normal(0, 0.2, s1.size)
+        return np.column_stack([np.concatenate([s1, s2]), np.concatenate([s2, s1]),
+                                np.concatenate([vals, vals])])
+
+    @staticmethod
+    def assert_several_runs(pairs, b, grid, kernel):
+        x1, x2, _, _ = aggregate_2d(pairs[:, 0], pairs[:, 1], pairs[:, 2])
+        kept = np.count_nonzero(kernel_eval(kernel, (x1 - x2) / np.sqrt(2.0) / b) > 0)
+        assert min(kept // 1000, int(grid.length / b)) >= 3
+
+    @pytest.mark.parametrize("family", ["epanechnikov", "quartic"])
+    def test_matches_dense_fit(self, family):
+        pairs, grid = self.pairs(72), make_grid(0, 10, 41)
+        kernel = Kernel1D(family)
+        self.assert_several_runs(pairs, 1.2, grid, kernel)
+        got = covariance_diagonal(pairs, 1.2, grid, kernel=kernel)
+        assert np.allclose(got, oracle_covariance_diagonal(pairs, 1.2, grid, kernel),
+                           rtol=1e-10, atol=1e-10)
+        # a block bound far below one run's window splits every run
+        tiny = covariance_diagonal(pairs, 1.2, grid, kernel=kernel, max_block=3000)
+        assert np.allclose(tiny, got, rtol=1e-12, atol=1e-12)
+
+    def test_uniform_kernel_boundary(self):
+        # lattice points sit exactly b = 0.5 from grid points along the
+        # diagonal, where the uniform kernel still weighs them
+        pairs, grid = self.pairs(73, n_lattice=3000), make_grid(0, 10, 21)
+        uni = Kernel1D("uniform")
+        self.assert_several_runs(pairs, 0.5, grid, uni)
+        got = covariance_diagonal(pairs, 0.5, grid, kernel=uni)
+        assert np.allclose(got, oracle_covariance_diagonal(pairs, 0.5, grid, uni),
+                           rtol=1e-10, atol=1e-10)
+
+    def test_gap_along_diagonal_insufficient(self):
+        pairs, grid = self.pairs(74), make_grid(0, 10, 41)
+        v = pairs[:, :2].mean(axis=1)
+        gapped = pairs[np.abs(v - 5.0) > 1.0]
+        for fit in (covariance_diagonal, oracle_covariance_diagonal):
+            with pytest.raises(InsufficientLocalData):
+                fit(gapped, 0.8, grid)
 
 
 class TestEigendecompose:

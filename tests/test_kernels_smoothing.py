@@ -180,6 +180,69 @@ class TestLocalLinear2D:
         assert np.allclose(a, b, atol=1e-12)
 
 
+class TestTiledLocalLinear2D:
+    """Inputs of about 6000 points, split into cells, each in several chunks."""
+
+    N = 6000
+    CHUNK = 500
+
+    def data(self, seed, lattice=False):
+        rng = np.random.default_rng(seed)
+        if lattice:   # multiples of 0.25: exact distances to a 0.25 grid
+            x1, x2 = rng.integers(0, 41, (2, self.N)) * 0.25
+        else:
+            x1, x2 = rng.uniform(0, 10, (2, self.N))
+        y = np.sin(x1) * np.cos(0.5 * x2) + rng.normal(0, 0.3, self.N)
+        return x1, x2, y
+
+    def check(self, x1, x2, y, e1, e2, b, kern):
+        # the premise: several cells per axis, several chunks per cell
+        cap = int(np.sqrt(self.N // 1000))
+        assert min(cap, int(np.ptp(x1) / b[0]), int(np.ptp(x2) / b[1])) >= 2
+        got = local_linear_2d_at(x1, x2, y, e1, e2, b, kernel=kern, chunk=self.CHUNK)
+        want = np.array([[oracle_local_linear_2d(x1, x2, y, s1, s2, b, kern) for s2 in e2]
+                         for s1 in e1])
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
+
+    def test_unsorted_eval_points(self):
+        rng = np.random.default_rng(61)
+        e1 = rng.permutation(make_grid(0, 10, 13).points)
+        e2 = rng.permutation(make_grid(0, 10, 9).points)
+        self.check(*self.data(61), e1, e2, (1.5, 2.0), Kernel2D())
+
+    def test_eval_points_outside_data_range(self):
+        e = np.array([-1.0, -0.3, 4.9, 10.4, 11.0])
+        self.check(*self.data(62), e, e[::-1], (1.5, 1.5), Kernel2D())
+
+    def test_bandwidth_below_grid_spacing(self):
+        e = make_grid(0, 10, 11).points   # spacing 1.0
+        self.check(*self.data(63), e, e, (0.6, 0.7), Kernel2D(Kernel1D("quartic"),
+                                                              Kernel1D("quartic")))
+
+    def test_uniform_kernel_closed_support(self):
+        # lattice points sit exactly b = 0.5 from grid points, cell edges
+        # included, where the uniform kernel still weighs them
+        e = make_grid(0, 10, 41).points
+        uni = Kernel1D("uniform")
+        self.check(*self.data(64, lattice=True), e, e, (0.5, 0.5), Kernel2D(uni, uni))
+
+    def test_gap_in_data_insufficient(self):
+        x1, x2, y = self.data(65)
+        hole = (np.abs(x1 - 5.0) < 1.5) & (np.abs(x2 - 5.0) < 1.5)
+        e = make_grid(0, 10, 11).points
+        with pytest.raises(InsufficientLocalData, match="only 0 point"):
+            local_linear_2d_at(x1[~hole], x2[~hole], y[~hole], e, e, (1.2, 1.2),
+                               chunk=self.CHUNK)
+
+    def test_collinear_design_insufficient(self):
+        # every point on the line x2 = 5: plenty of points, no affine spread
+        x1, _, y = self.data(66)
+        x2 = np.full(self.N, 5.0)
+        with pytest.raises(InsufficientLocalData, match="degenerate"):
+            local_linear_2d_at(x1, x2, y, make_grid(0, 10, 11).points,
+                               np.array([4.5, 5.0, 5.5]), (1.5, 1.5), chunk=self.CHUNK)
+
+
 def oracle_lp_weights(q, r, centers, z, b, kernel):
     """Direct matrix-formula evaluation."""
     import math
@@ -227,6 +290,27 @@ class TestLpWeights:
         centers = np.array([0.0, 1.0])
         with pytest.raises(InsufficientCenters):
             lp_weights(1, 1, centers, 0.0, 0.5)   # one weighted center, q = 1
+
+    def test_tiny_weight_center_keeps_moments(self):
+        # widened rows where the second weighted center's weight is ~1e-31:
+        # a design not centred at the heavy center missed z by up to 1.6e-2
+        centers = np.array([-0.625, 0.125, 0.875, 1.625])
+        kernel = Kernel1D("quartic")
+        checked = 0
+        for z in np.linspace(-1.0, 2.0, 3001):
+            used = []
+
+            def attempt(c):
+                used.append(float(c.bandwidth))
+                return lp_weights(0, 1, centers, z, used[-1], kernel)
+
+            w = widen_until_fit(attempt, LocalFitConfig(0.2, kernel))
+            if np.count_nonzero(kernel_eval(kernel, (centers - z) / used[-1]) > 0) < 2:
+                continue
+            assert abs(w.sum() - 1.0) <= 1e-12, z
+            assert abs(w @ centers - z) <= 1e-12, z
+            checked += 1
+        assert checked > 400
 
     def test_derivative_weights(self):
         centers = np.linspace(0, 1, 9)

@@ -186,6 +186,14 @@ class TestFit:
         FitConfig(**{field: "AIC"})
         FitConfig(**{field: "BIC"})
 
+    @pytest.mark.parametrize("b", [0.0, -0.3, float("nan"), float("inf")])
+    def test_refine_bandwidths_must_be_finite_and_positive(self, b):
+        with pytest.raises(ValueError, match="refine bandwidths"):
+            FitConfig(refine_bandwidth=b)
+        with pytest.raises(ValueError, match="refine bandwidths"):
+            FitConfig(refine_candidates=(0.2, b))
+        FitConfig(refine_bandwidth=0.3, refine_candidates=(0.2, 0.4))
+
     def test_sigma2_is_bin_average(self, small_fit):
         assert small_fit.sigma2_x == pytest.approx(
             np.mean([b.sigma2_x for b in small_fit.bins]))
