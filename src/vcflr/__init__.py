@@ -13,6 +13,7 @@ from .errors import VcflrError
 from .fpca import (
     BinEstimate,
     EigenSystem,
+    aggregate_2d,
     blup_scores,
     eigendecompose,
     estimate_mean,
@@ -52,7 +53,7 @@ __all__ = [
     "Grid", "GridFunction", "GridSurface", "Kernel1D", "Kernel2D",
     "LocalFitConfig", "LongitudinalDataset", "Prediction", "REGULAR", "SPARSE",
     "SelectionReport", "SimDesign", "SimTruth", "Subject", "VcflrError",
-    "blup_scores", "cv_smoother_bandwidth", "eigendecompose",
+    "aggregate_2d", "blup_scores", "cv_smoother_bandwidth", "eigendecompose",
     "estimate_mean", "estimate_sigma2", "explicit_bins",
     "fit", "fit_global", "generate", "kernel_eval", "load_csv", "load_model",
     "lp_weights", "make_grid", "mispe", "partition",

@@ -103,20 +103,43 @@ def aggregate_1d(x, y):
     return xu, ybar, w.astype(float)
 
 
+def group_pairs(times_a, times_b, ia, ib, values):
+    """Group pairs (times_a[ia], times_b[ib], values) by location: rows
+    (x1, x2, mean value, multiplicity), sorted by (x1, x2).
+
+    Each stream's observation times are coded once with ``np.unique``, and a
+    pair's key is its two codes as one integer, so the float sorting is done
+    on the observations, which are far fewer than the pairs (30x on a
+    regular design), and the pairs get one stable integer sort. Pairs built
+    subject by subject from sorted times come in one sorted run per subject,
+    which that sort merges. Every group sums its values in input order, so
+    the rows equal those of sorting the pair coordinates themselves.
+    ``times_b`` may be ``times_a`` itself (a stream paired with itself),
+    which is coded once.
+    """
+    ua, ca = np.unique(times_a, return_inverse=True)
+    ub, cb = (ua, ca) if times_b is times_a else np.unique(times_b, return_inverse=True)
+    nb = max(ub.size, 1)
+    key = ca[ia] * nb + cb[ib]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.empty(key.size, dtype=bool)
+    first[:1] = True
+    first[1:] = key[1:] != key[:-1]
+    group = np.cumsum(first) - 1
+    w = np.bincount(group).astype(float)
+    ybar = np.bincount(group, weights=values[order]) / w
+    key = key[first]
+    return ua[key // nb], ub[key % nb], ybar, w
+
+
 def aggregate_2d(x1, x2, y):
-    """2D analogue of aggregate_1d for duplicate (x1, x2) locations."""
+    """2D analogue of aggregate_1d for duplicate (x1, x2) locations of raw
+    rows: ``group_pairs`` with each row its own pair."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    y = np.asarray(y, dtype=float)
-    order = np.lexsort((x2, x1))
-    x1s, x2s, ys = x1[order], x2[order], y[order]
-    new = np.empty(x1s.size, dtype=bool)
-    new[0] = True
-    new[1:] = (np.diff(x1s) != 0) | (np.diff(x2s) != 0)
-    group = np.cumsum(new) - 1
-    w = np.bincount(group).astype(float)
-    ybar = np.bincount(group, weights=ys) / w
-    return x1s[new], x2s[new], ybar, w
+    rows = np.arange(x1.size)
+    return group_pairs(x1, x2, rows, rows, np.asarray(y, dtype=float))
 
 
 def estimate_mean(times, values, cfg: LocalFitConfig, grid: Grid) -> GridFunction:
@@ -158,6 +181,42 @@ def _pair_index(n_a, n_b) -> tuple[np.ndarray, np.ndarray]:
     return ia, ib
 
 
+def _centered(subjects: list[Subject], stream: str, mean: GridFunction | float):
+    """One stream's observation times (None for a scalar response) and
+    centered values, all subjects concatenated, and the per-subject counts."""
+    values = _stacked([s.x_values if stream == "x" else s.y_values for s in subjects])
+    sizes = [s.n_x if stream == "x" else s.n_y for s in subjects]
+    if not isinstance(mean, GridFunction):
+        return None, values - mean, sizes
+    times = _stacked([s.x_times if stream == "x" else s.y_times for s in subjects])
+    return times, values - mean.at(times), sizes
+
+
+def covariance_pairs(subjects: list[Subject], mean: GridFunction, stream: str):
+    """One stream's centered observations paired with themselves.
+
+    Returns ``(pairs, diag)``: pairs is ``(times, times, ia, ib, products)``
+    for every within-subject pair with j != l, subject by subject and
+    row-major, as ``group_pairs`` takes it; diag is the (m, 2) array of
+    (s, squared centered value) rows.
+    """
+    times, resid, sizes = _centered(subjects, stream, mean)
+    ia, ib = _pair_index(sizes, sizes)
+    off = ia != ib
+    ia, ib = ia[off], ib[off]
+    return (times, times, ia, ib, resid[ia] * resid[ib]), np.column_stack([times, resid * resid])
+
+
+def cross_pairs(subjects: list[Subject], mean_x: GridFunction, mean_y: GridFunction | float):
+    """Every within-subject (predictor, response) pair of centered
+    observations, subject by subject and row-major: ``(x_times, y_times,
+    ia, ib, products)``, with y_times None for a scalar response."""
+    x_times, rx, n_x = _centered(subjects, "x", mean_x)
+    y_times, ry, n_y = _centered(subjects, "y", mean_y)
+    ia, ib = _pair_index(n_x, n_y)
+    return x_times, y_times, ia, ib, rx[ia] * ry[ib]
+
+
 def raw_covariances(subjects: list[Subject], mean: GridFunction, stream: str = "x"):
     """Per-subject products of centered observations.
 
@@ -166,28 +225,24 @@ def raw_covariances(subjects: list[Subject], mean: GridFunction, stream: str = "
     array of (s, value). Subjects with a single observation contribute only
     diagonal entries. Rows come subject by subject, built for all subjects
     at once.
+
+    Cost: these raw rows are for inspection. A fit never builds them:
+    ``fit_bin`` passes ``covariance_pairs`` to ``group_pairs`` once per
+    stream, so its smoothers see one row per distinct (s1, s2) location and
+    the float sorting is done on the observation times, not on the pairs.
     """
-    per_subject = [s.x_times if stream == "x" else s.y_times for s in subjects]
-    times = _stacked(per_subject)
-    values = _stacked([s.x_values if stream == "x" else s.y_values for s in subjects])
-    resid = values - mean.at(times)
-    sizes = [t.size for t in per_subject]
-    ia, ib = _pair_index(sizes, sizes)
-    off = ia != ib
-    ia, ib = ia[off], ib[off]
-    return (np.column_stack([times[ia], times[ib], resid[ia] * resid[ib]]),
-            np.column_stack([times, resid * resid]))
+    (times, _, ia, ib, products), diag = covariance_pairs(subjects, mean, stream)
+    return np.column_stack([times[ia], times[ib], products]), diag
 
 
-def _smooth_2d(points: np.ndarray, cfg: LocalFitConfig, grid1: Grid,
-               grid2: Grid) -> np.ndarray:
-    """Local linear surface of raw (x1, x2, y) rows on grid1 x grid2.
+def _smooth_2d(rows, cfg: LocalFitConfig, grid1: Grid, grid2: Grid) -> np.ndarray:
+    """Local linear surface of grouped (x1, x2, ybar, w) rows on grid1 x grid2.
 
-    Duplicate locations are aggregated and a scalar bandwidth or a 1D kernel
-    is expanded to its symmetric pair or product kernel once; the pair then
-    widens until every grid point has enough local data.
+    A scalar bandwidth or a 1D kernel is expanded to its symmetric pair or
+    product kernel once; the pair then widens until every grid point has
+    enough local data.
     """
-    x1, x2, ybar, w = aggregate_2d(points[:, 0], points[:, 1], points[:, 2])
+    x1, x2, ybar, w = rows
     bw = cfg.bandwidth if isinstance(cfg.bandwidth, tuple) else (cfg.bandwidth, cfg.bandwidth)
     kern = cfg.kernel if isinstance(cfg.kernel, Kernel2D) else Kernel2D(cfg.kernel, cfg.kernel)
 
@@ -198,9 +253,15 @@ def _smooth_2d(points: np.ndarray, cfg: LocalFitConfig, grid1: Grid,
     return widen_until_fit(attempt, LocalFitConfig(bw, kern, cfg.ridge))
 
 
-def smooth_covariance(pairs: np.ndarray, cfg: LocalFitConfig, grid: Grid) -> GridSurface:
-    """Smooth raw off-diagonal covariances onto grid x grid and symmetrize."""
-    values = _smooth_2d(np.asarray(pairs, dtype=float).reshape(-1, 3), cfg, grid, grid)
+def smooth_covariance(rows, cfg: LocalFitConfig, grid: Grid) -> GridSurface:
+    """Smooth off-diagonal raw covariances onto grid x grid and symmetrize.
+
+    ``rows`` are the grouped (x1, x2, ybar, w) rows of ``group_pairs`` (or
+    ``aggregate_2d`` for raw rows). Cost: the smoother sees one weighted
+    row per distinct location, grouped once by observation-time codes
+    before any widening retry.
+    """
+    values = _smooth_2d(rows, cfg, grid, grid)
     return GridSurface(grid, grid, (values + values.T) / 2.0)
 
 
@@ -210,14 +271,15 @@ def smooth_cross_covariance(subjects: list[Subject], mean_x: GridFunction,
     """Smooth raw cross-covariances.
 
     Functional responses use every (l, j) observation pair (measurement
-    errors are independent across streams, so no diagonal is removed) and a
-    2D smoother; scalar responses reduce to a curve in s, smoothed like a
-    mean curve.
+    errors are independent across streams, so no diagonal is removed),
+    grouped once by location, and a 2D smoother; scalar responses reduce to
+    a curve in s, smoothed like a mean curve.
     """
-    raw = raw_cross_products(subjects, mean_x, mean_y)
     if isinstance(mean_y, GridFunction):
         grid_s, grid_t = grids
-        return GridSurface(grid_s, grid_t, _smooth_2d(raw, cfg, grid_s, grid_t))
+        rows = group_pairs(*cross_pairs(subjects, mean_x, mean_y))
+        return GridSurface(grid_s, grid_t, _smooth_2d(rows, cfg, grid_s, grid_t))
+    raw = raw_cross_products(subjects, mean_x, mean_y)
     grid_s = grids if isinstance(grids, Grid) else grids[0]
     return estimate_mean(raw[:, 0], raw[:, 1], cfg, grid_s)
 
@@ -226,18 +288,13 @@ def raw_cross_products(subjects: list[Subject], mean_x: GridFunction,
                        mean_y: GridFunction | float) -> np.ndarray:
     """Raw centered cross products; (s, t, value) rows, or (s, value) rows
     in scalar-response mode, subject by subject."""
-    x_times = _stacked([s.x_times for s in subjects])
-    rx = _stacked([s.x_values for s in subjects]) - mean_x.at(x_times)
-    ia, ib = _pair_index([s.n_x for s in subjects], [s.n_y for s in subjects])
-    if isinstance(mean_y, GridFunction):
-        y_times = _stacked([s.y_times for s in subjects])
-        ry = _stacked([s.y_values for s in subjects]) - mean_y.at(y_times)
-        return np.column_stack([x_times[ia], y_times[ib], rx[ia] * ry[ib]])
-    ry = _stacked([s.y_values for s in subjects]) - mean_y
-    return np.column_stack([x_times[ia], rx[ia] * ry[ib]])
+    x_times, y_times, ia, ib, products = cross_pairs(subjects, mean_x, mean_y)
+    if y_times is None:
+        return np.column_stack([x_times[ia], products])
+    return np.column_stack([x_times[ia], y_times[ib], products])
 
 
-def covariance_diagonal(pairs: np.ndarray, bandwidth: float, grid: Grid,
+def covariance_diagonal(rows, bandwidth: float, grid: Grid,
                         kernel: Kernel1D = Kernel1D(), ridge: float = 1e-10,
                         max_block: int = 2_000_000) -> np.ndarray:
     """Estimate G(s, s) from off-diagonal raw covariances.
@@ -249,6 +306,10 @@ def covariance_diagonal(pairs: np.ndarray, bandwidth: float, grid: Grid,
     along-diagonal bias matches the 1D smoother applied to the diagonal raw
     values (and cancels in their difference).
 
+    ``rows`` are grouped (x1, x2, ybar, w) rows, as ``smooth_covariance``
+    takes them, so the raw pairs are grouped once per stream and not once
+    per widening retry.
+
     Cost: points with zero across-diagonal weight are dropped and the rest
     sorted along the diagonal. The grid is split into runs about one
     bandwidth wide, at most one per 1000 kept points, and each run is fitted
@@ -257,8 +318,7 @@ def covariance_diagonal(pairs: np.ndarray, bandwidth: float, grid: Grid,
     whole grid. ``max_block`` bounds grid points times window points per
     block, and so the temporaries.
     """
-    pairs = np.asarray(pairs, dtype=float).reshape(-1, 3)
-    x1, x2, ybar, w_mult = aggregate_2d(pairs[:, 0], pairs[:, 1], pairs[:, 2])
+    x1, x2, ybar, w_mult = rows
     v = (x1 + x2) / 2.0
     u = (x1 - x2) / np.sqrt(2.0)
     b = float(bandwidth)
@@ -308,8 +368,8 @@ def covariance_diagonal(pairs: np.ndarray, bandwidth: float, grid: Grid,
     return out
 
 
-def estimate_sigma2(diag_points: np.ndarray, off_pairs: np.ndarray,
-                    cfg: LocalFitConfig, grid: Grid) -> float:
+def estimate_sigma2(diag_points: np.ndarray, off_rows, cfg: LocalFitConfig,
+                    grid: Grid) -> float:
     """Measurement-error variance from diagonal versus off-diagonal smoothing.
 
     The diagonal raw covariances estimate G(s, s) + sigma^2 and the
@@ -317,7 +377,9 @@ def estimate_sigma2(diag_points: np.ndarray, off_pairs: np.ndarray,
     of the two smoothed curves, integrated over the middle half of the domain
     (the ends are dropped for stability) and scaled by 2 / |domain|, recovers
     sigma^2, clamped at zero. Both curves use the same bandwidth so their
-    smoothing biases cancel.
+    smoothing biases cancel. ``diag_points`` are raw (s, value) rows;
+    ``off_rows`` the grouped off-diagonal rows of ``smooth_covariance``.
+    Both are aggregated once, outside the widening retries.
     """
     diag_points = np.asarray(diag_points, dtype=float).reshape(-1, 2)
     xu, ybar, w = aggregate_1d(diag_points[:, 0], diag_points[:, 1])
@@ -326,7 +388,7 @@ def estimate_sigma2(diag_points: np.ndarray, off_pairs: np.ndarray,
     def attempt(c: LocalFitConfig) -> tuple[np.ndarray, np.ndarray]:
         v_curve = local_linear_1d_at(xu, ybar, grid.points, float(c.bandwidth),
                                      kernel=kern, ridge=c.ridge, weights=w)
-        g_diag = covariance_diagonal(off_pairs, float(c.bandwidth), grid,
+        g_diag = covariance_diagonal(off_rows, float(c.bandwidth), grid,
                                      kernel=kern, ridge=c.ridge)
         return v_curve, g_diag
 
@@ -517,6 +579,19 @@ class BinBandwidths:
         }
 
 
+def _covariance_estimates(subjects: list[Subject], mean: GridFunction, stream: str,
+                          cov_bw, diag_bw: float, kernel: Kernel1D, ridge: float,
+                          grid: Grid, max_components: int, rel_tol: float):
+    """One stream's covariance surface, error variance and eigensystem, from
+    its off-diagonal pairs grouped once (the raw pairs are dropped there)."""
+    pairs, diag = covariance_pairs(subjects, mean, stream)
+    rows = group_pairs(*pairs)
+    del pairs
+    cov = smooth_covariance(rows, LocalFitConfig(cov_bw, kernel, ridge), grid)
+    sigma2 = estimate_sigma2(diag, rows, LocalFitConfig(diag_bw, kernel, ridge), grid)
+    return cov, sigma2, eigendecompose(cov, grid, max_components, rel_tol=rel_tol)
+
+
 def fit_bin(subjects: list[Subject], center: float, s_grid: Grid,
             t_grid: Grid | None, bandwidths: BinBandwidths, kernel: Kernel1D,
             max_m: int, max_k: int, ridge: float = 1e-10,
@@ -526,7 +601,9 @@ def fit_bin(subjects: list[Subject], center: float, s_grid: Grid,
     ``max_m``/``max_k`` bound how many eigencomponents are retained (the
     spectra may hold fewer, and ``eigen_floor`` drops eigenvalues below that
     fraction of the leading one); ``sigma_mk`` is built at those bounds so
-    that truncation selection can slice it without refitting.
+    that truncation selection can slice it without refitting. Each stream's
+    off-diagonal pairs, and the functional cross pairs, are grouped by
+    location once and shared by every smoother and retry that uses them.
     """
     scalar = t_grid is None
 
@@ -543,22 +620,16 @@ def fit_bin(subjects: list[Subject], center: float, s_grid: Grid,
         mean_y = estimate_mean(y_times, y_values,
                                LocalFitConfig(bandwidths.mean_y, kernel, ridge), t_grid)
 
-    off_x, diag_x = raw_covariances(subjects, mean_x, "x")
-    cov_x = smooth_covariance(off_x, LocalFitConfig(bandwidths.cov_x, kernel, ridge), s_grid)
-    sigma2_x = estimate_sigma2(diag_x, off_x,
-                               LocalFitConfig(bandwidths.diag_x, kernel, ridge), s_grid)
-    eig_x = eigendecompose(cov_x, s_grid, max_m, rel_tol=max(1e-10, eigen_floor))
-
+    rel_tol = max(1e-10, eigen_floor)
+    cov_x, sigma2_x, eig_x = _covariance_estimates(
+        subjects, mean_x, "x", bandwidths.cov_x, bandwidths.diag_x, kernel, ridge,
+        s_grid, max_m, rel_tol)
     if scalar:
-        cov_y = None
-        eig_y = None
-        sigma2_y = None
+        cov_y = sigma2_y = eig_y = None
     else:
-        off_y, diag_y = raw_covariances(subjects, mean_y, "y")
-        cov_y = smooth_covariance(off_y, LocalFitConfig(bandwidths.cov_y, kernel, ridge), t_grid)
-        sigma2_y = estimate_sigma2(diag_y, off_y,
-                                   LocalFitConfig(bandwidths.diag_y, kernel, ridge), t_grid)
-        eig_y = eigendecompose(cov_y, t_grid, max_k, rel_tol=max(1e-10, eigen_floor))
+        cov_y, sigma2_y, eig_y = _covariance_estimates(
+            subjects, mean_y, "y", bandwidths.cov_y, bandwidths.diag_y, kernel, ridge,
+            t_grid, max_k, rel_tol)
 
     cross = smooth_cross_covariance(
         subjects, mean_x, mean_y, LocalFitConfig(bandwidths.cross, kernel, ridge),

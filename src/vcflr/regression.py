@@ -12,8 +12,10 @@ regression baseline.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -30,6 +32,15 @@ from .fpca import (
     fit_bin,
 )
 from .smoothing import local_linear_weights
+
+
+_BANDWIDTH_KEYS = tuple(f.name for f in fields(BinBandwidths))
+
+
+def _positive(value) -> bool:
+    """True for a finite real number above zero (booleans excluded)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) \
+        and math.isfinite(value) and value > 0
 
 
 @dataclass
@@ -77,6 +88,28 @@ class FitConfig:
         for b in fixed + tuple(self.refine_candidates or ()):
             if not (np.isfinite(b) and b > 0):
                 raise ValueError(f"refine bandwidths must be finite and positive, got {b!r}")
+        if self.bandwidth_policy not in ("cv", "default"):
+            raise ValueError(
+                f"bandwidth_policy must be 'cv' or 'default', got {self.bandwidth_policy!r}")
+        if not isinstance(self.bandwidths, dict):
+            raise ValueError(f"bandwidths must be a mapping, got {self.bandwidths!r}")
+        unknown = sorted(set(self.bandwidths) - set(_BANDWIDTH_KEYS))
+        if unknown:
+            raise ValueError(f"unknown bandwidth key(s) {unknown}; "
+                             f"choose from {', '.join(_BANDWIDTH_KEYS)}")
+        for key, bw in self.bandwidths.items():
+            pair = key in ("cov_x", "cov_y", "cross") and isinstance(bw, (tuple, list)) \
+                and len(bw) == 2
+            if not all(_positive(b) for b in (bw if pair else (bw,))):
+                raise ValueError(
+                    f"bandwidth {key} must be a finite positive number"
+                    f"{' or a pair of them' if key in ('cov_x', 'cov_y', 'cross') else ''}, "
+                    f"got {bw!r}")
+        if not self.cv_factors or not all(_positive(f) for f in self.cv_factors):
+            raise ValueError(
+                f"cv_factors must be finite positive numbers, got {self.cv_factors!r}")
+        if self.cv_folds < 2:
+            raise ValueError(f"cv_folds must be at least 2, got {self.cv_folds!r}")
 
     def kernel1d(self) -> Kernel1D:
         return Kernel1D(self.kernel)

@@ -30,10 +30,10 @@ from .fpca import (
     _blup_operator,
     _count_groups,
     aggregate_1d,
-    aggregate_2d,
+    covariance_pairs,
+    cross_pairs,
     estimate_mean,
-    raw_covariances,
-    raw_cross_products,
+    group_pairs,
 )
 from .grids import Grid, GridSurface
 from .kernels import Kernel1D, Kernel2D
@@ -293,7 +293,33 @@ def cv_smoother_bandwidth(subjects: list[Subject], kind: str, n_folds: int,
     measured at the held-out raw points against the fitted curve or surface
     interpolated off the grid. Candidates that fail anywhere are skipped;
     ties go to the larger bandwidth.
+
+    Cost: each fold is prepared once. Mean kinds aggregate the training
+    observations by time; surface kinds group the training pairs by
+    observation-time codes (``fpca.group_pairs``). A candidate then costs
+    one smoother per fold and one vectorised interpolation at the fold's
+    held-out points, whose per-subject error sums are added in subject
+    order.
     """
+    results = cv_errors(subjects, kind, n_folds, candidates, s_grid, t_grid,
+                        kernel=kernel, ridge=ridge, mean_bandwidths=mean_bandwidths)
+    if not results:
+        raise InsufficientLocalData(
+            f"every candidate bandwidth failed {kind} cross-validation")
+
+    def size(c):
+        return c[0] if isinstance(c, (tuple, list)) else float(c)
+
+    results.sort(key=lambda r: size(r[0]), reverse=True)   # larger b wins ties
+    best = min(results, key=lambda r: r[1])
+    return best[0] if not isinstance(best[0], (tuple, list)) else tuple(best[0])
+
+
+def cv_errors(subjects: list[Subject], kind: str, n_folds: int, candidates,
+              s_grid: Grid, t_grid: Grid | None = None, kernel: Kernel1D = Kernel1D(),
+              ridge: float = 1e-10, mean_bandwidths: tuple | None = None):
+    """(candidate, held-out squared error) rows of ``cv_smoother_bandwidth``,
+    in candidate order, without the candidates that failed in some fold."""
     if kind not in ("mean_x", "mean_y", "cov_x", "cov_y", "cross"):
         raise ValueError(f"unknown smoother kind {kind!r}")
     if t_grid is None and kind not in ("mean_x", "cov_x"):
@@ -304,12 +330,24 @@ def cv_smoother_bandwidth(subjects: list[Subject], kind: str, n_folds: int,
         raise ValueError(
             f"fold count {n_folds} exceeds the {len(subjects)} subjects in the bin")
     folds = _fold_of(len(subjects), n_folds)
+    # subject of each observation of the stream that the rows are indexed by
+    owner = np.repeat(np.arange(len(subjects)),
+                      [s.n_y if kind in ("mean_y", "cov_y") else s.n_x for s in subjects])
 
     if kind in ("mean_x", "mean_y"):
-        stream = "x" if kind == "mean_x" else "y"
-        grid = s_grid if stream == "x" else t_grid
-        pts = [( s.x_times if stream == "x" else s.y_times,
-                 s.x_values if stream == "x" else s.y_values) for s in subjects]
+        grid = s_grid if kind == "mean_x" else t_grid
+        times = np.concatenate([s.x_times if kind == "mean_x" else s.y_times for s in subjects])
+        values = np.concatenate([s.x_values if kind == "mean_x" else s.y_values
+                                 for s in subjects])
+
+        def split(test):
+            return aggregate_1d(times[~test], values[~test]), times[test], values[test]
+
+        def predicted(train, cand, at):
+            xu, ybar, w = train
+            curve = local_linear_1d_at(xu, ybar, grid.points, float(cand),
+                                       kernel=kernel, ridge=ridge, weights=w)
+            return np.interp(at, grid.points, curve)
     else:
         if mean_bandwidths is None:
             raise ValueError(f"{kind} CV needs mean_bandwidths to center observations")
@@ -323,59 +361,52 @@ def cv_smoother_bandwidth(subjects: list[Subject], kind: str, n_folds: int,
                 np.concatenate([s.y_times for s in subjects]),
                 np.concatenate([s.y_values for s in subjects]),
                 LocalFitConfig(mean_bandwidths[1], kernel, ridge), t_grid)
-        # raw parts per subject so folds can split them
         if kind == "cov_x":
             grids = (s_grid, s_grid)
-            per_subject_raw = [raw_covariances([s], mean_x, "x")[0] for s in subjects]
+            pairs, _ = covariance_pairs(subjects, mean_x, "x")
         elif kind == "cov_y":
             grids = (t_grid, t_grid)
-            per_subject_raw = [raw_covariances([s], mean_y, "y")[0] for s in subjects]
+            pairs, _ = covariance_pairs(subjects, mean_y, "y")
         else:
             grids = (s_grid, t_grid)
-            per_subject_raw = [raw_cross_products([s], mean_x, mean_y) for s in subjects]
+            pairs = cross_pairs(subjects, mean_x, mean_y)
+        times_a, times_b, ia, ib, products = pairs
+        owner = owner[ia]
+        kern2 = Kernel2D(kernel, kernel)
 
-    kern2 = Kernel2D(kernel, kernel)
+        def split(test):
+            train = ~test
+            return (group_pairs(times_a, times_b, ia[train], ib[train], products[train]),
+                    (times_a[ia[test]], times_b[ib[test]]), products[test])
+
+        def predicted(train, cand, at):
+            x1, x2, ybar, w = train
+            bw = tuple(cand) if isinstance(cand, (tuple, list)) else (float(cand), float(cand))
+            surface = GridSurface(grids[0], grids[1], local_linear_2d_at(
+                x1, x2, ybar, grids[0].points, grids[1].points, bw,
+                kernel=kern2, ridge=ridge, weights=w))
+            return surface.at(*at)
+
+    prepared = []   # per fold: training data, held-out points and values, subject rows
+    for f in range(n_folds):
+        test = folds[owner] == f
+        # held-out rows come subject by subject; equal row counts are summed
+        # as one (g, n) block, which adds each row like np.sum of one subject
+        counts = np.bincount(owner[test], minlength=len(subjects))[folds == f]
+        prepared.append(split(test) + (counts.size, _count_groups(counts)))
+
     results = []
     for cand in candidates:
         sse = 0.0
-        ok = True
-        for f in range(n_folds):
-            train = [i for i in range(len(subjects)) if folds[i] != f]
-            test = [i for i in range(len(subjects)) if folds[i] == f]
-            try:
-                if kind in ("mean_x", "mean_y"):
-                    tx = np.concatenate([pts[i][0] for i in train])
-                    ty = np.concatenate([pts[i][1] for i in train])
-                    xu, ybar, w = aggregate_1d(tx, ty)
-                    curve = local_linear_1d_at(xu, ybar, grid.points, float(cand),
-                                               kernel=kernel, ridge=ridge, weights=w)
-                    for i in test:
-                        pred = np.interp(pts[i][0], grid.points, curve)
-                        sse += float(np.sum((pts[i][1] - pred) ** 2))
-                else:
-                    tr = np.vstack([per_subject_raw[i] for i in train])
-                    x1, x2, ybar, w = aggregate_2d(tr[:, 0], tr[:, 1], tr[:, 2])
-                    bw = tuple(cand) if isinstance(cand, (tuple, list)) \
-                        else (float(cand), float(cand))
-                    surf = GridSurface(grids[0], grids[1], local_linear_2d_at(
-                        x1, x2, ybar, grids[0].points, grids[1].points, bw,
-                        kernel=kern2, ridge=ridge, weights=w))
-                    for i in test:
-                        r = per_subject_raw[i]
-                        pred = surf.at(r[:, 0], r[:, 1])
-                        sse += float(np.sum((r[:, 2] - pred) ** 2))
-            except InsufficientLocalData:
-                ok = False
-                break
-        if ok:
-            results.append((cand, sse))
-    if not results:
-        raise InsufficientLocalData(
-            f"every candidate bandwidth failed {kind} cross-validation")
-
-    def size(c):
-        return c[0] if isinstance(c, (tuple, list)) else float(c)
-
-    results.sort(key=lambda r: size(r[0]), reverse=True)   # larger b wins ties
-    best = min(results, key=lambda r: r[1])
-    return best[0] if not isinstance(best[0], (tuple, list)) else tuple(best[0])
+        try:
+            for train, at, observed, n_test, groups in prepared:
+                err = (observed - predicted(train, cand, at)) ** 2
+                per_subject = np.zeros(n_test)
+                for idx, pos in groups:
+                    per_subject[idx] = err[pos].sum(axis=1)
+                for value in per_subject.tolist():   # in subject order
+                    sse += value
+        except InsufficientLocalData:
+            continue
+        results.append((cand, sse))
+    return results

@@ -146,6 +146,23 @@ class TestFit:
         assert code == 4
         assert "domain s" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting, shown", [
+        ({"bandwidth_policy": "CV"}, "'CV'"),
+        ({"bandwidths": {"covx": 1.0}}, "covx"),
+        ({"bandwidths": {"cov_x": -1.0}}, "-1.0"),
+        ({"bandwidths": {"mean_x": "wide"}}, "wide"),
+        ({"bandwidths": {"cross": [1.0, None]}}, "None"),
+    ])
+    def test_bad_bandwidth_setting_exit_4(self, sim_dir, tmp_path, capsys, setting, shown):
+        # rejected before fitting, instead of ignored or dying in the smoother
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(setting))
+        code = main(["fit", "--train", str(sim_dir / "train.csv"),
+                     "--config", str(cfg), "--out", str(tmp_path / "m")])
+        assert code == 4
+        assert shown in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
     def test_no_threads_option(self, sim_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--train", str(sim_dir / "train.csv"),

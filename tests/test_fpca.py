@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from vcflr import fpca
 from vcflr.data import Subject
 from vcflr.errors import (
     InsufficientLocalData,
@@ -14,11 +16,16 @@ from vcflr.fpca import (
     _count_groups,
     aggregate_1d,
     aggregate_2d,
+    BinBandwidths,
     blup_scores,
     covariance_diagonal,
+    covariance_pairs,
+    cross_pairs,
     eigendecompose,
     estimate_mean,
     estimate_sigma2,
+    fit_bin,
+    group_pairs,
     observation_covariance,
     raw_covariances,
     raw_cross_products,
@@ -63,6 +70,185 @@ class TestAggregation:
         assert np.array_equal(b, [1.0, 2.0, 3.0])
         assert np.allclose(ybar, [7.0, 2.0, 5.0])
         assert np.array_equal(w, [1.0, 2.0, 1.0])
+
+
+def oracle_aggregate_2d(x1, x2, y):
+    """Grouping by a float lexsort of the raw rows themselves (empty in,
+    empty out)."""
+    x1, x2, y = (np.asarray(a, dtype=float) for a in (x1, x2, y))
+    if x1.size == 0:
+        return np.empty(0), np.empty(0), np.empty(0), np.empty(0)
+    order = np.lexsort((x2, x1))
+    x1s, x2s, ys = x1[order], x2[order], y[order]
+    new = np.empty(x1s.size, dtype=bool)
+    new[0] = True
+    new[1:] = (np.diff(x1s) != 0) | (np.diff(x2s) != 0)
+    group = np.cumsum(new) - 1
+    w = np.bincount(group).astype(float)
+    ybar = np.bincount(group, weights=ys) / w
+    return x1s[new], x2s[new], ybar, w
+
+
+def grouped(pairs):
+    """Grouped rows of raw (x1, x2, value) rows, as the 2D smoothers take them."""
+    return aggregate_2d(pairs[:, 0], pairs[:, 1], pairs[:, 2])
+
+
+def assert_rows_equal(got, want):
+    assert len(got) == 4
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def lattice_subjects(counts, seed, step=0.5, scalar=False):
+    """Subjects whose times sit on a coarse lattice, so times repeat within
+    and across subjects; ``counts`` holds (n_x, n_y) per subject."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i, (nx, ny) in enumerate(counts):
+        xt = rng.integers(0, 21, nx) * step
+        yt = None if scalar else rng.integers(0, 21, ny) * step
+        yv = rng.normal(size=1 if scalar else ny)
+        out.append(Subject(f"s{i}", 0.5, xt, rng.normal(size=nx), yt, yv))
+    return out
+
+
+def lattice_means():
+    grid = make_grid(0, 10, 21)
+    return GridFunction(grid, np.sin(grid.points)), GridFunction(grid, 0.1 * grid.points)
+
+
+class TestGroupPairs:
+    """Grouping by observation-time codes equals the lexsort of the raw rows,
+    element for element."""
+
+    COUNTS = [(3, 2), (0, 4), (1, 1), (5, 0), (2, 3), (0, 0), (4, 4), (1, 3),
+              (3, 1), (6, 2), (2, 2), (8, 5)]
+
+    @pytest.mark.parametrize("stream", ["x", "y"])
+    def test_covariance_pairs_with_duplicate_times(self, stream):
+        subjects = lattice_subjects(self.COUNTS, 90)
+        mean = lattice_means()[0 if stream == "x" else 1]
+        pairs, _ = covariance_pairs(subjects, mean, stream)
+        times = pairs[0]
+        assert np.unique(times).size < times.size   # ties within and across subjects
+        off, _ = raw_covariances(subjects, mean, stream)
+        got = group_pairs(*pairs)
+        assert np.any(got[3] > 1)
+        assert_rows_equal(got, oracle_aggregate_2d(off[:, 0], off[:, 1], off[:, 2]))
+
+    def test_cross_pairs_unequal_counts(self):
+        subjects = lattice_subjects(self.COUNTS, 91)
+        mean_x, mean_y = lattice_means()
+        pairs = cross_pairs(subjects, mean_x, mean_y)
+        assert pairs[0].size != pairs[1].size
+        raw = raw_cross_products(subjects, mean_x, mean_y)
+        assert_rows_equal(group_pairs(*pairs),
+                          oracle_aggregate_2d(raw[:, 0], raw[:, 1], raw[:, 2]))
+
+    def test_signed_zero_is_one_location(self):
+        x1 = np.array([0.0, -0.0, 1.0, 0.0, -0.0])
+        x2 = np.array([-0.0, 0.0, -0.0, 1.0, 1.0])
+        y = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        got = aggregate_2d(x1, x2, y)
+        assert_rows_equal(got, oracle_aggregate_2d(x1, x2, y))
+        assert np.array_equal(got[3], [2.0, 2.0, 1.0])
+
+    def test_zero_and_one_observation_subjects(self):
+        subjects = lattice_subjects([(0, 0), (1, 1), (0, 2), (1, 0)], 92)
+        mean_x, mean_y = lattice_means()
+        pairs, diag = covariance_pairs(subjects, mean_x, "x")
+        assert pairs[2].size == 0 and diag.shape == (2, 2)
+        assert_rows_equal(group_pairs(*pairs), oracle_aggregate_2d([], [], []))
+        raw = raw_cross_products(subjects, mean_x, mean_y)
+        assert raw.shape == (1, 3)
+        assert_rows_equal(group_pairs(*cross_pairs(subjects, mean_x, mean_y)),
+                          oracle_aggregate_2d(raw[:, 0], raw[:, 1], raw[:, 2]))
+
+    def test_no_subjects(self):
+        mean_x, mean_y = lattice_means()
+        pairs, _ = covariance_pairs([], mean_x, "x")
+        assert_rows_equal(group_pairs(*pairs), oracle_aggregate_2d([], [], []))
+        assert_rows_equal(group_pairs(*cross_pairs([], mean_x, mean_y)),
+                          oracle_aggregate_2d([], [], []))
+        assert_rows_equal(aggregate_2d([], [], []), oracle_aggregate_2d([], [], []))
+
+    @given(counts=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=12),
+           step=st.sampled_from([0.5, 2.5, 5.0]), seed=st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_random_subject_sets_with_ties(self, counts, step, seed):
+        subjects = lattice_subjects(counts, seed, step=step)
+        mean_x, mean_y = lattice_means()
+        for stream, mean in (("x", mean_x), ("y", mean_y)):
+            off, _ = raw_covariances(subjects, mean, stream)
+            assert_rows_equal(group_pairs(*covariance_pairs(subjects, mean, stream)[0]),
+                              oracle_aggregate_2d(off[:, 0], off[:, 1], off[:, 2]))
+        raw = raw_cross_products(subjects, mean_x, mean_y)
+        assert_rows_equal(group_pairs(*cross_pairs(subjects, mean_x, mean_y)),
+                          oracle_aggregate_2d(raw[:, 0], raw[:, 1], raw[:, 2]))
+
+
+class TestFitBinGroupsOnce:
+    """fit_bin groups each pair set once, however often a smoother widens."""
+
+    @staticmethod
+    def count_grouping(monkeypatch):
+        calls = []
+        real = fpca.group_pairs
+
+        def counting(*args):
+            calls.append(len(args[2]))
+            return real(*args)
+
+        monkeypatch.setattr(fpca, "group_pairs", counting)
+        return calls
+
+    @staticmethod
+    def count_attempts(monkeypatch):
+        """Attempts per widen_until_fit call of fpca."""
+        attempts = []
+        real = fpca.widen_until_fit
+
+        def widen(fit, cfg):
+            attempts.append(0)
+
+            def attempt(c):
+                attempts[-1] += 1
+                return fit(c)
+            return real(attempt, cfg)
+
+        monkeypatch.setattr(fpca, "widen_until_fit", widen)
+        return attempts
+
+    @pytest.mark.parametrize("surface_bw", [3.0, 0.3])
+    def test_functional_bin_three_groupings(self, monkeypatch, surface_bw):
+        from vcflr.simulation import SPARSE, generate
+        ds, _ = generate(SPARSE, 60, seed=93)
+        grid = make_grid(0, 10, 21)
+        bw = BinBandwidths(mean_x=2.0, mean_y=2.0, cov_x=surface_bw, cov_y=surface_bw,
+                           diag_x=surface_bw, diag_y=surface_bw, cross=surface_bw)
+        attempts = self.count_attempts(monkeypatch)
+        calls = self.count_grouping(monkeypatch)
+        fit_bin(ds.subjects, 0.5, grid, grid, bw, Kernel1D(), 3, 3)
+        assert len(calls) == 3
+        # two means, two surfaces, two diagonals and the cross surface
+        assert len(attempts) == 7
+        if surface_bw < 1.0:
+            assert max(attempts) > 1   # some smoother widened
+
+    def test_scalar_bin_one_grouping(self, monkeypatch):
+        from vcflr.simulation import REGULAR, generate
+        ds, _ = generate(REGULAR, 40, seed=94)
+        subjects = [Subject(s.id, s.z, s.x_times, s.x_values, None,
+                            np.array([float(s.y_values.mean())])) for s in ds.subjects]
+        grid = make_grid(0, 10, 21)
+        bw = BinBandwidths(mean_x=2.0, mean_y=None, cov_x=0.3, cov_y=None,
+                           diag_x=0.3, diag_y=None, cross=2.0)
+        attempts = self.count_attempts(monkeypatch)
+        calls = self.count_grouping(monkeypatch)
+        fit_bin(subjects, 0.5, grid, None, bw, Kernel1D(), 3, 1)
+        assert len(calls) == 1
+        assert max(attempts) > 1
 
 
 class TestEstimateMean:
@@ -213,7 +399,7 @@ class TestSmoothCovariance:
         pairs = np.column_stack([s1, s2, vals])
         pairs = np.vstack([pairs, pairs[:, [1, 0, 2]]])
         grid = make_grid(0, 10, 21)
-        surf = smooth_covariance(pairs, LocalFitConfig((3.0, 3.0)), grid)
+        surf = smooth_covariance(grouped(pairs), LocalFitConfig((3.0, 3.0)), grid)
         want = 1.0 + 0.2 * grid.points[:, None] + 0.2 * grid.points[None, :]
         assert np.allclose(surf.values, want, atol=1e-9)
         assert np.max(np.abs(surf.values - surf.values.T)) < 1e-12
@@ -228,7 +414,7 @@ class TestSmoothCovariance:
         values = np.concatenate([s.x_values for s in ds.subjects])
         mean = estimate_mean(times, values, LocalFitConfig(1.0), grid)
         off, _ = raw_covariances(ds.subjects, mean, "x")
-        surf = smooth_covariance(off, LocalFitConfig((1.5, 1.5)), grid)
+        surf = smooth_covariance(grouped(off), LocalFitConfig((1.5, 1.5)), grid)
         psi = basis(grid.points)
         truth = (psi * RHO) @ psi.T
         rms = np.sqrt(np.mean((surf.values - truth) ** 2))
@@ -247,7 +433,7 @@ class TestEstimateSigma2:
         sd = rng.uniform(0, 10, 150)
         diag = np.column_stack([sd, 0.5 + 0.2 * sd + 0.7])
         grid = make_grid(0, 10, 41)
-        got = estimate_sigma2(diag, pairs, LocalFitConfig(2.0), grid)
+        got = estimate_sigma2(diag, grouped(pairs), LocalFitConfig(2.0), grid)
         assert got == pytest.approx(0.7, abs=1e-9)
 
     def test_clamped_at_zero(self):
@@ -258,7 +444,7 @@ class TestEstimateSigma2:
         sd = rng.uniform(0, 10, 100)
         diag = np.column_stack([sd, np.full(100, 1.0)])   # below the surface
         grid = make_grid(0, 10, 41)
-        assert estimate_sigma2(diag, pairs, LocalFitConfig(2.0), grid) == 0.0
+        assert estimate_sigma2(diag, grouped(pairs), LocalFitConfig(2.0), grid) == 0.0
 
     def test_recovers_unit_noise_sparse_pooled(self):
         from vcflr.simulation import SPARSE, generate
@@ -270,7 +456,7 @@ class TestEstimateSigma2:
             values = np.concatenate([s.x_values for s in ds.subjects])
             mean = estimate_mean(times, values, LocalFitConfig(1.0), grid)
             off, diag = raw_covariances(ds.subjects, mean, "x")
-            estimates.append(estimate_sigma2(diag, off, LocalFitConfig(2.0), grid))
+            estimates.append(estimate_sigma2(diag, grouped(off), LocalFitConfig(2.0), grid))
         assert all(0.7 <= v <= 1.3 for v in estimates)
 
 
@@ -284,13 +470,13 @@ class TestCovarianceDiagonal:
                                  np.concatenate([s2, s1]),
                                  np.concatenate([vals, vals])])
         grid = make_grid(0, 10, 21)
-        got = covariance_diagonal(pairs, 3.0, grid)
+        got = covariance_diagonal(grouped(pairs), 3.0, grid)
         assert np.allclose(got, 2.0 + 0.6 * grid.points, atol=1e-8)
 
 
 def oracle_covariance_diagonal(pairs, b, grid, kernel=Kernel1D(), ridge=1e-10):
     """The dense rotated fit: every aggregated point against every grid point."""
-    x1, x2, ybar, w = aggregate_2d(pairs[:, 0], pairs[:, 1], pairs[:, 2])
+    x1, x2, ybar, w = oracle_aggregate_2d(pairs[:, 0], pairs[:, 1], pairs[:, 2])
     v, u = (x1 + x2) / 2.0, (x1 - x2) / np.sqrt(2.0)
     distinct = np.unique(v)
     counts = np.array([np.count_nonzero(kernel_eval(kernel, (distinct - s) / b) > 0)
@@ -336,11 +522,11 @@ class TestWindowedCovarianceDiagonal:
         pairs, grid = self.pairs(72), make_grid(0, 10, 41)
         kernel = Kernel1D(family)
         self.assert_several_runs(pairs, 1.2, grid, kernel)
-        got = covariance_diagonal(pairs, 1.2, grid, kernel=kernel)
+        got = covariance_diagonal(grouped(pairs), 1.2, grid, kernel=kernel)
         assert np.allclose(got, oracle_covariance_diagonal(pairs, 1.2, grid, kernel),
                            rtol=1e-10, atol=1e-10)
         # a block bound far below one run's window splits every run
-        tiny = covariance_diagonal(pairs, 1.2, grid, kernel=kernel, max_block=3000)
+        tiny = covariance_diagonal(grouped(pairs), 1.2, grid, kernel=kernel, max_block=3000)
         assert np.allclose(tiny, got, rtol=1e-12, atol=1e-12)
 
     def test_uniform_kernel_boundary(self):
@@ -349,7 +535,7 @@ class TestWindowedCovarianceDiagonal:
         pairs, grid = self.pairs(73, n_lattice=3000), make_grid(0, 10, 21)
         uni = Kernel1D("uniform")
         self.assert_several_runs(pairs, 0.5, grid, uni)
-        got = covariance_diagonal(pairs, 0.5, grid, kernel=uni)
+        got = covariance_diagonal(grouped(pairs), 0.5, grid, kernel=uni)
         assert np.allclose(got, oracle_covariance_diagonal(pairs, 0.5, grid, uni),
                            rtol=1e-10, atol=1e-10)
 
@@ -357,9 +543,10 @@ class TestWindowedCovarianceDiagonal:
         pairs, grid = self.pairs(74), make_grid(0, 10, 41)
         v = pairs[:, :2].mean(axis=1)
         gapped = pairs[np.abs(v - 5.0) > 1.0]
-        for fit in (covariance_diagonal, oracle_covariance_diagonal):
-            with pytest.raises(InsufficientLocalData):
-                fit(gapped, 0.8, grid)
+        with pytest.raises(InsufficientLocalData):
+            covariance_diagonal(grouped(gapped), 0.8, grid)
+        with pytest.raises(InsufficientLocalData):
+            oracle_covariance_diagonal(gapped, 0.8, grid)
 
 
 class TestEigendecompose:

@@ -194,6 +194,33 @@ class TestFit:
             FitConfig(refine_candidates=(0.2, b))
         FitConfig(refine_bandwidth=0.3, refine_candidates=(0.2, 0.4))
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(bandwidth_policy="CV"), "bandwidth_policy"),
+        (dict(bandwidth_policy="none"), "bandwidth_policy"),
+        (dict(bandwidths={"covx": 1.0}), "unknown bandwidth key"),
+        (dict(bandwidths={"cov_x": -1.0}), "bandwidth cov_x"),
+        (dict(bandwidths={"mean_x": "wide"}), "bandwidth mean_x"),
+        (dict(bandwidths={"diag_y": float("inf")}), "bandwidth diag_y"),
+        (dict(bandwidths={"mean_y": (1.0, 2.0)}), "bandwidth mean_y"),
+        (dict(bandwidths={"cross": (1.0, 0.0)}), "bandwidth cross"),
+        (dict(bandwidths={"cov_y": (1.0, 2.0, 3.0)}), "bandwidth cov_y"),
+        (dict(bandwidths={"mean_x": True}), "bandwidth mean_x"),
+        (dict(cv_surfaces=True, cv_factors=(0.0, 1.0)), "cv_factors"),
+        (dict(cv_factors=()), "cv_factors"),
+        (dict(cv_factors=(1.0, float("nan"))), "cv_factors"),
+        (dict(cv_folds=1), "cv_folds"),
+    ])
+    def test_bandwidth_settings_validated(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            FitConfig(**kwargs)
+
+    def test_valid_bandwidth_settings_accepted(self):
+        FitConfig(bandwidth_policy="default",
+                  bandwidths={"mean_x": 1, "mean_y": 1.5, "cov_x": [1.0, 2.0],
+                              "cov_y": 2.0, "diag_x": 0.5, "diag_y": 0.5,
+                              "cross": (1.0, 2.0)},
+                  cv_factors=(1e-6,), cv_folds=2)
+
     def test_sigma2_is_bin_average(self, small_fit):
         assert small_fit.sigma2_x == pytest.approx(
             np.mean([b.sigma2_x for b in small_fit.bins]))

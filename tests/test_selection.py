@@ -9,17 +9,33 @@ import pytest
 from vcflr import regression
 from vcflr.data import LongitudinalDataset, Subject
 from vcflr.errors import InsufficientLocalData
-from vcflr.fpca import VARIANCE_FLOOR, observation_covariance
-from vcflr.grids import make_grid
+from vcflr.fpca import (
+    VARIANCE_FLOOR,
+    aggregate_1d,
+    aggregate_2d,
+    estimate_mean,
+    observation_covariance,
+    raw_covariances,
+    raw_cross_products,
+)
+from vcflr.grids import GridSurface, make_grid
+from vcflr.kernels import Kernel1D, Kernel2D
 from vcflr.regression import FitConfig, fit
 from vcflr.selection import (
+    cv_errors,
     cv_smoother_bandwidth,
     select_bandwidth,
     select_binwidth,
     select_truncation,
 )
 from vcflr.simulation import REGULAR, SPARSE, generate
-from vcflr.smoothing import lp_weights, smoothing_matrix
+from vcflr.smoothing import (
+    LocalFitConfig,
+    local_linear_1d_at,
+    local_linear_2d_at,
+    lp_weights,
+    smoothing_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -442,3 +458,171 @@ class TestCvSmootherBandwidth:
         grid = make_grid(0, 10, 21)
         with pytest.raises(InsufficientLocalData):
             cv_smoother_bandwidth(subjects, "mean_x", 3, (0.001,), grid, grid)
+
+
+def oracle_cv_errors(subjects, kind, n_folds, candidates, s_grid, t_grid,
+                     kernel=Kernel1D(), ridge=1e-10, mean_bandwidths=None):
+    """The per-candidate loop: each fold's training data re-aggregated for
+    every candidate, held-out subjects scored one at a time."""
+    folds = np.arange(len(subjects)) % n_folds
+    if kind in ("mean_x", "mean_y"):
+        x = kind == "mean_x"
+        grid = s_grid if x else t_grid
+        pts = [(s.x_times if x else s.y_times, s.x_values if x else s.y_values)
+               for s in subjects]
+    else:
+        def mean(stream):
+            grid = s_grid if stream == "x" else t_grid
+            bw = mean_bandwidths[0 if stream == "x" else 1]
+            return estimate_mean(
+                np.concatenate([getattr(s, f"{stream}_times") for s in subjects]),
+                np.concatenate([getattr(s, f"{stream}_values") for s in subjects]),
+                LocalFitConfig(bw, kernel, ridge), grid)
+        if kind == "cross":
+            grids = (s_grid, t_grid)
+            mean_x, mean_y = mean("x"), mean("y")
+            per_subject_raw = [raw_cross_products([s], mean_x, mean_y) for s in subjects]
+        else:
+            stream = kind[-1]
+            grids = (s_grid, s_grid) if stream == "x" else (t_grid, t_grid)
+            m = mean(stream)
+            per_subject_raw = [raw_covariances([s], m, stream)[0] for s in subjects]
+    results = []
+    for cand in candidates:
+        sse = 0.0
+        ok = True
+        for f in range(n_folds):
+            train = [i for i in range(len(subjects)) if folds[i] != f]
+            test = [i for i in range(len(subjects)) if folds[i] == f]
+            try:
+                if kind in ("mean_x", "mean_y"):
+                    xu, ybar, w = aggregate_1d(np.concatenate([pts[i][0] for i in train]),
+                                               np.concatenate([pts[i][1] for i in train]))
+                    curve = local_linear_1d_at(xu, ybar, grid.points, float(cand),
+                                               kernel=kernel, ridge=ridge, weights=w)
+                    for i in test:
+                        pred = np.interp(pts[i][0], grid.points, curve)
+                        sse += float(np.sum((pts[i][1] - pred) ** 2))
+                else:
+                    tr = np.vstack([per_subject_raw[i] for i in train])
+                    x1, x2, ybar, w = aggregate_2d(tr[:, 0], tr[:, 1], tr[:, 2])
+                    surf = GridSurface(grids[0], grids[1], local_linear_2d_at(
+                        x1, x2, ybar, grids[0].points, grids[1].points, tuple(cand),
+                        kernel=Kernel2D(kernel, kernel), ridge=ridge, weights=w))
+                    for i in test:
+                        r = per_subject_raw[i]
+                        sse += float(np.sum((r[:, 2] - surf.at(r[:, 0], r[:, 1])) ** 2))
+            except InsufficientLocalData:
+                ok = False
+                break
+        if ok:
+            results.append((cand, sse))
+    return results
+
+
+def oracle_choice(results):
+    """Smallest error; the larger bandwidth on exact ties."""
+    best = None
+    for cand, sse in sorted(results, key=lambda r: np.atleast_1d(r[0])[0], reverse=True):
+        if best is None or sse < best[1]:
+            best = (cand, sse)
+    return best[0]
+
+
+class TestCvAgainstPerCandidateLoop:
+    """Folds prepared once give the errors and the choice of the loop that
+    re-aggregates every fold for every candidate."""
+
+    MEANS = (2.0, 2.0)
+    CANDIDATES = {
+        "mean_x": (0.75, 1.5, 3.0), "mean_y": (0.75, 1.5, 3.0),
+        "cov_x": ((1.5, 1.5), (2.5, 2.5), (4.0, 4.0)),
+        "cov_y": ((2.5, 2.5), (4.0, 4.0), (6.0, 6.0)),
+        "cross": ((1.5, 2.0), (2.5, 3.0), (4.0, 4.0)),
+    }
+
+    @staticmethod
+    def subjects(n, seed, lattice=False):
+        """Noisy subjects; on a lattice, times repeat within and across them."""
+        rng = np.random.default_rng(seed)
+        out = []
+        for i in range(n):
+            nx, ny = rng.integers(1, 9), rng.integers(1, 7)
+            if lattice:
+                st_, tt = rng.integers(0, 21, nx) * 0.5, rng.integers(0, 21, ny) * 0.5
+            else:
+                st_, tt = rng.uniform(0, 10, nx), rng.uniform(0, 10, ny)
+            out.append(Subject(f"s{i}", 0.5, st_, np.sin(st_) + rng.normal(0, 0.4, nx),
+                               tt, np.cos(tt) + rng.normal(0, 0.4, ny)))
+        return out
+
+    @staticmethod
+    def assert_same(got, want):
+        assert [c for c, _ in got] == [c for c, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert a == pytest.approx(b, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("lattice", [False, True])
+    @pytest.mark.parametrize("kind", ["mean_x", "mean_y", "cov_x", "cov_y", "cross"])
+    def test_every_kind(self, kind, lattice):
+        subjects = self.subjects(30, 140, lattice)
+        s_grid, t_grid = make_grid(0, 10, 21), make_grid(0, 10, 17)
+        cands = self.CANDIDATES[kind]
+        means = None if kind.startswith("mean") else self.MEANS
+        got = cv_errors(subjects, kind, 5, cands, s_grid, t_grid, mean_bandwidths=means)
+        want = oracle_cv_errors(subjects, kind, 5, cands, s_grid, t_grid,
+                                mean_bandwidths=means)
+        assert len(want) >= 2
+        self.assert_same(got, want)
+        assert cv_smoother_bandwidth(subjects, kind, 5, cands, s_grid, t_grid,
+                                     mean_bandwidths=means) == oracle_choice(want)
+
+    @pytest.mark.parametrize("kind, small, wide", [
+        ("mean_x", 1.0, 3.0), ("cov_x", (2.0, 2.0), (4.0, 4.0))])
+    def test_candidate_failing_in_one_fold_is_skipped(self, kind, small, wide):
+        # only subject 0 (fold 0) observes the predictor near s = 10
+        rng = np.random.default_rng(141)
+        subjects = []
+        for i in range(12):
+            st_ = np.sort(rng.uniform(0, 8, 8))
+            if i == 0:
+                st_ = np.concatenate([st_, [9.3, 9.6, 9.9]])
+            subjects.append(Subject(f"s{i}", 0.5, st_, np.sin(st_) + rng.normal(0, 0.3, st_.size),
+                                    np.array([1.0, 2.0]), rng.normal(size=2)))
+        grid = make_grid(0, 10, 21)
+        means = None if kind == "mean_x" else (3.0, 3.0)
+        cands = (small, wide)
+        got = cv_errors(subjects, kind, 3, cands, grid, grid, mean_bandwidths=means)
+        want = oracle_cv_errors(subjects, kind, 3, cands, grid, grid, mean_bandwidths=means)
+        assert [c for c, _ in want] == [wide]
+        self.assert_same(got, want)
+        # the small bandwidth fails only while subject 0 is held out: with a
+        # copy of it in fold 1, every fold keeps data near s = 10
+        copied = subjects[:1] + [replace(subjects[0], id="copy")] + subjects[1:]
+        assert [c for c, _ in cv_errors(copied, kind, 3, cands, grid, grid,
+                                        mean_bandwidths=means)] == [small, wide]
+        assert cv_smoother_bandwidth(subjects, kind, 3, cands, grid, grid,
+                                     mean_bandwidths=means) == wide
+
+    @pytest.mark.parametrize("kind, cands", [
+        ("mean_x", (1.2, 1.4)), ("cov_x", ((2.2, 2.2), (2.4, 2.4)))])
+    def test_exact_tie_goes_to_larger_bandwidth(self, kind, cands):
+        # integer times and grid: a uniform kernel of either width weighs the
+        # same points equally, so both fits and errors are identical
+        rng = np.random.default_rng(142)
+        subjects = []
+        for i in range(15):
+            st_ = np.sort(rng.choice(11, 6, replace=False)).astype(float)
+            subjects.append(Subject(f"s{i}", 0.5, st_, rng.normal(size=6),
+                                    np.array([1.0]), np.array([0.0])))
+        grid = make_grid(0, 10, 11)
+        uni = Kernel1D("uniform")
+        means = None if kind == "mean_x" else (3.0, 3.0)
+        got = cv_errors(subjects, kind, 3, cands, grid, grid, kernel=uni,
+                        mean_bandwidths=means)
+        want = oracle_cv_errors(subjects, kind, 3, cands, grid, grid, kernel=uni,
+                                mean_bandwidths=means)
+        self.assert_same(got, want)
+        assert got[0][1] == got[1][1]
+        assert cv_smoother_bandwidth(subjects, kind, 3, cands, grid, grid, kernel=uni,
+                                     mean_bandwidths=means) == cands[1]
