@@ -64,4 +64,5 @@ class CovariateOutOfDomain(VcflrError):
 
 class ModelFormatError(VcflrError):
     """A model or config document is corrupt, ill-typed or has the wrong
-    format version."""
+    format version, or a fit configuration does not fit the data's type
+    (a pair of bandwidths where a scalar response needs one)."""

@@ -248,7 +248,7 @@ def _smooth_2d(rows, cfg: LocalFitConfig, grid1: Grid, grid2: Grid) -> np.ndarra
 
     def attempt(c: LocalFitConfig) -> np.ndarray:
         return local_linear_2d_at(x1, x2, ybar, grid1.points, grid2.points, c.bandwidth,
-                                  kernel=kern, ridge=c.ridge, weights=w)
+                                  kernel=kern, weights=w)
 
     return widen_until_fit(attempt, LocalFitConfig(bw, kern, cfg.ridge))
 
@@ -518,6 +518,21 @@ def _count_groups(sizes) -> list[tuple[np.ndarray, np.ndarray]]:
     return groups
 
 
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(a, axis=0, return_inverse=True)`` for a 2D float array:
+    the distinct rows in lexicographic order and each row's index among
+    them, from one lexsort over the columns and a comparison of adjacent
+    sorted rows (equal values are equal rows, so -0.0 matches 0.0)."""
+    order = np.lexsort(a.T[::-1])
+    ordered = a[order]
+    first = np.empty(a.shape[0], dtype=bool)
+    first[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    inverse = np.empty(a.shape[0], dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
 def _blup_operator(times: np.ndarray, eig: EigenSystem, cov: GridSurface,
                    sigma2: float, n_components: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenfunctions psi (g, n, m) and BLUP operators A = Lambda psi^T Sigma^{-1}
@@ -525,8 +540,7 @@ def _blup_operator(times: np.ndarray, eig: EigenSystem, cov: GridSurface,
     and solve, shared by repeated vectors. Scores are A (values - mean)."""
     rows = slice(None)
     if times.shape[0] > 1:
-        times, rows = np.unique(times, axis=0, return_inverse=True)
-        rows = rows.ravel()
+        times, rows = _unique_rows(times)
     psi = eig.at(times)[..., :n_components]
     try:
         sol = np.linalg.solve(observation_covariance(times, cov, sigma2), psi)

@@ -55,10 +55,14 @@ class Kernel2D:
 def kernel_eval(k: Kernel1D, u) -> np.ndarray:
     """Evaluate K(u); zero outside [-1, 1]."""
     u = np.asarray(u, dtype=float)
-    if k.family == "epanechnikov":
-        out = 0.75 * np.maximum(0.0, 1.0 - u * u)
-    elif k.family == "quartic":
-        out = 0.9375 * np.maximum(0.0, 1.0 - u * u) ** 2
+    if k.family in ("epanechnikov", "quartic"):
+        # max(0, 1 - u²), in place in one temporary
+        out = np.multiply(u, u, out=np.empty_like(u))
+        np.subtract(1.0, out, out=out)
+        np.maximum(out, 0.0, out=out)
+        if k.family == "quartic":
+            np.square(out, out=out)
+        out *= 0.75 if k.family == "epanechnikov" else 0.9375
     else:  # uniform
         out = np.where(np.abs(u) <= 1.0, 0.5, 0.0)
     return out if out.ndim else float(out)

@@ -21,7 +21,13 @@ import numpy as np
 
 from . import selection
 from .data import BinPartition, LongitudinalDataset, explicit_bins, partition as make_partition
-from .errors import CovariateOutOfDomain, EmptyBin, InsufficientLocalData, TruncationTooLarge
+from .errors import (
+    CovariateOutOfDomain,
+    EmptyBin,
+    InsufficientLocalData,
+    ModelFormatError,
+    TruncationTooLarge,
+)
 from .grids import Grid, GridFunction, GridSurface, make_grid
 from .kernels import Kernel1D
 from .fpca import (
@@ -310,6 +316,10 @@ def fit(ds: LongitudinalDataset, config: FitConfig | None = None) -> FittedModel
     fit that ``selection.select_binwidth`` scores best is returned as fitted.
     """
     cfg = config if config is not None else FitConfig()
+    if ds.scalar_response and isinstance(cfg.bandwidths.get("cross"), (tuple, list)):
+        raise ModelFormatError(
+            f"bandwidth cross must be a single number for a scalar response, whose "
+            f"cross-covariance is a curve; got {cfg.bandwidths['cross']!r}")
     ds = _usable_subjects(ds)
     kernel = cfg.kernel1d()
 

@@ -29,7 +29,6 @@ from .fpca import (
     BinEstimate,
     _blup_operator,
     _count_groups,
-    aggregate_1d,
     covariance_pairs,
     cross_pairs,
     estimate_mean,
@@ -38,6 +37,7 @@ from .fpca import (
 from .grids import Grid, GridSurface
 from .kernels import Kernel1D, Kernel2D
 from .smoothing import (
+    _CV_TIE_RTOL,
     LocalFitConfig,
     local_linear_1d_at,
     local_linear_2d_at,
@@ -279,6 +279,19 @@ def _fold_of(n_subjects: int, n_folds: int) -> np.ndarray:
     return np.arange(n_subjects) % n_folds
 
 
+def _cv_choice(results, scale: float):
+    """The candidate of least held-out error among ``(candidate, error)``
+    rows; errors within ``_CV_TIE_RTOL * scale`` of the least count as tied,
+    and the largest bandwidth among the tied wins."""
+    def size(c):
+        return c[0] if isinstance(c, (tuple, list)) else float(c)
+
+    least = min(err for _, err in results)
+    tied = [cand for cand, err in results if err <= least + _CV_TIE_RTOL * scale]
+    best = max(tied, key=size)
+    return best if not isinstance(best, (tuple, list)) else tuple(best)
+
+
 def cv_smoother_bandwidth(subjects: list[Subject], kind: str, n_folds: int,
                           candidates, s_grid: Grid, t_grid: Grid | None = None,
                           kernel: Kernel1D = Kernel1D(), ridge: float = 1e-10,
@@ -291,35 +304,35 @@ def cv_smoother_bandwidth(subjects: list[Subject], kind: str, n_folds: int,
     observations with mean curves fitted once on all subjects
     (``mean_bandwidths`` gives their bandwidths). Held-out squared error is
     measured at the held-out raw points against the fitted curve or surface
-    interpolated off the grid. Candidates that fail anywhere are skipped;
-    ties go to the larger bandwidth.
+    interpolated off the grid. Candidates that fail anywhere are skipped.
+    Errors within ``_CV_TIE_RTOL`` times the held-out sum of squared values
+    of the least error are ties, which go to the larger bandwidth: the
+    errors of fits that reproduce the data exactly are rounding noise, and
+    their order is arbitrary.
 
-    Cost: each fold is prepared once. Mean kinds aggregate the training
-    observations by time; surface kinds group the training pairs by
-    observation-time codes (``fpca.group_pairs``). A candidate then costs
-    one smoother per fold and one vectorised interpolation at the fold's
-    held-out points, whose per-subject error sums are added in subject
-    order.
+    Cost: the folds are prepared once. Mean kinds build one column of
+    training multiplicities and mean values per fold over the bin's
+    distinct times, and a candidate costs one smoother call for all folds
+    (``local_linear_1d_at`` on the column stack) and one vectorised
+    interpolation per fold. Surface kinds group each fold's training pairs
+    by observation-time codes (``fpca.group_pairs``), and a candidate costs
+    one smoother and one interpolation per fold. Per-subject error sums are
+    added in subject order.
     """
-    results = cv_errors(subjects, kind, n_folds, candidates, s_grid, t_grid,
-                        kernel=kernel, ridge=ridge, mean_bandwidths=mean_bandwidths)
+    results, scale = cv_errors(subjects, kind, n_folds, candidates, s_grid, t_grid,
+                               kernel=kernel, ridge=ridge, mean_bandwidths=mean_bandwidths)
     if not results:
         raise InsufficientLocalData(
             f"every candidate bandwidth failed {kind} cross-validation")
-
-    def size(c):
-        return c[0] if isinstance(c, (tuple, list)) else float(c)
-
-    results.sort(key=lambda r: size(r[0]), reverse=True)   # larger b wins ties
-    best = min(results, key=lambda r: r[1])
-    return best[0] if not isinstance(best[0], (tuple, list)) else tuple(best[0])
+    return _cv_choice(results, scale)
 
 
 def cv_errors(subjects: list[Subject], kind: str, n_folds: int, candidates,
               s_grid: Grid, t_grid: Grid | None = None, kernel: Kernel1D = Kernel1D(),
               ridge: float = 1e-10, mean_bandwidths: tuple | None = None):
     """(candidate, held-out squared error) rows of ``cv_smoother_bandwidth``,
-    in candidate order, without the candidates that failed in some fold."""
+    in candidate order, without the candidates that failed in some fold, and
+    the sum of squared held-out values, which scales the tie tolerance."""
     if kind not in ("mean_x", "mean_y", "cov_x", "cov_y", "cross"):
         raise ValueError(f"unknown smoother kind {kind!r}")
     if t_grid is None and kind not in ("mean_x", "cov_x"):
@@ -339,15 +352,23 @@ def cv_errors(subjects: list[Subject], kind: str, n_folds: int, candidates,
         times = np.concatenate([s.x_times if kind == "mean_x" else s.y_times for s in subjects])
         values = np.concatenate([s.x_values if kind == "mean_x" else s.y_values
                                  for s in subjects])
+        test_of = [folds[owner] == f for f in range(n_folds)]
+        # one column per fold: training multiplicity and mean value per
+        # distinct time, summed in input order as aggregate_1d sums them
+        xu, code = np.unique(times, return_inverse=True)
+        w = np.empty((xu.size, n_folds))
+        ybar = np.zeros((xu.size, n_folds))
+        for f, test in enumerate(test_of):
+            w[:, f] = np.bincount(code[~test], minlength=xu.size)
+            sums = np.bincount(code[~test], weights=values[~test], minlength=xu.size)
+            np.divide(sums, w[:, f], out=ybar[:, f], where=w[:, f] > 0)
+        at = [times[test] for test in test_of]
+        observed = [values[test] for test in test_of]
 
-        def split(test):
-            return aggregate_1d(times[~test], values[~test]), times[test], values[test]
-
-        def predicted(train, cand, at):
-            xu, ybar, w = train
-            curve = local_linear_1d_at(xu, ybar, grid.points, float(cand),
-                                       kernel=kernel, ridge=ridge, weights=w)
-            return np.interp(at, grid.points, curve)
+        def predictions(cand):
+            curves = local_linear_1d_at(xu, ybar, grid.points, float(cand),
+                                        kernel=kernel, ridge=ridge, weights=w)
+            return [np.interp(a, grid.points, curves[:, f]) for f, a in enumerate(at)]
     else:
         if mean_bandwidths is None:
             raise ValueError(f"{kind} CV needs mean_bandwidths to center observations")
@@ -370,43 +391,42 @@ def cv_errors(subjects: list[Subject], kind: str, n_folds: int, candidates,
         else:
             grids = (s_grid, t_grid)
             pairs = cross_pairs(subjects, mean_x, mean_y)
-        times_a, times_b, ia, ib, products = pairs
+        times_a, times_b, ia, ib, values = pairs
         owner = owner[ia]
+        test_of = [folds[owner] == f for f in range(n_folds)]
         kern2 = Kernel2D(kernel, kernel)
+        train = [group_pairs(times_a, times_b, ia[~test], ib[~test], values[~test])
+                 for test in test_of]
+        at = [(times_a[ia[test]], times_b[ib[test]]) for test in test_of]
+        observed = [values[test] for test in test_of]
 
-        def split(test):
-            train = ~test
-            return (group_pairs(times_a, times_b, ia[train], ib[train], products[train]),
-                    (times_a[ia[test]], times_b[ib[test]]), products[test])
-
-        def predicted(train, cand, at):
-            x1, x2, ybar, w = train
+        def predictions(cand):
             bw = tuple(cand) if isinstance(cand, (tuple, list)) else (float(cand), float(cand))
-            surface = GridSurface(grids[0], grids[1], local_linear_2d_at(
-                x1, x2, ybar, grids[0].points, grids[1].points, bw,
-                kernel=kern2, ridge=ridge, weights=w))
-            return surface.at(*at)
+            return [GridSurface(grids[0], grids[1], local_linear_2d_at(
+                        x1, x2, ybar, grids[0].points, grids[1].points, bw,
+                        kernel=kern2, weights=w)).at(*a)
+                    for (x1, x2, ybar, w), a in zip(train, at)]
 
-    prepared = []   # per fold: training data, held-out points and values, subject rows
-    for f in range(n_folds):
-        test = folds[owner] == f
-        # held-out rows come subject by subject; equal row counts are summed
-        # as one (g, n) block, which adds each row like np.sum of one subject
+    # held-out rows come subject by subject; equal row counts are summed as
+    # one (g, n) block, which adds each row like np.sum of one subject
+    groups = []
+    for f, test in enumerate(test_of):
         counts = np.bincount(owner[test], minlength=len(subjects))[folds == f]
-        prepared.append(split(test) + (counts.size, _count_groups(counts)))
+        groups.append((counts.size, _count_groups(counts)))
 
     results = []
     for cand in candidates:
-        sse = 0.0
         try:
-            for train, at, observed, n_test, groups in prepared:
-                err = (observed - predicted(train, cand, at)) ** 2
-                per_subject = np.zeros(n_test)
-                for idx, pos in groups:
-                    per_subject[idx] = err[pos].sum(axis=1)
-                for value in per_subject.tolist():   # in subject order
-                    sse += value
+            predicted = predictions(cand)
         except InsufficientLocalData:
             continue
+        sse = 0.0
+        for obs, pred, (n_test, fold_groups) in zip(observed, predicted, groups):
+            err = (obs - pred) ** 2
+            per_subject = np.zeros(n_test)
+            for idx, pos in fold_groups:
+                per_subject[idx] = err[pos].sum(axis=1)
+            for value in per_subject.tolist():   # in subject order
+                sse += value
         results.append((cand, sse))
-    return results
+    return results, float(values @ values)

@@ -25,16 +25,31 @@ from .kernels import Kernel1D, Kernel2D, kernel_eval
 
 # Relative determinant below which a local system counts as near-singular.
 _SINGULAR_RTOL = 1e-14
+# Held-out squared error, relative to the held-out sum of squared values,
+# within which two cross-validated fits tie. A fit that reproduces the data
+# errs by rounding alone, a few hundred ulps of each value at most, which
+# squares to about 1e-27 of that sum; a gap of 1e-20 of it is an RMS
+# difference of 1e-10 of the data's scale, far below any real difference.
+_CV_TIE_RTOL = 1e-20
 # Relative centered-moment determinant below which a 2D design is degenerate.
 _DEGENERATE_RTOL = 1e-13
 # Bandwidth growth per retry, and retries, when a local fit lacks data.
 _WIDEN_FACTOR = 1.5
 _WIDEN_ATTEMPTS = 5
-# Fewest data points per tile, on average, for which local_linear_2d_at and
-# fpca.covariance_diagonal split their work into support-sized tiles: below
-# it a tile's loop overhead outweighs what it saves, so small inputs are one
-# tile.
+# Fewest data points per run, on average, for which fpca.covariance_diagonal
+# splits its grid into support-sized runs: below it a run's loop overhead
+# outweighs what it saves, so small inputs are one run.
 _CELL_POINTS = 1000
+# Fewest data points per tile, on average, for which local_linear_2d_at
+# splits its data into support-sized tiles (at most sqrt(N / 200) per axis).
+# Measured on the calls of seed-1000 fits (one BLAS thread, 2-core Xeon),
+# summed best-of-5 times at floors 1000 / 400 / 200 / 100 / 50 points:
+# study-sparse (87 calls, 900-4,700 points) 0.47 / 0.35 / 0.35 / 0.31 /
+# 0.33 s, study-regular (87 calls, 930-960 grouped points) 0.21 / 0.22 /
+# 0.15 / 0.14 / 0.22 s, fit-serve (27 calls, 16,600-20,000 points) 0.66 /
+# 0.57 / 0.54 / 0.57 / 0.64 s. 200 and 100 are within noise of each other;
+# below that, per-tile overhead wins.
+_TILE_POINTS_2D = 200
 
 
 @dataclass(frozen=True)
@@ -43,7 +58,8 @@ class LocalFitConfig:
 
     ``bandwidth`` is a float for 1D smoothers and a (b1, b2) pair for 2D ones.
     ``ridge`` scales the diagonal loading applied when the local normal
-    equations are numerically singular.
+    equations of a 1D or rotated diagonal fit are numerically singular; the
+    2D surface smoother rejects such designs as degenerate instead.
     """
 
     bandwidth: float | tuple[float, float]
@@ -83,12 +99,18 @@ def widen_until_fit(fit: Callable[[LocalFitConfig], object], cfg: LocalFitConfig
 
 
 def _support_counts(x_sorted_unique: np.ndarray, centers: np.ndarray, b: float,
-                    closed: bool) -> np.ndarray:
-    """Number of distinct x values with positive kernel weight per center."""
+                    closed: bool, present: np.ndarray | None = None) -> np.ndarray:
+    """Number of distinct x values with positive kernel weight per center;
+    with a (U, F) mask ``present`` of the values in each of F columns, the
+    (n_centers, F) counts of the present ones."""
     side_lo, side_hi = ("left", "right") if closed else ("right", "left")
     lo = np.searchsorted(x_sorted_unique, centers - b, side=side_lo)
     hi = np.searchsorted(x_sorted_unique, centers + b, side=side_hi)
-    return hi - lo
+    if present is None:
+        return hi - lo
+    below = np.zeros((present.shape[0] + 1, present.shape[1]), dtype=int)
+    np.cumsum(present, axis=0, out=below[1:])
+    return below[hi] - below[lo]
 
 
 def local_linear_1d_at(
@@ -101,47 +123,69 @@ def local_linear_1d_at(
     weights: np.ndarray | None = None,
     max_block: int = 2_000_000,
 ) -> np.ndarray:
-    """Local linear intercept at arbitrary evaluation points.
+    """Local linear intercept at arbitrary evaluation points, for one data
+    column or a stack of columns sharing the locations x.
 
-    Raises InsufficientLocalData when some evaluation point has fewer than two
-    distinct x values inside the kernel window.
+    ``y`` holds the value at each location and ``weights`` its multiplicity,
+    each of shape (U,) or (U, F) for F columns; a location of multiplicity
+    zero is absent from that column. The result is (n_eval,) when both are
+    one-dimensional and (n_eval, F) otherwise. Each column is fitted on its
+    own: raises InsufficientLocalData when, in some column, an evaluation
+    point has fewer than two distinct present x values inside the kernel
+    window, and loads the diagonal of a column's numerically singular local
+    system with ``ridge``.
+
+    Cost: per block of evaluation points, the kernel weights K, K dx and
+    K dx² against all U locations are formed once and the moments of every
+    column come from three matrix products with the (U, F) multiplicities
+    and value sums, so F columns cost about what one does. ``max_block``
+    bounds evaluation points times locations per block, and so the
+    temporaries.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     eval_points = np.asarray(eval_points, dtype=float)
     w_mult = np.ones_like(x) if weights is None else np.asarray(weights, dtype=float)
+    stacked = y.ndim == 2 or w_mult.ndim == 2
+    y_cols, w_cols = np.broadcast_arrays(y.reshape(x.size, -1), w_mult.reshape(x.size, -1))
+    n_cols = w_cols.shape[1]
     b = float(bandwidth)
 
-    counts = _support_counts(np.unique(x), eval_points, b, kernel.closed_support)
+    xs, inv = np.unique(x, return_inverse=True)
+    present = np.zeros((xs.size, n_cols), dtype=bool)
+    np.logical_or.at(present, inv, w_cols > 0)
+    counts = _support_counts(xs, eval_points, b, kernel.closed_support, present)
     if np.any(counts < 2):
-        p = int(np.argmax(counts < 2))
+        f = int(np.argmax(np.any(counts < 2, axis=0)))
+        p = int(np.argmax(counts[:, f] < 2))
         raise InsufficientLocalData(
-            f"only {counts[p]} distinct point(s) within bandwidth {b:g} "
+            f"only {counts[p, f]} distinct point(s) within bandwidth {b:g} "
             f"of evaluation point {eval_points[p]:g}"
+            + (f" in column {f}" if stacked else "")
         )
 
-    out = np.empty(eval_points.size, dtype=float)
+    # [multiplicities | value sums]: K against it gives s0 | t0, K dx s1 | t1
+    wy = np.concatenate([w_cols, w_cols * y_cols], axis=1)
+    out = np.empty((eval_points.size, n_cols), dtype=float)
     block = max(1, max_block // max(x.size, 1))
     for start in range(0, eval_points.size, block):
         s = eval_points[start:start + block, None]
         dx = x[None, :] - s
-        w = kernel_eval(kernel, dx / b) * w_mult[None, :]
-        s0 = w.sum(axis=1)
-        s1 = (w * dx).sum(axis=1)
-        s2 = (w * dx * dx).sum(axis=1)
-        t0 = w @ y
-        t1 = (w * dx) @ y
+        k = kernel_eval(kernel, dx / b)
+        s0, t0 = np.split(k @ wy, 2, axis=1)
+        k *= dx
+        s1, t1 = np.split(k @ wy, 2, axis=1)
+        k *= dx
+        s2 = k @ w_cols
         det = s0 * s2 - s1 * s1
         bad = det <= _SINGULAR_RTOL * s0 * s2
         if np.any(bad):
             lam = ridge * (s0[bad] + s2[bad]) / 2.0
-            s0 = s0.copy()
-            s2 = s2.copy()
             s0[bad] += lam
             s2[bad] += lam
             det = s0 * s2 - s1 * s1
         out[start:start + block] = (s2 * t0 - s1 * t1) / det
-    return out
+    return out if stacked else out[:, 0]
 
 
 def _window(points: np.ndarray, lo: float, hi: float, b: float) -> slice:
@@ -173,22 +217,35 @@ def local_linear_2d_at(
     eval2: np.ndarray,
     bandwidths: tuple[float, float],
     kernel: Kernel2D = Kernel2D(),
-    ridge: float = 1e-10,
     weights: np.ndarray | None = None,
     chunk: int = 40_000,
 ) -> np.ndarray:
     """Local linear intercept surface on eval1 x eval2.
 
     The product-kernel structure makes every entry of the local normal
-    equations a sum of separable terms, so the nine moment surfaces are
-    accumulated with matrix products over chunks of data points.
+    equations a sum of separable terms: with a_j = K1(d1/b1) w d1^j and
+    b_j = K2(d2/b2) d2^j, the moment S_jk is a_j b_k^T and T_jk is
+    (y a_j) b_k^T. The nine moment surfaces therefore come from three
+    stacked matrix products over chunks of data points: [a0, a1, y a0, a2,
+    y a1] against b0, [a0, a1, y a0] against b1 and a0 against b2.
 
-    Cost: the data points are bucketed into cells about one bandwidth wide
-    per axis, at most sqrt(N / 1000) per axis for N points, and each cell
+    The intercept is solved in closed form: with weighted means μ = (s10,
+    s01) / s00 and ȳ = t00 / s00, the slopes β solve the centred 2x2 system
+    [v11 v12; v12 v22] β = c, and the intercept is ȳ - β·μ. A point whose
+    centred determinant cdet = v11 v22 - v12² is at most 1e-13 b1² b2² is
+    a degenerate design (all weight at one location, or on one line) and
+    raises InsufficientLocalData. No ridge is needed past that check: the
+    3x3 determinant is det M = s00³ cdet, and on the kernel's support
+    s20 <= b1² s00 and s02 <= b2² s00, so a near-singular system with
+    det M <= 1e-14 s00 s20 s02 has cdet <= 1e-14 b1² b2² and has already
+    been rejected as degenerate.
+
+    Cost: the data points are bucketed into tiles about one bandwidth wide
+    per axis, at most sqrt(N / 200) per axis for N points, and each tile
     only touches the evaluation rows and columns within one bandwidth of its
     points, where its kernel weights can be nonzero. The work is then
     proportional to the kernel support rather than to the whole grid. An
-    input under 4000 points is one cell covering the whole grid. ``chunk``
+    input under 800 points is one tile covering the whole grid. ``chunk``
     bounds the data points per matrix product, and so the temporaries.
     """
     x1 = np.asarray(x1, dtype=float)
@@ -196,14 +253,14 @@ def local_linear_2d_at(
     y = np.asarray(y, dtype=float)
     w_mult = np.ones_like(x1) if weights is None else np.asarray(weights, dtype=float)
     b1, b2 = float(bandwidths[0]), float(bandwidths[1])
-    # sorted evaluation points make the rows and columns a cell reaches contiguous
+    # sorted evaluation points make the rows and columns a tile reaches contiguous
     eval1 = np.asarray(eval1, dtype=float)
     eval2 = np.asarray(eval2, dtype=float)
     order1, order2 = np.argsort(eval1, kind="stable"), np.argsort(eval2, kind="stable")
     eval1, eval2 = eval1[order1], eval2[order2]
 
     n1, n2 = eval1.size, eval2.size
-    cap = math.isqrt(x1.size // _CELL_POINTS)
+    cap = math.isqrt(x1.size // _TILE_POINTS_2D)
     c1, k1 = _cells(x1, b1, cap)
     c2, k2 = _cells(x2, b2, cap)
     if k1 * k2 == 1:
@@ -220,10 +277,12 @@ def local_linear_2d_at(
                               _window(eval1, x1[lo:hi].min(), x1[lo:hi].max(), b1),
                               _window(eval2, x2[lo:hi].min(), x2[lo:hi].max(), b2)))
 
+    # s00, s10, t00, s20, t10 | s01, s11, t01 | s02
     moments = np.zeros((9, n1, n2))
     count = np.zeros((n1, n2))
     for lo, hi, rows, cols in tiles:
-        if rows.start == rows.stop or cols.start == cols.stop:
+        m1, m2 = rows.stop - rows.start, cols.stop - cols.start
+        if m1 == 0 or m2 == 0:
             continue
         e1, e2 = eval1[rows], eval2[cols]
         tile_moments = moments[:, rows, cols]
@@ -231,26 +290,22 @@ def local_linear_2d_at(
             sl = slice(start, min(start + chunk, hi))
             d1 = x1[None, sl] - e1[:, None]   # d1[p, i] = x1_i - eval1_p
             d2 = x2[None, sl] - e2[:, None]
-            a0 = kernel_eval(kernel.kx, d1 / b1) * w_mult[None, sl]
-            b0 = kernel_eval(kernel.ky, d2 / b2)
-            a1 = a0 * d1
-            a2 = a1 * d1
-            bb1 = b0 * d2
-            bb2 = bb1 * d2
-            ya0 = a0 * y[None, sl]
-            ya1 = a1 * y[None, sl]
-            tile_moments[0] += a0 @ b0.T    # S00
-            tile_moments[1] += a1 @ b0.T    # S10
-            tile_moments[2] += a0 @ bb1.T   # S01
-            tile_moments[3] += a2 @ b0.T    # S20
-            tile_moments[4] += a1 @ bb1.T   # S11
-            tile_moments[5] += a0 @ bb2.T   # S02
-            tile_moments[6] += ya0 @ b0.T   # T00
-            tile_moments[7] += ya1 @ b0.T   # T10
-            tile_moments[8] += ya0 @ bb1.T  # T01
-            count[rows, cols] += (a0 > 0).astype(float) @ (b0 > 0).astype(float).T
+            a = np.empty((5, m1, d1.shape[1]))
+            bk = np.empty((3, m2, d2.shape[1]))
+            np.multiply(kernel_eval(kernel.kx, d1 / b1), w_mult[None, sl], out=a[0])
+            np.multiply(a[0], d1, out=a[1])
+            np.multiply(a[0], y[None, sl], out=a[2])
+            np.multiply(a[1], d1, out=a[3])
+            np.multiply(a[1], y[None, sl], out=a[4])
+            bk[0] = kernel_eval(kernel.ky, d2 / b2)
+            np.multiply(bk[0], d2, out=bk[1])
+            np.multiply(bk[1], d2, out=bk[2])
+            tile_moments[:5] += (a.reshape(5 * m1, -1) @ bk[0].T).reshape(5, m1, m2)
+            tile_moments[5:8] += (a[:3].reshape(3 * m1, -1) @ bk[1].T).reshape(3, m1, m2)
+            tile_moments[8] += a[0] @ bk[2].T
+            count[rows, cols] += (a[0] > 0).astype(float) @ (bk[0] > 0).astype(float).T
 
-    s00, s10, s01, s20, s11, s02, t00, t10, t01 = moments
+    s00, s10, t00, s20, t10, s01, s11, t01, s02 = moments
     if np.any(count < 3):
         p1, p2 = np.unravel_index(int(np.argmax(count < 3)), count.shape)
         raise InsufficientLocalData(
@@ -261,9 +316,10 @@ def local_linear_2d_at(
     # Degenerate designs (all weighted points at one location or collinear)
     # have a vanishing centered second-moment determinant.
     with np.errstate(invalid="ignore", divide="ignore"):
-        v11 = s20 / s00 - (s10 / s00) ** 2
-        v22 = s02 / s00 - (s01 / s00) ** 2
-        v12 = s11 / s00 - (s10 / s00) * (s01 / s00)
+        mu1, mu2, ybar = s10 / s00, s01 / s00, t00 / s00
+        v11 = s20 / s00 - mu1 ** 2
+        v22 = s02 / s00 - mu2 ** 2
+        v12 = s11 / s00 - mu1 * mu2
     centered_det = v11 * v22 - v12 * v12
     degenerate = centered_det <= _DEGENERATE_RTOL * (b1 * b1) * (b2 * b2)
     if np.any(degenerate):
@@ -273,23 +329,11 @@ def local_linear_2d_at(
             f"evaluation point ({eval1[p1]:g}, {eval2[p2]:g})"
         )
 
-    m = np.empty((n1, n2, 3, 3))
-    m[..., 0, 0] = s00
-    m[..., 0, 1] = m[..., 1, 0] = s10
-    m[..., 0, 2] = m[..., 2, 0] = s01
-    m[..., 1, 1] = s20
-    m[..., 1, 2] = m[..., 2, 1] = s11
-    m[..., 2, 2] = s02
-    rhs = np.stack([t00, t10, t01], axis=-1)
-
-    det = np.linalg.det(m)
-    bad = det <= _SINGULAR_RTOL * s00 * s20 * s02
-    if np.any(bad):
-        lam = ridge * (s00 + s20 + s02) / 3.0
-        idx = np.where(bad)
-        for d in range(3):
-            m[idx[0], idx[1], d, d] += lam[idx]
-    sol = np.linalg.solve(m, rhs[..., None])[..., 0, 0]
+    c1 = t10 / s00 - ybar * mu1
+    c2 = t01 / s00 - ybar * mu2
+    beta1 = (v22 * c1 - v12 * c2) / centered_det
+    beta2 = (v11 * c2 - v12 * c1) / centered_det
+    sol = ybar - beta1 * mu1 - beta2 * mu2
     out = np.empty_like(sol)
     out[np.ix_(order1, order2)] = sol
     return out

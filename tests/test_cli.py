@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from vcflr.cli import main
+from vcflr.data import LongitudinalDataset, Subject, save_csv
 from vcflr.serialize import load_model
 
 
@@ -161,6 +162,24 @@ class TestFit:
                      "--config", str(cfg), "--out", str(tmp_path / "m")])
         assert code == 4
         assert shown in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    def test_scalar_cross_pair_exit_4(self, tmp_path, capsys):
+        rng = np.random.default_rng(48)
+        subjects = []
+        for i in range(20):
+            st_ = np.sort(rng.uniform(0, 10, 6))
+            subjects.append(Subject(f"s{i}", float(rng.uniform(0, 1)), st_, np.sin(st_),
+                                    None, np.array([rng.normal()])))
+        save_csv(LongitudinalDataset(subjects, (0.0, 10.0), None, (0.0, 1.0),
+                                     scalar_response=True), tmp_path / "train.csv")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scalar_response": True, "bins": 2, "min_bin_count": 2,
+                                   "bandwidths": {"cross": [1.0, 2.0]}}))
+        code = main(["fit", "--train", str(tmp_path / "train.csv"),
+                     "--config", str(cfg), "--out", str(tmp_path / "m")])
+        assert code == 4
+        assert "cross must be a single number" in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
     def test_no_threads_option(self, sim_dir, tmp_path):

@@ -14,6 +14,7 @@ from vcflr.fpca import (
     EigenSystem,
     _blup_operator,
     _count_groups,
+    _unique_rows,
     aggregate_1d,
     aggregate_2d,
     BinBandwidths,
@@ -892,3 +893,21 @@ class TestBatchedObservationCovariance:
         groups = _count_groups([3, 0, 2, 3])
         assert [idx.tolist() for idx, _ in groups] == [[2], [0, 3]]
         assert [pos.tolist() for _, pos in groups] == [[[3, 4]], [[0, 1, 2], [5, 6, 7]]]
+
+    @pytest.mark.parametrize("case", ["duplicates", "last_column", "signed_zero", "one_row"])
+    def test_unique_rows_match_numpy(self, case):
+        rng = np.random.default_rng(100)
+        if case == "duplicates":
+            a = rng.integers(0, 4, (30, 3)) * 0.5      # many repeated rows
+        elif case == "last_column":
+            a = np.tile(rng.uniform(0, 10, 6), (8, 1))
+            a[:, -1] = [3.0, 1.0, 3.0, 2.0, 1.0, 1.0 + 1e-12, 3.0, 2.0]
+        elif case == "signed_zero":
+            a = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0], [-0.0, 0.5]])
+        else:
+            a = rng.uniform(0, 10, (1, 5))
+        got, inverse = _unique_rows(a)
+        want, want_inverse = np.unique(a, axis=0, return_inverse=True)
+        assert np.array_equal(got, want)
+        assert np.array_equal(inverse, want_inverse.ravel())
+        assert np.array_equal(got[inverse], a)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vcflr.errors import InsufficientCenters, InsufficientLocalData
 from vcflr.grids import make_grid
@@ -241,6 +242,117 @@ class TestTiledLocalLinear2D:
         with pytest.raises(InsufficientLocalData, match="degenerate"):
             local_linear_2d_at(x1, x2, y, make_grid(0, 10, 11).points,
                                np.array([4.5, 5.0, 5.5]), (1.5, 1.5), chunk=self.CHUNK)
+
+
+class TestLocalLinear2DAgainstOracle:
+    """The tiled moments and the closed-form intercept against the direct
+    3x3 solve, from one tile to many, with multiplicity weights."""
+
+    @staticmethod
+    def oracle_support(x1, x2, w, s1, s2, b, kern):
+        """Weighted points in the window and their centred determinant
+        relative to b1² b2² at (s1, s2)."""
+        k = kern(np.asarray(x1 - s1) / b[0], np.asarray(x2 - s2) / b[1]) * w
+        on = k > 0
+        if k.sum() == 0:
+            return 0, 0.0
+        m1, m2 = (k @ x1) / k.sum(), (k @ x2) / k.sum()
+        v11 = k @ (x1 - m1) ** 2 / k.sum()
+        v22 = k @ (x2 - m2) ** 2 / k.sum()
+        v12 = k @ ((x1 - m1) * (x2 - m2)) / k.sum()
+        return int(on.sum()), (v11 * v22 - v12 * v12) / (b[0] * b[1]) ** 2
+
+    @given(n=st.integers(30, 6000), frac=st.floats(0.05, 1.0),
+           aspect=st.floats(0.7, 1.0), family=st.sampled_from(FAMILIES),
+           weighted=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_direct_solve(self, n, frac, aspect, family, weighted, seed):
+        rng = np.random.default_rng(seed)
+        x1, x2 = rng.uniform(0, 10, (2, n))
+        y = np.sin(x1) * np.cos(0.5 * x2) + rng.normal(0, 0.3, n)
+        w = rng.integers(1, 4, n).astype(float) if weighted else np.ones(n)
+        b = (10.0 * frac, 10.0 * frac * aspect)
+        kern = Kernel2D(Kernel1D(family), Kernel1D(family))
+        e1, e2 = make_grid(0, 10, 7).points, make_grid(0, 10, 6).points
+        try:
+            got = local_linear_2d_at(x1, x2, y, e1, e2, b, kernel=kern,
+                                     weights=w if weighted else None)
+        except InsufficientLocalData:
+            # some point lacks three weighted points or affine spread
+            support = [self.oracle_support(x1, x2, w, s1, s2, b, kern)
+                       for s1 in e1 for s2 in e2]
+            assert any(count < 3 or cdet <= 2e-13 for count, cdet in support)
+            return
+        reps = w.astype(int)
+        r1, r2, ry = np.repeat(x1, reps), np.repeat(x2, reps), np.repeat(y, reps)
+        want = np.array([[oracle_local_linear_2d(r1, r2, ry, s1, s2, b, kern) for s2 in e2]
+                         for s1 in e1])
+        assert np.allclose(got, want, rtol=1e-8, atol=1e-8)
+
+    @pytest.mark.parametrize("jitter", [0.0, 1e-9])
+    def test_near_collinear_design_is_degenerate(self, jitter):
+        # points on the line x2 = 1 + 0.5 x1, off it by at most the jitter:
+        # the 3x3 system is near-singular, and the degenerate check rejects it
+        rng = np.random.default_rng(70)
+        x1 = rng.uniform(0, 10, 500)
+        x2 = 1.0 + 0.5 * x1 + rng.uniform(-jitter, jitter, 500)
+        with pytest.raises(InsufficientLocalData, match="degenerate"):
+            local_linear_2d_at(x1, x2, np.cos(x1), make_grid(0, 10, 11).points,
+                               np.array([2.5, 3.5]), (4.0, 4.0))
+
+    @pytest.mark.parametrize("jitter", [0.0, 1e-8])
+    def test_two_jittered_locations_are_degenerate(self, jitter):
+        rng = np.random.default_rng(71)
+        x1 = np.repeat([4.0, 5.0], 50) + rng.uniform(-jitter, jitter, 100)
+        x2 = np.repeat([4.5, 5.5], 50) + rng.uniform(-jitter, jitter, 100)
+        g = np.array([4.0, 4.5, 5.0])
+        with pytest.raises(InsufficientLocalData, match="degenerate"):
+            local_linear_2d_at(x1, x2, rng.normal(size=100), g, g, (3.0, 3.0))
+
+
+class TestLocalLinear1DColumns:
+    """A (U, F) stack of columns is F independent fits at shared locations."""
+
+    def columns(self, seed):
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.uniform(0, 10, 60))
+        w = rng.integers(0, 4, (60, 4)).astype(float)   # zeros: absent locations
+        y = np.sin(x)[:, None] + rng.normal(0, 0.3, (60, 4))
+        return x, y, w
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_per_column_calls(self, family):
+        x, y, w = self.columns(72)
+        s = make_grid(0, 10, 21).points
+        kern = Kernel1D(family)
+        got = local_linear_1d_at(x, y, s, 1.5, kernel=kern, weights=w)
+        assert got.shape == (21, 4)
+        for f in range(4):
+            on = w[:, f] > 0
+            want = local_linear_1d_at(x[on], y[on, f], s, 1.5, kernel=kern, weights=w[on, f])
+            assert np.allclose(got[:, f], want, rtol=1e-12, atol=1e-12)
+
+    def test_one_column_is_the_plain_call(self):
+        x, y, w = self.columns(73)
+        s = make_grid(0, 10, 21).points
+        got = local_linear_1d_at(x, y[:, :1], s, 1.5, weights=w[:, :1])
+        assert got.shape == (21, 1)
+        assert np.allclose(got[:, 0], local_linear_1d_at(x, y[:, 0], s, 1.5, weights=w[:, 0]),
+                           rtol=1e-13, atol=1e-13)
+
+    def test_column_failing_its_support_check_raises(self):
+        # column 2 only observes s < 3: two locations are present elsewhere in
+        # the stack but absent from it, so its own check fails, as its own call does
+        x, y, w = self.columns(74)
+        w[x >= 3.0, 2] = 0.0
+        s = make_grid(0, 10, 21).points
+        on = w[:, 2] > 0
+        with pytest.raises(InsufficientLocalData):
+            local_linear_1d_at(x[on], y[on, 2], s, 1.5, weights=w[on, 2])
+        with pytest.raises(InsufficientLocalData, match="in column 2"):
+            local_linear_1d_at(x, y, s, 1.5, weights=w)
+        keep = [0, 1, 3]
+        local_linear_1d_at(x, y[:, keep], s, 1.5, weights=w[:, keep])
 
 
 def oracle_lp_weights(q, r, centers, z, b, kernel):

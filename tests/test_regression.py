@@ -5,7 +5,12 @@ import pytest
 
 from vcflr import selection
 from vcflr.data import BinPartition, LongitudinalDataset, Subject
-from vcflr.errors import CovariateOutOfDomain, InsufficientLocalData, TruncationTooLarge
+from vcflr.errors import (
+    CovariateOutOfDomain,
+    InsufficientLocalData,
+    ModelFormatError,
+    TruncationTooLarge,
+)
 from vcflr.fpca import BinEstimate, EigenSystem, default_bandwidth
 from vcflr.grids import GridFunction, GridSurface, make_grid
 from vcflr.kernels import Kernel1D
@@ -315,6 +320,23 @@ class TestBandwidthFallback:
             subs = [ds.subjects[i] for i in model.partition.index_sets[p]]
             assert b.bandwidths["cross"] == default_bandwidth(
                 10.0, sum(s.n_x * s.n_y for s in subs))
+
+    @pytest.mark.parametrize("pair", [(1.0, 2.0), [1.5, 1.5]])
+    def test_scalar_cross_pair_rejected(self, pair):
+        # FitConfig accepts a cross pair, which a functional response takes;
+        # a scalar response's cross-covariance is a curve with one bandwidth
+        rng = np.random.default_rng(47)
+        subjects = []
+        for i in range(20):
+            st_ = np.sort(rng.uniform(0, 10, 6))
+            subjects.append(Subject(f"s{i}", rng.uniform(0, 1), st_, np.sin(st_), None,
+                                    np.array([rng.normal()])))
+        ds = LongitudinalDataset(subjects, (0, 10), None, (0, 1), scalar_response=True)
+        cfg = FitConfig(n_bins=2, min_bin_count=2, bandwidths={"cross": pair})
+        with pytest.raises(ModelFormatError, match="cross must be a single number"):
+            fit(ds, cfg)
+        with pytest.raises(ModelFormatError, match="cross must be a single number"):
+            fit_global(ds, cfg)
 
 
 class TestPredict:

@@ -22,6 +22,7 @@ from vcflr.grids import GridSurface, make_grid
 from vcflr.kernels import Kernel1D, Kernel2D
 from vcflr.regression import FitConfig, fit
 from vcflr.selection import (
+    _cv_choice,
     cv_errors,
     cv_smoother_bandwidth,
     select_bandwidth,
@@ -460,6 +461,24 @@ class TestCvSmootherBandwidth:
             cv_smoother_bandwidth(subjects, "mean_x", 3, (0.001,), grid, grid)
 
 
+class TestCvTieRule:
+    """Errors within rounding of the least are ties; ties go to the larger
+    bandwidth, and real differences are not ties."""
+
+    def test_exact_tie(self):
+        assert _cv_choice([(2.0, 1.5), (3.0, 1.5), (4.0, 1.6)], scale=10.0) == 3.0
+        assert _cv_choice([((2.0, 2.5), 0.7), ((3.0, 3.5), 0.7)], scale=1.0) == (3.0, 3.5)
+
+    def test_rounding_noise_ties(self):
+        # the held-out errors of three exact affine fits: rounding noise
+        rows = [(2.0, 4.2e-29), (3.0, 1.3e-28), (4.0, 9.6e-29)]
+        assert _cv_choice(rows, scale=2.0e3) == 4.0
+
+    def test_real_gap_is_not_a_tie(self):
+        assert _cv_choice([(2.0, 1.0), (3.0, 1.0 + 1e-9)], scale=1.0e3) == 2.0
+        assert _cv_choice([(2.0, 1.0 + 1e-9), (3.0, 1.0)], scale=1.0e3) == 3.0
+
+
 def oracle_cv_errors(subjects, kind, n_folds, candidates, s_grid, t_grid,
                      kernel=Kernel1D(), ridge=1e-10, mean_bandwidths=None):
     """The per-candidate loop: each fold's training data re-aggregated for
@@ -508,7 +527,7 @@ def oracle_cv_errors(subjects, kind, n_folds, candidates, s_grid, t_grid,
                     x1, x2, ybar, w = aggregate_2d(tr[:, 0], tr[:, 1], tr[:, 2])
                     surf = GridSurface(grids[0], grids[1], local_linear_2d_at(
                         x1, x2, ybar, grids[0].points, grids[1].points, tuple(cand),
-                        kernel=Kernel2D(kernel, kernel), ridge=ridge, weights=w))
+                        kernel=Kernel2D(kernel, kernel), weights=w))
                     for i in test:
                         r = per_subject_raw[i]
                         sse += float(np.sum((r[:, 2] - surf.at(r[:, 0], r[:, 1])) ** 2))
@@ -569,7 +588,7 @@ class TestCvAgainstPerCandidateLoop:
         s_grid, t_grid = make_grid(0, 10, 21), make_grid(0, 10, 17)
         cands = self.CANDIDATES[kind]
         means = None if kind.startswith("mean") else self.MEANS
-        got = cv_errors(subjects, kind, 5, cands, s_grid, t_grid, mean_bandwidths=means)
+        got, _ = cv_errors(subjects, kind, 5, cands, s_grid, t_grid, mean_bandwidths=means)
         want = oracle_cv_errors(subjects, kind, 5, cands, s_grid, t_grid,
                                 mean_bandwidths=means)
         assert len(want) >= 2
@@ -592,15 +611,15 @@ class TestCvAgainstPerCandidateLoop:
         grid = make_grid(0, 10, 21)
         means = None if kind == "mean_x" else (3.0, 3.0)
         cands = (small, wide)
-        got = cv_errors(subjects, kind, 3, cands, grid, grid, mean_bandwidths=means)
+        got, _ = cv_errors(subjects, kind, 3, cands, grid, grid, mean_bandwidths=means)
         want = oracle_cv_errors(subjects, kind, 3, cands, grid, grid, mean_bandwidths=means)
         assert [c for c, _ in want] == [wide]
         self.assert_same(got, want)
         # the small bandwidth fails only while subject 0 is held out: with a
         # copy of it in fold 1, every fold keeps data near s = 10
         copied = subjects[:1] + [replace(subjects[0], id="copy")] + subjects[1:]
-        assert [c for c, _ in cv_errors(copied, kind, 3, cands, grid, grid,
-                                        mean_bandwidths=means)] == [small, wide]
+        rows, _ = cv_errors(copied, kind, 3, cands, grid, grid, mean_bandwidths=means)
+        assert [c for c, _ in rows] == [small, wide]
         assert cv_smoother_bandwidth(subjects, kind, 3, cands, grid, grid,
                                      mean_bandwidths=means) == wide
 
@@ -618,8 +637,8 @@ class TestCvAgainstPerCandidateLoop:
         grid = make_grid(0, 10, 11)
         uni = Kernel1D("uniform")
         means = None if kind == "mean_x" else (3.0, 3.0)
-        got = cv_errors(subjects, kind, 3, cands, grid, grid, kernel=uni,
-                        mean_bandwidths=means)
+        got, _ = cv_errors(subjects, kind, 3, cands, grid, grid, kernel=uni,
+                           mean_bandwidths=means)
         want = oracle_cv_errors(subjects, kind, 3, cands, grid, grid, kernel=uni,
                                 mean_bandwidths=means)
         self.assert_same(got, want)
