@@ -9,7 +9,10 @@ test sample's true conditional response curves. Test streams use seed
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +21,8 @@ from .regression import FitConfig, FittedModel, fit, fit_global, predict
 from .simulation import SimDesign, generate, mispe
 
 TEST_SEED_OFFSET = 100_000
+# read by the BLAS libraries numpy may load, once, when they load
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -61,20 +66,41 @@ def _worker(args):
     return run_repetition(design, n_train, n_test, seed, vc_config, global_config)
 
 
+@contextmanager
+def _single_thread_blas():
+    """Set every BLAS thread variable to 1 for the duration, then restore
+    them. Processes spawned inside inherit the setting before they import
+    numpy, so each loads its BLAS with one thread."""
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
 def run_repetitions(design: SimDesign, reps: int, n_train: int, n_test: int,
                     base_seed: int = 0, vc_config: FitConfig | None = None,
                     global_config: FitConfig | None = None, threads: int = 1):
     """Run several repetitions, tolerating individual failures.
 
     Returns (results, failures) where failures is a list of
-    (seed, exception message) pairs for repetitions that raised.
+    (seed, exception message) pairs for repetitions that raised. With
+    ``threads`` > 1 the repetitions run in that many freshly spawned worker
+    processes, each with BLAS pinned to one thread: the workers already use
+    the cores, and threaded BLAS in each of them oversubscribes the machine.
     """
     jobs = [(design, n_train, n_test, base_seed + r, vc_config, global_config)
             for r in range(reps)]
     results: list[RepetitionResult] = []
     failures: list[tuple[int, str]] = []
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with _single_thread_blas(), ProcessPoolExecutor(
+                max_workers=threads, mp_context=multiprocessing.get_context("spawn")) as pool:
             futures = {pool.submit(_worker, job): job[3] for job in jobs}
             for fut, seed in futures.items():
                 try:

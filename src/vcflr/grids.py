@@ -127,17 +127,21 @@ def bilinear(gx: np.ndarray, gy: np.ndarray, z: np.ndarray, x, y) -> np.ndarray:
     """Bilinear interpolation of z (on gx x gy) at paired points (x, y).
 
     Points are clipped to the grid's bounding box, matching np.interp's
-    handling of out-of-range queries on each axis.
+    handling of out-of-range queries on each axis. x and y broadcast against
+    each other; the four cell corners are read through one flat index into
+    z.
     """
-    x = np.clip(np.asarray(x, dtype=float), gx[0], gx[-1])
-    y = np.clip(np.asarray(y, dtype=float), gy[0], gy[-1])
-    ix = np.clip(np.searchsorted(gx, x, side="right") - 1, 0, gx.size - 2)
-    iy = np.clip(np.searchsorted(gy, y, side="right") - 1, 0, gy.size - 2)
+    x = np.minimum(np.maximum(np.asarray(x, dtype=float), gx[0]), gx[-1])
+    y = np.minimum(np.maximum(np.asarray(y, dtype=float), gy[0]), gy[-1])
+    # cell index: the number of interior abscissae at or below the clipped
+    # point, so the last grid line falls in the last cell
+    ix = np.searchsorted(gx[1:-1], x, side="right")
+    iy = np.searchsorted(gy[1:-1], y, side="right")
     fx = (x - gx[ix]) / (gx[ix + 1] - gx[ix])
     fy = (y - gy[iy]) / (gy[iy + 1] - gy[iy])
-    return (
-        z[ix, iy] * (1 - fx) * (1 - fy)
-        + z[ix + 1, iy] * fx * (1 - fy)
-        + z[ix, iy + 1] * (1 - fx) * fy
-        + z[ix + 1, iy + 1] * fx * fy
-    )
+    ny = gy.size
+    flat = np.ravel(z)
+    i00 = ix * ny + iy
+    ex, ey = 1 - fx, 1 - fy
+    return (flat[i00] * ex * ey + flat[i00 + ny] * fx * ey
+            + flat[i00 + 1] * ex * fy + flat[i00 + (ny + 1)] * fx * fy)

@@ -23,6 +23,7 @@ from . import selection
 from .data import BinPartition, LongitudinalDataset, explicit_bins, partition as make_partition
 from .errors import (
     CovariateOutOfDomain,
+    DomainViolation,
     EmptyBin,
     InsufficientLocalData,
     ModelFormatError,
@@ -123,7 +124,17 @@ class FitConfig:
 
 @dataclass
 class FittedModel:
-    """Fitted varying-coefficient (or, with one bin, global) model."""
+    """Fitted varying-coefficient (or, with one bin, global) model.
+
+    The bins are read-only once the model is built: construction stacks every
+    bin's ``mean_x``, ``mean_y`` and ``raw_beta`` values along a leading bin
+    axis (``mean_x_stack`` (P, G); ``mean_y_stack`` (P, T), or (P,) for a
+    scalar response; ``raw_beta_stack`` (P, G, T), or (P, G), and None when
+    a bin has no slope), which is what ``refine`` contracts. The stacks are
+    derived data: they are not serialized and take no part in ``repr`` or
+    ``==``. To change a bin, build a new model, e.g. with
+    ``dataclasses.replace(model, bins=...)``, which restacks them.
+    """
 
     s_grid: Grid
     t_grid: Grid | None
@@ -139,6 +150,16 @@ class FittedModel:
     sigma2_y: float | None
     scalar_response: bool = False
     selection: object | None = None
+    mean_x_stack: np.ndarray = field(init=False, repr=False, compare=False)
+    mean_y_stack: np.ndarray = field(init=False, repr=False, compare=False)
+    raw_beta_stack: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.mean_x_stack = np.stack([b.mean_x.values for b in self.bins])
+        self.mean_y_stack = np.array([b.mean_y for b in self.bins], dtype=float) \
+            if self.scalar_response else np.stack([b.mean_y.values for b in self.bins])
+        self.raw_beta_stack = None if any(b.raw_beta is None for b in self.bins) \
+            else np.stack([b.raw_beta.values for b in self.bins])
 
     @property
     def n_bins(self) -> int:
@@ -193,23 +214,26 @@ def refine(model: FittedModel, z: float):
 
     Returns (mean_x, mean_y, beta): pointwise weighted combinations of the
     per-bin raw estimates, sharing one weight vector across all grid points.
+
+    Cost: one local linear weight row over the P bin centers, then one
+    matrix-vector product per estimator against the model's bin stacks
+    (O(P G T) for the slope surface), with no per-bin Python work.
     """
     lo, hi = model.z_domain
     if not (lo <= z <= hi):
         raise CovariateOutOfDomain(f"z={z:g} outside covariate domain [{lo:g}, {hi:g}]")
+    if model.raw_beta_stack is None:
+        missing = next(b for b in model.bins if b.raw_beta is None)
+        raise ModelFormatError(
+            f"bin at z={missing.center:g} has no raw slope; the model cannot be refined")
     w = refinement_weights(model, z)
-    mean_x = GridFunction(model.s_grid, sum(
-        wp * b.mean_x.values for wp, b in zip(w, model.bins)))
+    stack = model.raw_beta_stack
+    beta = (w @ stack.reshape(stack.shape[0], -1)).reshape(stack.shape[1:])
+    mean_x = GridFunction(model.s_grid, w @ model.mean_x_stack)
     if model.scalar_response:
-        mean_y = float(sum(wp * b.mean_y for wp, b in zip(w, model.bins)))
-        beta = GridFunction(model.s_grid, sum(
-            wp * b.raw_beta.values for wp, b in zip(w, model.bins)))
-    else:
-        mean_y = GridFunction(model.t_grid, sum(
-            wp * b.mean_y.values for wp, b in zip(w, model.bins)))
-        beta = GridSurface(model.s_grid, model.t_grid, sum(
-            wp * b.raw_beta.values for wp, b in zip(w, model.bins)))
-    return mean_x, mean_y, beta
+        return mean_x, float(w @ model.mean_y_stack), GridFunction(model.s_grid, beta)
+    return (mean_x, GridFunction(model.t_grid, w @ model.mean_y_stack),
+            GridSurface(model.s_grid, model.t_grid, beta))
 
 
 def _usable_subjects(ds: LongitudinalDataset) -> LongitudinalDataset:
@@ -420,7 +444,13 @@ def predict(model: FittedModel, x_obs, z_star: float) -> Prediction:
     at most twice the grid spacing) are interpolated onto the grid; sparse
     ones are reconstructed from BLUP scores against the nearest bin's
     eigensystem around the refined mean. The centered reconstruction is then
-    pushed through the refined slope surface by quadrature.
+    pushed through the refined slope surface by quadrature. Observations with
+    a non-finite time or value, or a time outside the model's s domain, raise
+    DomainViolation.
+
+    Cost: one ``refine`` plus, on the sparse path, one n x n covariance
+    build and solve for the n observations; everything else is a handful of
+    O(n + G T) array operations.
     """
     lo, hi = model.z_domain
     if not (lo <= z_star <= hi):
@@ -428,15 +458,20 @@ def predict(model: FittedModel, x_obs, z_star: float) -> Prediction:
     pts = np.asarray(x_obs, dtype=float).reshape(-1, 2)
     if pts.shape[0] == 0:
         raise ValueError("prediction needs at least one predictor observation")
-    order = np.argsort(pts[:, 0], kind="stable")
-    times, values = pts[order, 0], pts[order, 1]
+    if not np.isfinite(pts).all():
+        raise DomainViolation("predictor observations must have finite times and values")
+    times, values = pts[np.argsort(pts[:, 0], kind="stable")].T
+    s_lo, s_hi = model.s_domain
+    if not (s_lo <= times[0] and times[-1] <= s_hi):
+        raise DomainViolation(
+            f"predictor times span [{times[0]:g}, {times[-1]:g}], outside the s domain "
+            f"[{s_lo:g}, {s_hi:g}]")
 
     mean_x, mean_y, beta = refine(model, z_star)
 
-    spacing = model.s_grid.points[1] - model.s_grid.points[0]
-    gaps = np.concatenate([
-        [times[0] - model.s_domain[0]], np.diff(times), [model.s_domain[1] - times[-1]]])
-    dense = np.max(gaps) <= 2.0 * spacing
+    max_gap = 2.0 * (model.s_grid.points[1] - model.s_grid.points[0])
+    dense = times[0] - s_lo <= max_gap and s_hi - times[-1] <= max_gap \
+        and (times.size == 1 or np.diff(times).max() <= max_gap)
 
     m = model.truncation[0]
     if dense:

@@ -410,27 +410,40 @@ def local_linear_weights(centers: np.ndarray, z, b: float,
     z = np.asarray(z, dtype=float)
     zz = np.atleast_1d(z)
     d = centers[None, :] - zz[:, None]
-    bw = np.full((zz.size, 1), float(b))
-    for _ in range(_WIDEN_ATTEMPTS + 1):
-        kw = kernel_eval(kernel, d / bw)
-        empty = ~np.any(kw > 0, axis=1)
-        if not empty.any():
-            break
-        bw[empty] *= _WIDEN_FACTOR
-    else:
-        raise InsufficientCenters(
-            f"no bin center carries weight at z={zz[np.argmax(empty)]:g} with b={b:g}")
-    u = d / bw
-    a = kw / kw.sum(axis=1, keepdims=True)
-    ref = np.take_along_axis(u, np.argmax(kw, axis=1)[:, None], axis=1)
-    m1 = (a * (u - ref)).sum(axis=1, keepdims=True)
-    c = (u - ref) - m1
+    u = d / float(b)
+    kw = kernel_eval(kernel, u)
+    # kernel weights are nonnegative: a row sum is positive iff some center
+    # in that row carries weight
+    s0 = kw.sum(axis=1, keepdims=True)
+    if not (s0 > 0).all():
+        # per-row bandwidths only once some row has no weighted center
+        bw = np.full((zz.size, 1), float(b))
+        for _ in range(_WIDEN_ATTEMPTS):
+            bw[~(s0[:, 0] > 0)] *= _WIDEN_FACTOR
+            u = d / bw
+            kw = kernel_eval(kernel, u)
+            s0 = kw.sum(axis=1, keepdims=True)
+            if (s0 > 0).all():
+                break
+        else:
+            raise InsufficientCenters(
+                f"no bin center carries weight at z={zz[np.argmin(s0[:, 0] > 0)]:g} "
+                f"with b={b:g}")
+    a = kw / s0
+    ref = u[np.arange(zz.size), kw.argmax(axis=1)][:, None]
+    c = u - ref
+    m1 = (a * c).sum(axis=1, keepdims=True)
+    c -= m1
     var = (a * c * c).sum(axis=1, keepdims=True)
     # V = 0 when all weight sits at one location: a is then the local
     # constant fit, the indicator of a single weighted center
-    flat = var[:, 0] == 0.0
-    w = a * (var - (ref + m1) * c) / np.where(flat[:, None], 1.0, var)
-    w[flat] = a[flat]
+    w = a * (var - (ref + m1) * c)
+    if var.all():
+        w /= var
+    else:
+        flat = var[:, 0] == 0.0
+        w /= np.where(flat[:, None], 1.0, var)
+        w[flat] = a[flat]
     return w[0] if z.ndim == 0 else w
 
 

@@ -151,3 +151,66 @@ class TestBilinear:
         x = rng.uniform(0, 1, 40)
         y = rng.uniform(0, 1, 40)
         assert np.allclose(bilinear(gx, gy, z, x, y), 2 + 3 * x - 1.5 * y)
+
+
+def four_corner_bilinear(gx, gy, z, x, y):
+    """The four-corner bilinear formula with clipped indices, written out."""
+    x = np.clip(np.asarray(x, dtype=float), gx[0], gx[-1])
+    y = np.clip(np.asarray(y, dtype=float), gy[0], gy[-1])
+    ix = np.clip(np.searchsorted(gx, x, side="right") - 1, 0, gx.size - 2)
+    iy = np.clip(np.searchsorted(gy, y, side="right") - 1, 0, gy.size - 2)
+    fx = (x - gx[ix]) / (gx[ix + 1] - gx[ix])
+    fy = (y - gy[iy]) / (gy[iy + 1] - gy[iy])
+    return (
+        z[ix, iy] * (1 - fx) * (1 - fy)
+        + z[ix + 1, iy] * fx * (1 - fy)
+        + z[ix, iy + 1] * (1 - fx) * fy
+        + z[ix + 1, iy + 1] * fx * fy
+    )
+
+
+class TestBilinearBitEqual:
+    GX = np.linspace(0, 10, 51)
+    GY = np.linspace(-1, 2, 13)
+
+    def surface(self, seed):
+        return np.random.default_rng(seed).normal(size=(self.GX.size, self.GY.size))
+
+    def test_points_outside_the_grid_box(self):
+        rng = np.random.default_rng(5)
+        z = self.surface(6)
+        x = rng.uniform(-5, 15, 300)
+        y = rng.uniform(-3, 4, 300)
+        assert np.any(x < 0) and np.any(x > 10) and np.any(y < -1) and np.any(y > 2)
+        assert np.array_equal(bilinear(self.GX, self.GY, z, x, y),
+                              four_corner_bilinear(self.GX, self.GY, z, x, y))
+
+    def test_points_on_grid_lines(self):
+        z = self.surface(7)
+        xx, yy = np.meshgrid(self.GX, self.GY, indexing="ij")
+        x, y = xx.ravel(), yy.ravel()
+        got = bilinear(self.GX, self.GY, z, x, y)
+        assert np.array_equal(got, four_corner_bilinear(self.GX, self.GY, z, x, y))
+        # the last grid line on either axis is interpolated exactly
+        assert np.array_equal(got.reshape(z.shape)[-1], z[-1])
+        assert np.array_equal(got.reshape(z.shape)[:, -1], z[:, -1])
+
+    def test_stacked_pairwise_broadcast(self):
+        # the (g, n, 1) x (g, 1, n) shape the observation covariance uses
+        rng = np.random.default_rng(8)
+        z = rng.normal(size=(51, 51))
+        times = np.sort(rng.uniform(0, 10, (4, 6)), axis=1)
+        times[0, -1] = 10.0
+        times[1, 0] = 0.0
+        x, y = times[:, :, None], times[:, None, :]
+        got = bilinear(self.GX, self.GX, z, x, y)
+        assert got.shape == (4, 6, 6)
+        assert np.array_equal(got, four_corner_bilinear(self.GX, self.GX, z, x, y))
+
+    def test_two_point_axes(self):
+        gx = np.array([0.0, 1.0])
+        z = np.array([[1.0, 2.0], [3.0, 5.0]])
+        x = np.array([-1.0, 0.0, 0.25, 1.0, 2.0])
+        y = np.array([0.5, 1.0, 0.0, 0.75, -1.0])
+        assert np.array_equal(bilinear(gx, gx, z, x, y),
+                              four_corner_bilinear(gx, gx, z, x, y))

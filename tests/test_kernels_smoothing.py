@@ -508,6 +508,67 @@ class TestLocalLinearWeights:
         assert w @ centers == pytest.approx(0.3375, abs=1e-12)
 
 
+def reference_local_linear_weights(centers, z, b, kernel=Kernel1D()):
+    """The closed-form weights as first written: per-row bandwidths from the
+    start, widened together, the reference center taken by take_along_axis."""
+    centers = np.asarray(centers, dtype=float)
+    z = np.asarray(z, dtype=float)
+    zz = np.atleast_1d(z)
+    d = centers[None, :] - zz[:, None]
+    bw = np.full((zz.size, 1), float(b))
+    for _ in range(6):
+        kw = kernel_eval(kernel, d / bw)
+        empty = ~np.any(kw > 0, axis=1)
+        if not empty.any():
+            break
+        bw[empty] *= 1.5
+    else:
+        raise InsufficientCenters("exhausted")
+    u = d / bw
+    a = kw / kw.sum(axis=1, keepdims=True)
+    ref = np.take_along_axis(u, np.argmax(kw, axis=1)[:, None], axis=1)
+    m1 = (a * (u - ref)).sum(axis=1, keepdims=True)
+    c = (u - ref) - m1
+    var = (a * c * c).sum(axis=1, keepdims=True)
+    flat = var[:, 0] == 0.0
+    w = a * (var - (ref + m1) * c) / np.where(flat[:, None], 1.0, var)
+    w[flat] = a[flat]
+    return w[0] if z.ndim == 0 else w
+
+
+class TestLocalLinearWeightsBitEqual:
+    CENTERS = TestLocalLinearWeights.CENTERS
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_mixed_rows(self, family):
+        # at b=0.05: z=0.3 sees one center, z=0.82 none until widened twice,
+        # z=0.4 two
+        kernel = Kernel1D(family)
+        z = np.array([0.3, 0.82, 0.4, 0.0, 1.0, 0.15])
+        got = local_linear_weights(self.CENTERS, z, 0.05, kernel)
+        assert np.array_equal(got, reference_local_linear_weights(self.CENTERS, z, 0.05, kernel))
+
+    @pytest.mark.parametrize("z", [0.3, 0.82, 0.4, 0.0])
+    def test_scalar_rows(self, z):
+        got = local_linear_weights(self.CENTERS, z, 0.05)
+        assert got.shape == (self.CENTERS.size,)
+        assert np.array_equal(got, reference_local_linear_weights(self.CENTERS, z, 0.05))
+
+    def test_single_center_carries_all_weight(self):
+        got = local_linear_weights(self.CENTERS, [0.3], 0.05)
+        assert np.array_equal(got, reference_local_linear_weights(self.CENTERS, [0.3], 0.05))
+        assert got[0, 2] == 1.0
+
+    @pytest.mark.parametrize("b", [0.03, 0.06, 0.12, 0.3, 1.0])
+    def test_dense_z_and_smoother_rows(self, b):
+        rng = np.random.default_rng(43)
+        z = np.concatenate([rng.uniform(0, 1, 200), self.CENTERS])
+        assert np.array_equal(local_linear_weights(self.CENTERS, z, b),
+                              reference_local_linear_weights(self.CENTERS, z, b))
+        s, _ = smoothing_matrix(self.CENTERS, b)
+        assert np.array_equal(s, reference_local_linear_weights(self.CENTERS, self.CENTERS, b))
+
+
 class TestSmoothingMatrix:
     def test_interpolating_limit(self):
         centers = np.linspace(0.1, 0.9, 5)

@@ -7,6 +7,7 @@ from vcflr import selection
 from vcflr.data import BinPartition, LongitudinalDataset, Subject
 from vcflr.errors import (
     CovariateOutOfDomain,
+    DomainViolation,
     InsufficientLocalData,
     ModelFormatError,
     TruncationTooLarge,
@@ -22,7 +23,9 @@ from vcflr.regression import (
     predict,
     raw_beta,
     refine,
+    refinement_weights,
 )
+from vcflr.serialize import load_model, save_model
 from vcflr.simulation import REGULAR, generate
 
 
@@ -350,11 +353,10 @@ class TestPredict:
         assert np.allclose(pred.y_hat.values, my.values, atol=1e-9)
 
     def test_zero_slope_ignores_predictor(self, small_fit):
-        import copy
-        model = copy.deepcopy(small_fit)
-        for b in model.bins:
-            b.raw_beta = GridSurface(model.s_grid, model.t_grid,
-                                     np.zeros((model.s_grid.n, model.t_grid.n)))
+        model = small_fit
+        zero = GridSurface(model.s_grid, model.t_grid,
+                           np.zeros((model.s_grid.n, model.t_grid.n)))
+        model = replace(model, bins=[replace(b, raw_beta=zero) for b in model.bins])
         z = 0.3
         _, my, _ = refine(model, z)
         rng = np.random.default_rng(45)
@@ -394,6 +396,114 @@ class TestPredict:
             want = alpha * p1 + (1 - alpha) * p2
             scale = max(1.0, np.max(np.abs(want)))
             assert np.max(np.abs(pm - want)) < 1e-9 * scale, case
+
+
+class TestPredictRejectsUnusableObservations:
+    @pytest.mark.parametrize("bad", [
+        [[1.0, np.nan], [6.0, 7.0]],
+        [[np.nan, 2.0], [6.0, 7.0]],
+        [[1.0, 2.0], [np.inf, 7.0]],
+        [[-np.inf, 2.0], [6.0, 7.0]],
+        [[1.0, -np.inf], [6.0, 7.0]],
+    ])
+    def test_non_finite_rejected(self, small_fit, bad):
+        with pytest.raises(DomainViolation, match="finite"):
+            predict(small_fit, np.array(bad), 0.5)
+
+    @pytest.mark.parametrize("bad", [
+        [[-50.0, 2.0], [6.0, 7.0]],
+        [[1.0, 2.0], [10.5, 7.0]],
+        [[6.0, 7.0], [-1e-9, 2.0]],
+    ])
+    def test_times_outside_s_domain_rejected(self, small_fit, bad):
+        with pytest.raises(DomainViolation, match="outside the s domain"):
+            predict(small_fit, np.array(bad), 0.5)
+
+    def test_times_at_domain_ends_accepted(self, small_fit):
+        pred = predict(small_fit, np.array([[10.0, 7.0], [0.0, 2.0]]), 0.5)
+        assert np.all(np.isfinite(pred.y_hat.values))
+
+
+def summed_refine(model, z):
+    """The refinement written bin by bin: Python sums of weighted raw
+    estimates."""
+    w = refinement_weights(model, z)
+    mean_x = sum(wp * b.mean_x.values for wp, b in zip(w, model.bins))
+    beta = sum(wp * b.raw_beta.values for wp, b in zip(w, model.bins))
+    if model.scalar_response:
+        mean_y = float(sum(wp * b.mean_y for wp, b in zip(w, model.bins)))
+    else:
+        mean_y = sum(wp * b.mean_y.values for wp, b in zip(w, model.bins))
+    return mean_x, mean_y, beta
+
+
+def scalar_fit():
+    rng = np.random.default_rng(92)
+    subjects = []
+    for i in range(40):
+        times = np.sort(rng.uniform(0, 10, 8))
+        x = np.sin(times) + rng.normal(0, 0.3, 8)
+        y = float(x.mean() + rng.normal(0, 0.2))
+        subjects.append(Subject(f"s{i}", rng.uniform(0, 1), times, x, None, np.array([y])))
+    ds = LongitudinalDataset(subjects, (0, 10), None, (0, 1), scalar_response=True)
+    return fit(ds, FitConfig(n_bins=3, truncation=(2, None), refine_bandwidth=0.4,
+                             bandwidth_policy="default", min_bin_count=2))
+
+
+class TestServingStacks:
+    @pytest.fixture(scope="class")
+    def models(self, small_fit, tmp_path_factory):
+        scalar = scalar_fit()
+        out = {}
+        for name, model in (("functional", small_fit), ("scalar", scalar)):
+            path = tmp_path_factory.mktemp("stacks") / "model.json"
+            save_model(model, path)
+            out[name, "fitted"] = model
+            out[name, "reloaded"] = load_model(path)
+            out[name, "replaced"] = replace(model, refine_bandwidth=0.55)
+        return out
+
+    @pytest.mark.parametrize("kind", ["functional", "scalar"])
+    @pytest.mark.parametrize("source", ["fitted", "reloaded", "replaced"])
+    def test_refine_matches_per_bin_sums(self, models, kind, source):
+        model = models[kind, source]
+        for z in np.linspace(0.0, 1.0, 23):
+            got = refine(model, z)
+            want = summed_refine(model, z)
+            for g, w in zip((got[0].values, got[1], got[2].values), want):
+                g = np.asarray(getattr(g, "values", g))
+                scale = max(1.0, float(np.max(np.abs(w))))
+                assert np.max(np.abs(g - w)) <= 1e-13 * scale, (kind, source, z)
+
+    def test_stacks_shapes(self, models):
+        f, sc = models["functional", "fitted"], models["scalar", "fitted"]
+        p, g = f.n_bins, f.s_grid.n
+        assert f.mean_x_stack.shape == (p, g)
+        assert f.mean_y_stack.shape == (p, f.t_grid.n)
+        assert f.raw_beta_stack.shape == (p, g, f.t_grid.n)
+        assert sc.mean_y_stack.shape == (sc.n_bins,)
+        assert sc.raw_beta_stack.shape == (sc.n_bins, sc.s_grid.n)
+
+    def test_stacks_stay_out_of_repr_and_file(self, models, tmp_path):
+        model = models["functional", "fitted"]
+        assert "_stack" not in repr(model)
+        first, again = tmp_path / "a.json", tmp_path / "b.json"
+        save_model(model, first)
+        save_model(load_model(first), again)
+        assert "_stack" not in first.read_text()
+        assert first.read_bytes() == again.read_bytes()
+
+    def test_bin_without_slope_loads_but_does_not_refine(self, small_fit, tmp_path):
+        bins = list(small_fit.bins)
+        bins[1] = replace(bins[1], raw_beta=None)
+        model = replace(small_fit, bins=bins)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        back = load_model(path)
+        assert back.bins[1].raw_beta is None and back.raw_beta_stack is None
+        for m in (model, back):
+            with pytest.raises(ModelFormatError, match="no raw slope"):
+                refine(m, 0.5)
 
 
 class TestGlobalEquivalence:
