@@ -24,13 +24,13 @@ from .errors import (
 from .grids import Grid, GridFunction, GridSurface, make_grid
 from .kernels import Kernel1D, Kernel2D, kernel_eval
 from .smoothing import (
-    _CELL_POINTS,
+    _RIDGE,
     _SINGULAR_RTOL,
     _support_counts,
-    _window,
     LocalFitConfig,
     local_linear_1d_at,
     local_linear_2d_at,
+    local_moments_1d,
     widen_until_fit,
 )
 
@@ -103,19 +103,18 @@ def aggregate_1d(x, y):
     return xu, ybar, w.astype(float)
 
 
-def group_pairs(times_a, times_b, ia, ib, values):
-    """Group pairs (times_a[ia], times_b[ib], values) by location: rows
-    (x1, x2, mean value, multiplicity), sorted by (x1, x2).
+def pair_locations(times_a, times_b, ia, ib):
+    """The distinct locations (x1, x2) of pairs (times_a[ia], times_b[ib]),
+    sorted, with ``order``, the stable permutation that sorts the pairs by
+    location, and ``group``, the location index of each pair in that order.
 
     Each stream's observation times are coded once with ``np.unique``, and a
     pair's key is its two codes as one integer, so the float sorting is done
     on the observations, which are far fewer than the pairs (30x on a
     regular design), and the pairs get one stable integer sort. Pairs built
     subject by subject from sorted times come in one sorted run per subject,
-    which that sort merges. Every group sums its values in input order, so
-    the rows equal those of sorting the pair coordinates themselves.
-    ``times_b`` may be ``times_a`` itself (a stream paired with itself),
-    which is coded once.
+    which that sort merges. ``times_b`` may be ``times_a`` itself (a stream
+    paired with itself), which is coded once.
     """
     ua, ca = np.unique(times_a, return_inverse=True)
     ub, cb = (ua, ca) if times_b is times_a else np.unique(times_b, return_inverse=True)
@@ -126,11 +125,19 @@ def group_pairs(times_a, times_b, ia, ib, values):
     first = np.empty(key.size, dtype=bool)
     first[:1] = True
     first[1:] = key[1:] != key[:-1]
-    group = np.cumsum(first) - 1
-    w = np.bincount(group).astype(float)
-    ybar = np.bincount(group, weights=values[order]) / w
     key = key[first]
-    return ua[key // nb], ub[key % nb], ybar, w
+    return ua[key // nb], ub[key % nb], order, np.cumsum(first) - 1
+
+
+def group_pairs(times_a, times_b, ia, ib, values):
+    """Group pairs (times_a[ia], times_b[ib], values) by location: rows
+    (x1, x2, mean value, multiplicity), sorted by (x1, x2), at the
+    ``pair_locations``. Every group sums its values in input order, so the
+    rows equal those of sorting the pair coordinates themselves.
+    """
+    x1, x2, order, group = pair_locations(times_a, times_b, ia, ib)
+    w = np.bincount(group).astype(float)
+    return x1, x2, np.bincount(group, weights=values[order]) / w, w
 
 
 def aggregate_2d(x1, x2, y):
@@ -156,7 +163,7 @@ def estimate_mean(times, values, cfg: LocalFitConfig, grid: Grid) -> GridFunctio
 
     def attempt(c: LocalFitConfig) -> GridFunction:
         vals = local_linear_1d_at(xu, ybar, grid.points, float(c.bandwidth),
-                                  kernel=kern, ridge=c.ridge, weights=w)
+                                  kernel=kern, weights=w)
         return GridFunction(grid, vals)
 
     return widen_until_fit(attempt, cfg)
@@ -250,7 +257,7 @@ def _smooth_2d(rows, cfg: LocalFitConfig, grid1: Grid, grid2: Grid) -> np.ndarra
         return local_linear_2d_at(x1, x2, ybar, grid1.points, grid2.points, c.bandwidth,
                                   kernel=kern, weights=w)
 
-    return widen_until_fit(attempt, LocalFitConfig(bw, kern, cfg.ridge))
+    return widen_until_fit(attempt, LocalFitConfig(bw, kern))
 
 
 def smooth_covariance(rows, cfg: LocalFitConfig, grid: Grid) -> GridSurface:
@@ -295,8 +302,7 @@ def raw_cross_products(subjects: list[Subject], mean_x: GridFunction,
 
 
 def covariance_diagonal(rows, bandwidth: float, grid: Grid,
-                        kernel: Kernel1D = Kernel1D(), ridge: float = 1e-10,
-                        max_block: int = 2_000_000) -> np.ndarray:
+                        kernel: Kernel1D = Kernel1D()) -> np.ndarray:
     """Estimate G(s, s) from off-diagonal raw covariances.
 
     A plain local linear surface flattens the covariance ridge at the
@@ -304,19 +310,17 @@ def covariance_diagonal(rows, bandwidth: float, grid: Grid,
     point gets a rotated fit: linear along the diagonal, quadratic across it,
     so the across-diagonal curvature is absorbed by its own regressor and the
     along-diagonal bias matches the 1D smoother applied to the diagonal raw
-    values (and cancels in their difference).
+    values (and cancels in their difference). A numerically singular local
+    system gets its diagonal loaded with ``_RIDGE``.
 
     ``rows`` are grouped (x1, x2, ybar, w) rows, as ``smooth_covariance``
     takes them, so the raw pairs are grouped once per stream and not once
     per widening retry.
 
-    Cost: points with zero across-diagonal weight are dropped and the rest
-    sorted along the diagonal. The grid is split into runs about one
-    bandwidth wide, at most one per 1000 kept points, and each run is fitted
-    only from the points within one bandwidth of it, so the work follows the
-    kernel's support. An input under 2000 kept points is one run over the
-    whole grid. ``max_block`` bounds grid points times window points per
-    block, and so the temporaries.
+    Cost: points with zero across-diagonal weight are dropped. The rest
+    enter ``smoothing.local_moments_1d`` along the diagonal, so every grid
+    point's 3x3 system comes from the support tiles and matrix products of a
+    1D smoother, and the systems are solved once.
     """
     x1, x2, ybar, w_mult = rows
     v = (x1 + x2) / 2.0
@@ -331,41 +335,23 @@ def covariance_diagonal(rows, bandwidth: float, grid: Grid,
             f"of diagonal point {grid.points[p]:g}")
 
     ku = kernel_eval(kernel, u / b)
-    keep = np.flatnonzero(ku > 0)
-    keep = keep[np.argsort(v[keep], kind="stable")]
-    v, q, ku, w_mult, ybar = v[keep], u[keep] * u[keep], ku[keep], w_mult[keep], ybar[keep]
-
-    out = np.empty(grid.n)
-    runs = max(1, min(v.size // _CELL_POINTS, int(grid.length / b), grid.n))
-    for run in np.array_split(np.arange(grid.n), runs):
-        win = _window(v, grid.points[run[0]], grid.points[run[-1]], b)
-        block = max(1, max_block // max(win.stop - win.start, 1))
-        for start in range(run[0], run[-1] + 1, block):
-            s = grid.points[start:min(start + block, run[-1] + 1), None]
-            dv = v[None, win] - s
-            kw = kernel_eval(kernel, dv / b) * ku[None, win] * w_mult[None, win]
-            qw = np.broadcast_to(q[None, win], kw.shape)
-            yw = ybar[win]
-            m = np.empty((s.size, 3, 3))
-            rhs = np.empty((s.size, 3))
-            m[:, 0, 0] = kw.sum(axis=1)
-            m[:, 0, 1] = m[:, 1, 0] = (kw * dv).sum(axis=1)
-            m[:, 0, 2] = m[:, 2, 0] = (kw * qw).sum(axis=1)
-            m[:, 1, 1] = (kw * dv * dv).sum(axis=1)
-            m[:, 1, 2] = m[:, 2, 1] = (kw * dv * qw).sum(axis=1)
-            m[:, 2, 2] = (kw * qw * qw).sum(axis=1)
-            rhs[:, 0] = kw @ yw
-            rhs[:, 1] = (kw * dv) @ yw
-            rhs[:, 2] = (kw * qw) @ yw
-            det = np.linalg.det(m)
-            scale = m[:, 0, 0] * m[:, 1, 1] * m[:, 2, 2]
-            bad = det <= _SINGULAR_RTOL * scale
-            if np.any(bad):
-                lam = ridge * (m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]) / 3.0
-                for d in range(3):
-                    m[bad, d, d] += lam[bad]
-            out[start:start + s.size] = np.linalg.solve(m, rhs[..., None])[:, 0, 0]
-    return out
+    keep = ku > 0
+    kw, q, yw = (ku * w_mult)[keep], (u * u)[keep], ybar[keep]
+    # powers of dv 0, 1, 2 against [kw, kw q, kw q², kw y, kw q y],
+    # [kw, kw q, kw y] and [kw]: the sums s00 s02 s22 r0 r2 | s01 s12 r1 | s11
+    sums = np.concatenate(local_moments_1d(
+        v[keep], grid.points, b, kernel,
+        [np.column_stack([kw, kw * q, kw * q * q, kw * yw, kw * q * yw]),
+         np.column_stack([kw, kw * q, kw * yw]), kw[:, None]]), axis=1)
+    m = sums[:, [[0, 5, 1], [5, 8, 6], [1, 6, 2]]]
+    rhs = sums[:, [3, 7, 4], None]
+    det = np.linalg.det(m)
+    bad = det <= _SINGULAR_RTOL * (m[:, 0, 0] * m[:, 1, 1] * m[:, 2, 2])
+    if np.any(bad):
+        lam = _RIDGE * (m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]) / 3.0
+        for d in range(3):
+            m[bad, d, d] += lam[bad]
+    return np.linalg.solve(m, rhs)[:, 0, 0]
 
 
 def estimate_sigma2(diag_points: np.ndarray, off_rows, cfg: LocalFitConfig,
@@ -387,9 +373,8 @@ def estimate_sigma2(diag_points: np.ndarray, off_rows, cfg: LocalFitConfig,
 
     def attempt(c: LocalFitConfig) -> tuple[np.ndarray, np.ndarray]:
         v_curve = local_linear_1d_at(xu, ybar, grid.points, float(c.bandwidth),
-                                     kernel=kern, ridge=c.ridge, weights=w)
-        g_diag = covariance_diagonal(off_rows, float(c.bandwidth), grid,
-                                     kernel=kern, ridge=c.ridge)
+                                     kernel=kern, weights=w)
+        g_diag = covariance_diagonal(off_rows, float(c.bandwidth), grid, kernel=kern)
         return v_curve, g_diag
 
     v_curve, g_diag = widen_until_fit(attempt, cfg)
@@ -594,22 +579,21 @@ class BinBandwidths:
 
 
 def _covariance_estimates(subjects: list[Subject], mean: GridFunction, stream: str,
-                          cov_bw, diag_bw: float, kernel: Kernel1D, ridge: float,
+                          cov_bw, diag_bw: float, kernel: Kernel1D,
                           grid: Grid, max_components: int, rel_tol: float):
     """One stream's covariance surface, error variance and eigensystem, from
     its off-diagonal pairs grouped once (the raw pairs are dropped there)."""
     pairs, diag = covariance_pairs(subjects, mean, stream)
     rows = group_pairs(*pairs)
     del pairs
-    cov = smooth_covariance(rows, LocalFitConfig(cov_bw, kernel, ridge), grid)
-    sigma2 = estimate_sigma2(diag, rows, LocalFitConfig(diag_bw, kernel, ridge), grid)
+    cov = smooth_covariance(rows, LocalFitConfig(cov_bw, kernel), grid)
+    sigma2 = estimate_sigma2(diag, rows, LocalFitConfig(diag_bw, kernel), grid)
     return cov, sigma2, eigendecompose(cov, grid, max_components, rel_tol=rel_tol)
 
 
 def fit_bin(subjects: list[Subject], center: float, s_grid: Grid,
             t_grid: Grid | None, bandwidths: BinBandwidths, kernel: Kernel1D,
-            max_m: int, max_k: int, ridge: float = 1e-10,
-            eigen_floor: float = 1e-10) -> BinEstimate:
+            max_m: int, max_k: int, eigen_floor: float = 1e-10) -> BinEstimate:
     """All raw estimates for one bin.
 
     ``max_m``/``max_k`` bound how many eigencomponents are retained (the
@@ -624,7 +608,7 @@ def fit_bin(subjects: list[Subject], center: float, s_grid: Grid,
     x_times = np.concatenate([s.x_times for s in subjects])
     x_values = np.concatenate([s.x_values for s in subjects])
     mean_x = estimate_mean(x_times, x_values,
-                           LocalFitConfig(bandwidths.mean_x, kernel, ridge), s_grid)
+                           LocalFitConfig(bandwidths.mean_x, kernel), s_grid)
 
     if scalar:
         mean_y = float(np.mean([s.y_scalar for s in subjects]))
@@ -632,21 +616,21 @@ def fit_bin(subjects: list[Subject], center: float, s_grid: Grid,
         y_times = np.concatenate([s.y_times for s in subjects])
         y_values = np.concatenate([s.y_values for s in subjects])
         mean_y = estimate_mean(y_times, y_values,
-                               LocalFitConfig(bandwidths.mean_y, kernel, ridge), t_grid)
+                               LocalFitConfig(bandwidths.mean_y, kernel), t_grid)
 
     rel_tol = max(1e-10, eigen_floor)
     cov_x, sigma2_x, eig_x = _covariance_estimates(
-        subjects, mean_x, "x", bandwidths.cov_x, bandwidths.diag_x, kernel, ridge,
+        subjects, mean_x, "x", bandwidths.cov_x, bandwidths.diag_x, kernel,
         s_grid, max_m, rel_tol)
     if scalar:
         cov_y = sigma2_y = eig_y = None
     else:
         cov_y, sigma2_y, eig_y = _covariance_estimates(
-            subjects, mean_y, "y", bandwidths.cov_y, bandwidths.diag_y, kernel, ridge,
+            subjects, mean_y, "y", bandwidths.cov_y, bandwidths.diag_y, kernel,
             t_grid, max_k, rel_tol)
 
     cross = smooth_cross_covariance(
-        subjects, mean_x, mean_y, LocalFitConfig(bandwidths.cross, kernel, ridge),
+        subjects, mean_x, mean_y, LocalFitConfig(bandwidths.cross, kernel),
         s_grid if scalar else (s_grid, t_grid))
 
     m_avail = eig_x.n_components

@@ -84,7 +84,6 @@ class FitConfig:
     cv_folds: int = 5
     cv_factors: tuple[float, ...] = (0.5, 0.7071, 1.0, 1.4142, 2.0)
     min_bin_count: int = 5
-    ridge: float = 1e-10
 
     def __post_init__(self):
         for name in ("criterion", "binwidth_criterion"):
@@ -286,8 +285,7 @@ def _resolve_bandwidths(subjects, cfg: FitConfig, s_grid: Grid,
         cands = tuple(h0 * f for f in cfg.cv_factors)
         try:
             return selection.cv_smoother_bandwidth(
-                subjects, key, folds, cands, s_grid, t_grid,
-                kernel=kernel, ridge=cfg.ridge)
+                subjects, key, folds, cands, s_grid, t_grid, kernel=kernel)
         except InsufficientLocalData:
             return h0
 
@@ -308,7 +306,7 @@ def _resolve_bandwidths(subjects, cfg: FitConfig, s_grid: Grid,
         try:
             return selection.cv_smoother_bandwidth(
                 subjects, key, folds, cands, s_grid, t_grid,
-                kernel=kernel, ridge=cfg.ridge, mean_bandwidths=(mean_x, mean_y))
+                kernel=kernel, mean_bandwidths=(mean_x, mean_y))
         except InsufficientLocalData:
             return (h1, h2)
 
@@ -380,7 +378,7 @@ def fit(ds: LongitudinalDataset, config: FitConfig | None = None) -> FittedModel
         subjects = [ds.subjects[i] for i in part.index_sets[p]]
         bw = _resolve_bandwidths(subjects, cfg, s_grid, t_grid)
         bins.append(fit_bin(subjects, part.centers[p], s_grid, t_grid, bw, kernel,
-                            max_m, max_k, ridge=cfg.ridge, eigen_floor=cfg.eigen_floor))
+                            max_m, max_k, eigen_floor=cfg.eigen_floor))
 
     sigma2_x = float(np.mean([b.sigma2_x for b in bins]))
     sigma2_y = None if ds.scalar_response else float(np.mean([b.sigma2_y for b in bins]))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -32,9 +33,9 @@ from .fpca import (
     covariance_pairs,
     cross_pairs,
     estimate_mean,
-    group_pairs,
+    pair_locations,
 )
-from .grids import Grid, GridSurface
+from .grids import Grid, GridFunction, GridSurface
 from .kernels import Kernel1D, Kernel2D
 from .smoothing import (
     _CV_TIE_RTOL,
@@ -275,10 +276,6 @@ def select_binwidth(models: list["FittedModel"], criterion: str, n_total: int):
     return next(mdl for mdl in ranked if mdl.n_bins == p_star), table
 
 
-def _fold_of(n_subjects: int, n_folds: int) -> np.ndarray:
-    return np.arange(n_subjects) % n_folds
-
-
 def _cv_choice(results, scale: float):
     """The candidate of least held-out error among ``(candidate, error)``
     rows; errors within ``_CV_TIE_RTOL * scale`` of the least count as tied,
@@ -294,7 +291,7 @@ def _cv_choice(results, scale: float):
 
 def cv_smoother_bandwidth(subjects: list[Subject], kind: str, n_folds: int,
                           candidates, s_grid: Grid, t_grid: Grid | None = None,
-                          kernel: Kernel1D = Kernel1D(), ridge: float = 1e-10,
+                          kernel: Kernel1D = Kernel1D(),
                           mean_bandwidths: tuple | None = None):
     """K-fold-by-subject CV for one smoother's bandwidth.
 
@@ -310,17 +307,14 @@ def cv_smoother_bandwidth(subjects: list[Subject], kind: str, n_folds: int,
     errors of fits that reproduce the data exactly are rounding noise, and
     their order is arbitrary.
 
-    Cost: the folds are prepared once. Mean kinds build one column of
-    training multiplicities and mean values per fold over the bin's
-    distinct times, and a candidate costs one smoother call for all folds
-    (``local_linear_1d_at`` on the column stack) and one vectorised
-    interpolation per fold. Surface kinds group each fold's training pairs
-    by observation-time codes (``fpca.group_pairs``), and a candidate costs
-    one smoother and one interpolation per fold. Per-subject error sums are
+    Cost: every fold is one column of training multiplicities and mean
+    values at shared locations, the distinct times or pair locations
+    (``fpca.pair_locations``), so a candidate costs one smoother call for
+    all folds and one interpolation per fold. Per-subject error sums are
     added in subject order.
     """
     results, scale = cv_errors(subjects, kind, n_folds, candidates, s_grid, t_grid,
-                               kernel=kernel, ridge=ridge, mean_bandwidths=mean_bandwidths)
+                               kernel=kernel, mean_bandwidths=mean_bandwidths)
     if not results:
         raise InsufficientLocalData(
             f"every candidate bandwidth failed {kind} cross-validation")
@@ -329,7 +323,7 @@ def cv_smoother_bandwidth(subjects: list[Subject], kind: str, n_folds: int,
 
 def cv_errors(subjects: list[Subject], kind: str, n_folds: int, candidates,
               s_grid: Grid, t_grid: Grid | None = None, kernel: Kernel1D = Kernel1D(),
-              ridge: float = 1e-10, mean_bandwidths: tuple | None = None):
+              mean_bandwidths: tuple | None = None):
     """(candidate, held-out squared error) rows of ``cv_smoother_bandwidth``,
     in candidate order, without the candidates that failed in some fold, and
     the sum of squared held-out values, which scales the tie tolerance."""
@@ -342,7 +336,7 @@ def cv_errors(subjects: list[Subject], kind: str, n_folds: int, candidates,
     if n_folds > len(subjects):
         raise ValueError(
             f"fold count {n_folds} exceeds the {len(subjects)} subjects in the bin")
-    folds = _fold_of(len(subjects), n_folds)
+    folds = np.arange(len(subjects)) % n_folds
     # subject of each observation of the stream that the rows are indexed by
     owner = np.repeat(np.arange(len(subjects)),
                       [s.n_y if kind in ("mean_y", "cov_y") else s.n_x for s in subjects])
@@ -352,77 +346,71 @@ def cv_errors(subjects: list[Subject], kind: str, n_folds: int, candidates,
         times = np.concatenate([s.x_times if kind == "mean_x" else s.y_times for s in subjects])
         values = np.concatenate([s.x_values if kind == "mean_x" else s.y_values
                                  for s in subjects])
-        test_of = [folds[owner] == f for f in range(n_folds)]
-        # one column per fold: training multiplicity and mean value per
-        # distinct time, summed in input order as aggregate_1d sums them
-        xu, code = np.unique(times, return_inverse=True)
-        w = np.empty((xu.size, n_folds))
-        ybar = np.zeros((xu.size, n_folds))
-        for f, test in enumerate(test_of):
-            w[:, f] = np.bincount(code[~test], minlength=xu.size)
-            sums = np.bincount(code[~test], weights=values[~test], minlength=xu.size)
-            np.divide(sums, w[:, f], out=ybar[:, f], where=w[:, f] > 0)
-        at = [times[test] for test in test_of]
-        observed = [values[test] for test in test_of]
+        xu, group = np.unique(times, return_inverse=True)
+        order, n_loc, where = slice(None), xu.size, (times,)
+        on_grid = partial(GridFunction, grid)
 
-        def predictions(cand):
-            curves = local_linear_1d_at(xu, ybar, grid.points, float(cand),
-                                        kernel=kernel, ridge=ridge, weights=w)
-            return [np.interp(a, grid.points, curves[:, f]) for f, a in enumerate(at)]
+        def smooth(bw):
+            return local_linear_1d_at(xu, ybar, grid.points, float(bw), kernel=kernel,
+                                      weights=w)
     else:
         if mean_bandwidths is None:
             raise ValueError(f"{kind} CV needs mean_bandwidths to center observations")
-        if kind != "cov_y":
-            mean_x = estimate_mean(
-                np.concatenate([s.x_times for s in subjects]),
-                np.concatenate([s.x_values for s in subjects]),
-                LocalFitConfig(mean_bandwidths[0], kernel, ridge), s_grid)
-        if kind != "cov_x":
-            mean_y = estimate_mean(
-                np.concatenate([s.y_times for s in subjects]),
-                np.concatenate([s.y_values for s in subjects]),
-                LocalFitConfig(mean_bandwidths[1], kernel, ridge), t_grid)
-        if kind == "cov_x":
-            grids = (s_grid, s_grid)
-            pairs, _ = covariance_pairs(subjects, mean_x, "x")
-        elif kind == "cov_y":
-            grids = (t_grid, t_grid)
-            pairs, _ = covariance_pairs(subjects, mean_y, "y")
+
+        def mean(stream):
+            i = "xy".index(stream)
+            return estimate_mean(
+                np.concatenate([getattr(s, f"{stream}_times") for s in subjects]),
+                np.concatenate([getattr(s, f"{stream}_values") for s in subjects]),
+                LocalFitConfig(mean_bandwidths[i], kernel), (s_grid, t_grid)[i])
+
+        if kind == "cross":
+            grids, pairs = (s_grid, t_grid), cross_pairs(subjects, mean("x"), mean("y"))
         else:
-            grids = (s_grid, t_grid)
-            pairs = cross_pairs(subjects, mean_x, mean_y)
+            grid = s_grid if kind == "cov_x" else t_grid
+            grids, (pairs, _) = (grid, grid), covariance_pairs(subjects, mean(kind[-1]), kind[-1])
         times_a, times_b, ia, ib, values = pairs
         owner = owner[ia]
-        test_of = [folds[owner] == f for f in range(n_folds)]
+        x1, x2, order, group = pair_locations(times_a, times_b, ia, ib)
+        n_loc, where = x1.size, (times_a[ia], times_b[ib])
         kern2 = Kernel2D(kernel, kernel)
-        train = [group_pairs(times_a, times_b, ia[~test], ib[~test], values[~test])
-                 for test in test_of]
-        at = [(times_a[ia[test]], times_b[ib[test]]) for test in test_of]
-        observed = [values[test] for test in test_of]
+        on_grid = partial(GridSurface, *grids)
 
-        def predictions(cand):
-            bw = tuple(cand) if isinstance(cand, (tuple, list)) else (float(cand), float(cand))
-            return [GridSurface(grids[0], grids[1], local_linear_2d_at(
-                        x1, x2, ybar, grids[0].points, grids[1].points, bw,
-                        kernel=kern2, weights=w)).at(*a)
-                    for (x1, x2, ybar, w), a in zip(train, at)]
+        def smooth(bw):
+            bw = tuple(bw) if isinstance(bw, (tuple, list)) else (float(bw), float(bw))
+            return local_linear_2d_at(x1, x2, ybar, grids[0].points, grids[1].points, bw,
+                                      kernel=kern2, weights=w)
 
-    # held-out rows come subject by subject; equal row counts are summed as
-    # one (g, n) block, which adds each row like np.sum of one subject
-    groups = []
-    for f, test in enumerate(test_of):
+    # One column per fold of training multiplicity and mean value per
+    # location. ``group`` codes the rows taken in ``order``, which keeps
+    # each location's rows in input order, so every sum adds its values as
+    # aggregate_1d and group_pairs add them. Held-out rows come subject by
+    # subject; equal row counts are summed as one (g, n) block, which adds
+    # each row like np.sum of one subject.
+    ordered = values[order]
+    w = np.empty((n_loc, n_folds))
+    ybar = np.zeros((n_loc, n_folds))
+    at, observed, groups = [], [], []
+    for f in range(n_folds):
+        test = folds[owner] == f
+        train = ~test[order]
+        w[:, f] = np.bincount(group[train], minlength=n_loc)
+        sums = np.bincount(group[train], weights=ordered[train], minlength=n_loc)
+        np.divide(sums, w[:, f], out=ybar[:, f], where=w[:, f] > 0)
+        at.append(tuple(a[test] for a in where))
+        observed.append(values[test])
         counts = np.bincount(owner[test], minlength=len(subjects))[folds == f]
         groups.append((counts.size, _count_groups(counts)))
 
     results = []
     for cand in candidates:
         try:
-            predicted = predictions(cand)
+            fitted = smooth(cand)
         except InsufficientLocalData:
             continue
         sse = 0.0
-        for obs, pred, (n_test, fold_groups) in zip(observed, predicted, groups):
-            err = (obs - pred) ** 2
+        for f, (obs, (n_test, fold_groups)) in enumerate(zip(observed, groups)):
+            err = (obs - on_grid(fitted[..., f]).at(*at[f])) ** 2
             per_subject = np.zeros(n_test)
             for idx, pos in fold_groups:
                 per_subject[idx] = err[pos].sum(axis=1)

@@ -23,8 +23,11 @@ import numpy as np
 from .errors import InsufficientCenters, InsufficientLocalData
 from .kernels import Kernel1D, Kernel2D, kernel_eval
 
-# Relative determinant below which a local system counts as near-singular.
+# Relative determinant below which a 1D or rotated-diagonal local system is
+# near-singular, and the diagonal loading, relative to its mean diagonal
+# entry, that such a system gets.
 _SINGULAR_RTOL = 1e-14
+_RIDGE = 1e-10
 # Held-out squared error, relative to the held-out sum of squared values,
 # within which two cross-validated fits tie. A fit that reproduces the data
 # errs by rounding alone, a few hundred ulps of each value at most, which
@@ -36,49 +39,43 @@ _DEGENERATE_RTOL = 1e-13
 # Bandwidth growth per retry, and retries, when a local fit lacks data.
 _WIDEN_FACTOR = 1.5
 _WIDEN_ATTEMPTS = 5
-# Fewest data points per run, on average, for which fpca.covariance_diagonal
-# splits its grid into support-sized runs: below it a run's loop overhead
-# outweighs what it saves, so small inputs are one run.
-_CELL_POINTS = 1000
-# Fewest data points per tile, on average, for which local_linear_2d_at
-# splits its data into support-sized tiles (at most sqrt(N / 200) per axis).
-# Measured on the calls of seed-1000 fits (one BLAS thread, 2-core Xeon),
-# summed best-of-5 times at floors 1000 / 400 / 200 / 100 / 50 points:
-# study-sparse (87 calls, 900-4,700 points) 0.47 / 0.35 / 0.35 / 0.31 /
-# 0.33 s, study-regular (87 calls, 930-960 grouped points) 0.21 / 0.22 /
-# 0.15 / 0.14 / 0.22 s, fit-serve (27 calls, 16,600-20,000 points) 0.66 /
-# 0.57 / 0.54 / 0.57 / 0.64 s. 200 and 100 are within noise of each other;
-# below that, per-tile overhead wins.
+# Fewest data points per tile, on average, for which the smoothers split
+# their data into support-sized tiles: at most N / _TILE_POINTS_1D tiles in
+# 1D (mean curves, rotated diagonal fit) and sqrt(N / _TILE_POINTS_2D) per
+# axis in 2D; below that a tile's loop overhead outweighs what it saves.
+# Replaying the smoother calls of seed-1000 study fits and of fit-serve fits
+# (one BLAS thread, 2-core Xeon), 2D floors of 100-200 points beat 1000 by
+# 25% on sparse designs, and 1D floors of 500-2000 were within noise.
+_TILE_POINTS_1D = 1000
 _TILE_POINTS_2D = 200
+# Most weighted products a smoother forms at once: evaluation points on a
+# tile's longest axis run, times data points, times the products per point
+# (its columns, five per column in 2D). A larger tile is smoothed in blocks
+# of its points, which bounds the temporaries.
+_BLOCK = 1_000_000
 
 
 @dataclass(frozen=True)
 class LocalFitConfig:
-    """Bandwidth(s), kernel and ridge fallback for one local fit.
+    """Bandwidth(s) and kernel for one local fit.
 
     ``bandwidth`` is a float for 1D smoothers and a (b1, b2) pair for 2D ones.
-    ``ridge`` scales the diagonal loading applied when the local normal
-    equations of a 1D or rotated diagonal fit are numerically singular; the
-    2D surface smoother rejects such designs as degenerate instead.
     """
 
     bandwidth: float | tuple[float, float]
     kernel: Kernel1D | Kernel2D = Kernel1D()
-    ridge: float = 1e-10
 
     def __post_init__(self):
         bw = np.atleast_1d(np.asarray(self.bandwidth, dtype=float))
         if np.any(bw <= 0):
             raise ValueError("bandwidths must be strictly positive")
-        if self.ridge < 0:
-            raise ValueError("ridge must be nonnegative")
 
     def widened(self, factor: float) -> "LocalFitConfig":
         if isinstance(self.bandwidth, tuple):
             bw = (self.bandwidth[0] * factor, self.bandwidth[1] * factor)
         else:
             bw = self.bandwidth * factor
-        return LocalFitConfig(bw, self.kernel, self.ridge)
+        return LocalFitConfig(bw, self.kernel)
 
 
 def widen_until_fit(fit: Callable[[LocalFitConfig], object], cfg: LocalFitConfig,
@@ -99,18 +96,95 @@ def widen_until_fit(fit: Callable[[LocalFitConfig], object], cfg: LocalFitConfig
 
 
 def _support_counts(x_sorted_unique: np.ndarray, centers: np.ndarray, b: float,
-                    closed: bool, present: np.ndarray | None = None) -> np.ndarray:
-    """Number of distinct x values with positive kernel weight per center;
-    with a (U, F) mask ``present`` of the values in each of F columns, the
-    (n_centers, F) counts of the present ones."""
+                    closed: bool) -> np.ndarray:
+    """Number of distinct x values with positive kernel weight per center."""
     side_lo, side_hi = ("left", "right") if closed else ("right", "left")
     lo = np.searchsorted(x_sorted_unique, centers - b, side=side_lo)
     hi = np.searchsorted(x_sorted_unique, centers + b, side=side_hi)
-    if present is None:
-        return hi - lo
-    below = np.zeros((present.shape[0] + 1, present.shape[1]), dtype=int)
-    np.cumsum(present, axis=0, out=below[1:])
-    return below[hi] - below[lo]
+    return hi - lo
+
+
+def _support_tiles(points, evals, bandwidths, floor: int, width: int = 1):
+    """Data tiles about one bandwidth wide per axis, and the evaluation
+    points each tile can reach.
+
+    ``points``, ``evals`` and ``bandwidths`` hold one entry per axis, each
+    ``evals`` array sorted. Each axis is cut into min(span / b, cap) equal
+    cells, cap = N // floor in 1D and isqrt(N // floor) in 2D. Returns ``(order,
+    tiles)``: ``order`` indexes the data in tile order, and each tile is
+    (slice of the ordered data, per-axis slice of ``evals``). An evaluation
+    run is found with ``searchsorted`` against the tile's range widened by
+    one bandwidth and a relative 1e-12, so it holds every point that the
+    kernels' |x - s| / b <= 1 test accepts, closed-support boundaries
+    included. A tile of more than ``_BLOCK`` products (longest run times
+    points times ``width``) comes as several slices of its points.
+    """
+    n = points[0].size
+    cap = n // floor if len(points) == 1 else math.isqrt(n // floor)
+    key = None
+    for x, b in zip(points, bandwidths):
+        lo, span = (float(x.min()), float(x.max() - x.min())) if cap > 1 else (0.0, 0.0)
+        k = min(cap, int(span / b))
+        if k >= 2:
+            cell = np.minimum(((x - lo) * (k / span)).astype(int), k - 1)
+            key = cell if key is None else key * k + cell
+    if key is None:   # one tile, reaching every evaluation point
+        order, starts = slice(None), np.zeros(min(n, 1), dtype=int)
+        reach = [tuple(slice(0, e.size) for e in evals)]
+    else:
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        runs = []
+        for x, e, b in zip(points, evals, bandwidths):
+            xs = x[order]
+            lo, hi = np.minimum.reduceat(xs, starts), np.maximum.reduceat(xs, starts)
+            margin = 1e-12 * (b + np.maximum(np.abs(lo), np.abs(hi)))
+            runs.append(zip(np.searchsorted(e, lo - b - margin).tolist(),
+                            np.searchsorted(e, hi + b + margin, side="right").tolist()))
+        reach = [tuple(slice(*r) for r in tile) for tile in zip(*runs)]
+    tiles = []
+    for start, stop, tile in zip(starts.tolist(), starts[1:].tolist() + [n], reach):
+        sizes = [r.stop - r.start for r in tile]
+        if min(sizes) > 0:
+            step = max(1, _BLOCK // (max(sizes) * width))
+            tiles.extend((slice(i, min(i + step, stop)), tile) for i in range(start, stop, step))
+    return order, tiles
+
+
+def local_moments_1d(x: np.ndarray, eval_points: np.ndarray, bandwidth: float,
+                     kernel: Kernel1D, columns) -> list[np.ndarray]:
+    """Kernel moments of a local polynomial fit in one variable: for each
+    power j and (N, c_j) array ``columns[j]``, the (n_eval, c_j) sums
+    sum_i K((x_i - s) / b) (x_i - s)^j columns[j][i] at the sorted
+    ``eval_points`` s.
+
+    Cost: each ``_support_tiles`` tile forms its kernel weights only
+    against the evaluation points it can reach, and every power costs one
+    matrix product per tile for all its columns.
+    """
+    b = float(bandwidth)
+    order, tiles = _support_tiles((x,), (eval_points,), (b,), _TILE_POINTS_1D,
+                                  max(c.shape[1] for c in columns))
+    x = x[order]
+    columns = [c[order] for c in columns]
+    sums = [np.zeros((eval_points.size, c.shape[1])) for c in columns]
+    for data, (rows,) in tiles:
+        dx = x[None, data] - eval_points[rows, None]   # dx[p, i] = x_i - s_p
+        k = kernel_eval(kernel, dx / b)
+        for j, (c, total) in enumerate(zip(columns, sums)):
+            if j:
+                k *= dx
+            total[rows] += k @ c[data]
+    return sums
+
+
+def _columns(y: np.ndarray, weights: np.ndarray | None, n: int):
+    """Values and multiplicities as broadcast (n, F) column stacks, and
+    whether either was given as a stack."""
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    y_cols, w_cols = np.broadcast_arrays(y.reshape(n, -1), w.reshape(n, -1))
+    return y_cols, w_cols, y.ndim == 2 or w.ndim == 2
 
 
 def local_linear_1d_at(
@@ -119,9 +193,7 @@ def local_linear_1d_at(
     eval_points: np.ndarray,
     bandwidth: float,
     kernel: Kernel1D = Kernel1D(),
-    ridge: float = 1e-10,
     weights: np.ndarray | None = None,
-    max_block: int = 2_000_000,
 ) -> np.ndarray:
     """Local linear intercept at arbitrary evaluation points, for one data
     column or a stack of columns sharing the locations x.
@@ -133,28 +205,19 @@ def local_linear_1d_at(
     own: raises InsufficientLocalData when, in some column, an evaluation
     point has fewer than two distinct present x values inside the kernel
     window, and loads the diagonal of a column's numerically singular local
-    system with ``ridge``.
+    system with ``_RIDGE``.
 
-    Cost: per block of evaluation points, the kernel weights K, K dx and
-    K dx² against all U locations are formed once and the moments of every
-    column come from three matrix products with the (U, F) multiplicities
-    and value sums, so F columns cost about what one does. ``max_block``
-    bounds evaluation points times locations per block, and so the
-    temporaries.
+    Cost: the moments come from ``local_moments_1d``, three matrix products
+    per support tile for all F columns, and the systems are solved once.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     eval_points = np.asarray(eval_points, dtype=float)
-    w_mult = np.ones_like(x) if weights is None else np.asarray(weights, dtype=float)
-    stacked = y.ndim == 2 or w_mult.ndim == 2
-    y_cols, w_cols = np.broadcast_arrays(y.reshape(x.size, -1), w_mult.reshape(x.size, -1))
-    n_cols = w_cols.shape[1]
+    y_cols, w_cols, stacked = _columns(y, weights, x.size)
     b = float(bandwidth)
 
-    xs, inv = np.unique(x, return_inverse=True)
-    present = np.zeros((xs.size, n_cols), dtype=bool)
-    np.logical_or.at(present, inv, w_cols > 0)
-    counts = _support_counts(xs, eval_points, b, kernel.closed_support, present)
+    counts = np.column_stack([_support_counts(np.unique(x[w > 0]), eval_points, b,
+                                              kernel.closed_support) for w in w_cols.T])
     if np.any(counts < 2):
         f = int(np.argmax(np.any(counts < 2, axis=0)))
         p = int(np.argmax(counts[:, f] < 2))
@@ -166,47 +229,20 @@ def local_linear_1d_at(
 
     # [multiplicities | value sums]: K against it gives s0 | t0, K dx s1 | t1
     wy = np.concatenate([w_cols, w_cols * y_cols], axis=1)
-    out = np.empty((eval_points.size, n_cols), dtype=float)
-    block = max(1, max_block // max(x.size, 1))
-    for start in range(0, eval_points.size, block):
-        s = eval_points[start:start + block, None]
-        dx = x[None, :] - s
-        k = kernel_eval(kernel, dx / b)
-        s0, t0 = np.split(k @ wy, 2, axis=1)
-        k *= dx
-        s1, t1 = np.split(k @ wy, 2, axis=1)
-        k *= dx
-        s2 = k @ w_cols
+    order = np.argsort(eval_points, kind="stable")
+    m0, m1, s2 = local_moments_1d(x, eval_points[order], b, kernel, [wy, wy, w_cols])
+    n_cols = w_cols.shape[1]
+    s0, t0, s1, t1 = m0[:, :n_cols], m0[:, n_cols:], m1[:, :n_cols], m1[:, n_cols:]
+    det = s0 * s2 - s1 * s1
+    bad = det <= _SINGULAR_RTOL * s0 * s2
+    if np.any(bad):
+        lam = _RIDGE * (s0[bad] + s2[bad]) / 2.0
+        s0[bad] += lam
+        s2[bad] += lam
         det = s0 * s2 - s1 * s1
-        bad = det <= _SINGULAR_RTOL * s0 * s2
-        if np.any(bad):
-            lam = ridge * (s0[bad] + s2[bad]) / 2.0
-            s0[bad] += lam
-            s2[bad] += lam
-            det = s0 * s2 - s1 * s1
-        out[start:start + block] = (s2 * t0 - s1 * t1) / det
+    out = np.empty_like(det)
+    out[order] = (s2 * t0 - s1 * t1) / det
     return out if stacked else out[:, 0]
-
-
-def _window(points: np.ndarray, lo: float, hi: float, b: float) -> slice:
-    """The run of sorted ``points`` within one bandwidth of [lo, hi].
-
-    Distances are tested as the kernels see them (|x - s| / b <= 1), so every
-    point that has a nonzero kernel weight against some location in [lo, hi]
-    is inside the run.
-    """
-    near = np.flatnonzero(((lo - points) / b <= 1.0) & ((points - hi) / b <= 1.0))
-    return slice(near[0], near[-1] + 1) if near.size else slice(0, 0)
-
-
-def _cells(x: np.ndarray, b: float, cap: int) -> tuple[np.ndarray, int]:
-    """Cell of each x among k equal cells over its range: k cells about one
-    bandwidth wide, at most ``cap`` and at least one."""
-    lo, span = (float(x.min()), float(x.max() - x.min())) if cap > 1 else (0.0, 0.0)
-    k = min(cap, int(span / b))
-    if k < 2:
-        return np.zeros(x.size, dtype=int), 1
-    return np.minimum(((x - lo) * (k / span)).astype(int), k - 1), k
 
 
 def local_linear_2d_at(
@@ -218,40 +254,41 @@ def local_linear_2d_at(
     bandwidths: tuple[float, float],
     kernel: Kernel2D = Kernel2D(),
     weights: np.ndarray | None = None,
-    chunk: int = 40_000,
 ) -> np.ndarray:
-    """Local linear intercept surface on eval1 x eval2.
+    """Local linear intercept surface on eval1 x eval2, for one data column
+    or a stack of columns sharing the locations (x1, x2).
+
+    ``y`` and ``weights`` are (U,) or (U, F), as for ``local_linear_1d_at``;
+    the result is (n1, n2) or (n1, n2, F), each column fitted on its own.
 
     The product-kernel structure makes every entry of the local normal
     equations a sum of separable terms: with a_j = K1(d1/b1) w d1^j and
     b_j = K2(d2/b2) d2^j, the moment S_jk is a_j b_k^T and T_jk is
-    (y a_j) b_k^T. The nine moment surfaces therefore come from three
-    stacked matrix products over chunks of data points: [a0, a1, y a0, a2,
-    y a1] against b0, [a0, a1, y a0] against b1 and a0 against b2.
+    (y a_j) b_k^T. The nine moment surfaces of every column therefore come
+    from three stacked matrix products per block of data points: [a0, a1,
+    y a0, a2, y a1] against b0, [a0, a1, y a0] against b1 and a0 against b2.
 
     The intercept is solved in closed form: with weighted means μ = (s10,
     s01) / s00 and ȳ = t00 / s00, the slopes β solve the centred 2x2 system
-    [v11 v12; v12 v22] β = c, and the intercept is ȳ - β·μ. A point whose
-    centred determinant cdet = v11 v22 - v12² is at most 1e-13 b1² b2² is
-    a degenerate design (all weight at one location, or on one line) and
-    raises InsufficientLocalData. No ridge is needed past that check: the
-    3x3 determinant is det M = s00³ cdet, and on the kernel's support
-    s20 <= b1² s00 and s02 <= b2² s00, so a near-singular system with
-    det M <= 1e-14 s00 s20 s02 has cdet <= 1e-14 b1² b2² and has already
-    been rejected as degenerate.
+    [v11 v12; v12 v22] β = c, and the intercept is ȳ - β·μ. A point with
+    fewer than three weighted locations, or whose centred determinant
+    cdet = v11 v22 - v12² is at most 1e-13 b1² b2² (all weight at one
+    location, or on one line), raises InsufficientLocalData. No ridge is
+    needed past that check: the 3x3 determinant is det M = s00³ cdet, and on
+    the kernel's support s20 <= b1² s00 and s02 <= b2² s00, so a
+    near-singular system with det M <= 1e-14 s00 s20 s02 has
+    cdet <= 1e-14 b1² b2² and has already been rejected as degenerate.
 
-    Cost: the data points are bucketed into tiles about one bandwidth wide
-    per axis, at most sqrt(N / 200) per axis for N points, and each tile
-    only touches the evaluation rows and columns within one bandwidth of its
-    points, where its kernel weights can be nonzero. The work is then
-    proportional to the kernel support rather than to the whole grid. An
-    input under 800 points is one tile covering the whole grid. ``chunk``
-    bounds the data points per matrix product, and so the temporaries.
+    Cost: each ``_support_tiles`` tile (at most sqrt(N / 200) per axis, so
+    under 800 points is one tile) only touches the evaluation rows and
+    columns within one bandwidth of its points, so the work follows the
+    kernel's support. Its kernel weights serve all F columns; the products
+    scale with F.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w_mult = np.ones_like(x1) if weights is None else np.asarray(weights, dtype=float)
+    y_cols, w_cols, stacked = _columns(np.asarray(y, dtype=float), weights, x1.size)
+    n_cols = w_cols.shape[1]
     b1, b2 = float(bandwidths[0]), float(bandwidths[1])
     # sorted evaluation points make the rows and columns a tile reaches contiguous
     eval1 = np.asarray(eval1, dtype=float)
@@ -260,58 +297,46 @@ def local_linear_2d_at(
     eval1, eval2 = eval1[order1], eval2[order2]
 
     n1, n2 = eval1.size, eval2.size
-    cap = math.isqrt(x1.size // _TILE_POINTS_2D)
-    c1, k1 = _cells(x1, b1, cap)
-    c2, k2 = _cells(x2, b2, cap)
-    if k1 * k2 == 1:
-        tiles = [(0, x1.size, slice(0, n1), slice(0, n2))]
-    else:
-        key = c1 * k2 + c2
-        order = np.argsort(key, kind="stable")
-        x1, x2, y, w_mult = x1[order], x2[order], y[order], w_mult[order]
-        bounds = np.searchsorted(key[order], np.arange(k1 * k2 + 1))
-        tiles = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if lo < hi:
-                tiles.append((lo, hi,
-                              _window(eval1, x1[lo:hi].min(), x1[lo:hi].max(), b1),
-                              _window(eval2, x2[lo:hi].min(), x2[lo:hi].max(), b2)))
+    order, tiles = _support_tiles((x1, x2), (eval1, eval2), (b1, b2), _TILE_POINTS_2D,
+                                  5 * n_cols)
+    x1, x2 = x1[order], x2[order]
+    w_t, y_t = w_cols[order].T, y_cols[order].T   # (F, U)
 
-    # s00, s10, t00, s20, t10 | s01, s11, t01 | s02
-    moments = np.zeros((9, n1, n2))
-    count = np.zeros((n1, n2))
-    for lo, hi, rows, cols in tiles:
-        m1, m2 = rows.stop - rows.start, cols.stop - cols.start
-        if m1 == 0 or m2 == 0:
-            continue
-        e1, e2 = eval1[rows], eval2[cols]
-        tile_moments = moments[:, rows, cols]
-        for start in range(lo, hi, chunk):
-            sl = slice(start, min(start + chunk, hi))
-            d1 = x1[None, sl] - e1[:, None]   # d1[p, i] = x1_i - eval1_p
-            d2 = x2[None, sl] - e2[:, None]
-            a = np.empty((5, m1, d1.shape[1]))
-            bk = np.empty((3, m2, d2.shape[1]))
-            np.multiply(kernel_eval(kernel.kx, d1 / b1), w_mult[None, sl], out=a[0])
-            np.multiply(a[0], d1, out=a[1])
-            np.multiply(a[0], y[None, sl], out=a[2])
-            np.multiply(a[1], d1, out=a[3])
-            np.multiply(a[1], y[None, sl], out=a[4])
-            bk[0] = kernel_eval(kernel.ky, d2 / b2)
-            np.multiply(bk[0], d2, out=bk[1])
-            np.multiply(bk[1], d2, out=bk[2])
-            tile_moments[:5] += (a.reshape(5 * m1, -1) @ bk[0].T).reshape(5, m1, m2)
-            tile_moments[5:8] += (a[:3].reshape(3 * m1, -1) @ bk[1].T).reshape(3, m1, m2)
-            tile_moments[8] += a[0] @ bk[2].T
-            count[rows, cols] += (a[0] > 0).astype(float) @ (bk[0] > 0).astype(float).T
+    # s00, s10, t00, s20, t10 | s01, s11, t01 | s02, per column
+    moments = np.zeros((9, n_cols, n1, n2))
+    count = np.zeros((n_cols, n1, n2))
+    for data, (rows, cols) in tiles:
+        d1 = x1[None, data] - eval1[rows, None]   # d1[p, i] = x1_i - eval1_p
+        d2 = x2[None, data] - eval2[cols, None]
+        (m1, n), m2 = d1.shape, d2.shape[0]
+        a = np.empty((5, n_cols, m1, n))
+        bk = np.empty((3, m2, n))
+        np.multiply(kernel_eval(kernel.kx, d1 / b1), w_t[:, None, data], out=a[0])
+        np.multiply(a[0], d1, out=a[1])
+        np.multiply(a[0], y_t[:, None, data], out=a[2])
+        np.multiply(a[1], d1, out=a[3])
+        np.multiply(a[1], y_t[:, None, data], out=a[4])
+        bk[0] = kernel_eval(kernel.ky, d2 / b2)
+        np.multiply(bk[0], d2, out=bk[1])
+        np.multiply(bk[1], d2, out=bk[2])
+        tile = moments[:, :, rows, cols]
+        tile[:5] += (a.reshape(-1, n) @ bk[0].T).reshape(5, n_cols, m1, m2)
+        tile[5:8] += (a[:3].reshape(-1, n) @ bk[1].T).reshape(3, n_cols, m1, m2)
+        tile[8] += a[0] @ bk[2].T
+        count[:, rows, cols] += (a[0] > 0).astype(float) @ (bk[0] > 0).astype(float).T
+
+    def first(bad: np.ndarray) -> tuple[tuple, str]:
+        """The first failing (column, row, col) entry, column by column,
+        and the evaluation point it names."""
+        f, p1, p2 = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        return (f, p1, p2), (f"evaluation point ({eval1[p1]:g}, {eval2[p2]:g})"
+                             + (f" in column {f}" if stacked else ""))
 
     s00, s10, t00, s20, t10, s01, s11, t01, s02 = moments
     if np.any(count < 3):
-        p1, p2 = np.unravel_index(int(np.argmax(count < 3)), count.shape)
+        at, where = first(count < 3)
         raise InsufficientLocalData(
-            f"only {int(count[p1, p2])} point(s) within bandwidths ({b1:g}, {b2:g}) "
-            f"of evaluation point ({eval1[p1]:g}, {eval2[p2]:g})"
-        )
+            f"only {int(count[at])} point(s) within bandwidths ({b1:g}, {b2:g}) of {where}")
 
     # Degenerate designs (all weighted points at one location or collinear)
     # have a vanishing centered second-moment determinant.
@@ -323,20 +348,18 @@ def local_linear_2d_at(
     centered_det = v11 * v22 - v12 * v12
     degenerate = centered_det <= _DEGENERATE_RTOL * (b1 * b1) * (b2 * b2)
     if np.any(degenerate):
-        p1, p2 = np.unravel_index(int(np.argmax(degenerate)), degenerate.shape)
+        _, where = first(degenerate)
         raise InsufficientLocalData(
-            f"degenerate local design (no affinely independent points) at "
-            f"evaluation point ({eval1[p1]:g}, {eval2[p2]:g})"
-        )
+            f"degenerate local design (no affinely independent points) at {where}")
 
     c1 = t10 / s00 - ybar * mu1
     c2 = t01 / s00 - ybar * mu2
     beta1 = (v22 * c1 - v12 * c2) / centered_det
     beta2 = (v11 * c2 - v12 * c1) / centered_det
     sol = ybar - beta1 * mu1 - beta2 * mu2
-    out = np.empty_like(sol)
-    out[np.ix_(order1, order2)] = sol
-    return out
+    out = np.empty((n1, n2, n_cols))
+    out[np.ix_(order1, order2)] = sol.transpose(1, 2, 0)
+    return out if stacked else out[:, :, 0]
 
 
 def lp_weights(q: int, r: int, centers: np.ndarray, z: float, b: float,

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vcflr.evaluate import run_repetition
+from vcflr.evaluate import run_repetition, run_repetitions
 from vcflr.fpca import eigendecompose
 from vcflr.grids import GridSurface, make_grid
 from vcflr.regression import FitConfig, fit
@@ -43,11 +43,14 @@ def basis(s):
 
 
 def repetition_table(design):
-    rows = []
-    for seed in SEEDS:
-        res = run_repetition(design, 400, 200, seed)
-        rows.append((res.mispe_global, res.mispe_vc))
-    return np.asarray(rows)
+    """(global, vc) MISPE per seed, from two worker processes; each
+    repetition is deterministic per seed, so the table equals the serial
+    one."""
+    results, failures = run_repetitions(design, len(SEEDS), 400, 200, base_seed=SEEDS[0],
+                                         threads=2)
+    assert not failures
+    assert [r.rep for r in results] == list(SEEDS)
+    return np.asarray([(r.mispe_global, r.mispe_vc) for r in results])
 
 
 @pytest.fixture(scope="session")

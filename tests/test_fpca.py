@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vcflr import fpca
+from vcflr import fpca, smoothing
 from vcflr.data import Subject
 from vcflr.errors import (
     InsufficientLocalData,
@@ -498,15 +498,15 @@ def oracle_covariance_diagonal(pairs, b, grid, kernel=Kernel1D(), ridge=1e-10):
 
 
 class TestWindowedCovarianceDiagonal:
-    """Inputs of over 3000 kept pairs: several runs of grid points, each
-    fitted from its own window of points."""
+    """Inputs of over 3000 kept pairs: several support tiles along the
+    diagonal, each reaching its own run of grid points."""
 
     @staticmethod
-    def pairs(seed, n=10000, n_lattice=0):
+    def pairs(seed, n=10000, n_lattice=0, step=0.125):
         rng = np.random.default_rng(seed)
         s1, s2 = rng.uniform(0, 10, (2, n))
-        # multiples of 0.125: exact distances to the grid along the diagonal
-        l1, l2 = rng.integers(0, 81, (2, n_lattice)) * 0.125
+        # multiples of the step: exact distances to the grid along the diagonal
+        l1, l2 = rng.integers(0, round(10 / step) + 1, (2, n_lattice)) * step
         s1, s2 = np.concatenate([s1, l1]), np.concatenate([s2, l2])
         vals = np.cos(0.4 * s1) * np.cos(0.4 * s2) + rng.normal(0, 0.2, s1.size)
         return np.column_stack([np.concatenate([s1, s2]), np.concatenate([s2, s1]),
@@ -516,18 +516,19 @@ class TestWindowedCovarianceDiagonal:
     def assert_several_runs(pairs, b, grid, kernel):
         x1, x2, _, _ = aggregate_2d(pairs[:, 0], pairs[:, 1], pairs[:, 2])
         kept = np.count_nonzero(kernel_eval(kernel, (x1 - x2) / np.sqrt(2.0) / b) > 0)
-        assert min(kept // 1000, int(grid.length / b)) >= 3
+        assert min(kept // smoothing._TILE_POINTS_1D, int(grid.length / b)) >= 3
 
     @pytest.mark.parametrize("family", ["epanechnikov", "quartic"])
-    def test_matches_dense_fit(self, family):
+    def test_matches_dense_fit(self, family, monkeypatch):
         pairs, grid = self.pairs(72), make_grid(0, 10, 41)
         kernel = Kernel1D(family)
         self.assert_several_runs(pairs, 1.2, grid, kernel)
         got = covariance_diagonal(grouped(pairs), 1.2, grid, kernel=kernel)
         assert np.allclose(got, oracle_covariance_diagonal(pairs, 1.2, grid, kernel),
                            rtol=1e-10, atol=1e-10)
-        # a block bound far below one run's window splits every run
-        tiny = covariance_diagonal(grouped(pairs), 1.2, grid, kernel=kernel, max_block=3000)
+        # a block bound far below one tile's size splits every tile
+        monkeypatch.setattr(smoothing, "_BLOCK", 3000)
+        tiny = covariance_diagonal(grouped(pairs), 1.2, grid, kernel=kernel)
         assert np.allclose(tiny, got, rtol=1e-12, atol=1e-12)
 
     def test_uniform_kernel_boundary(self):
@@ -535,10 +536,14 @@ class TestWindowedCovarianceDiagonal:
         # diagonal, where the uniform kernel still weighs them
         pairs, grid = self.pairs(73, n_lattice=3000), make_grid(0, 10, 21)
         uni = Kernel1D("uniform")
-        self.assert_several_runs(pairs, 0.5, grid, uni)
-        got = covariance_diagonal(grouped(pairs), 0.5, grid, kernel=uni)
-        assert np.allclose(got, oracle_covariance_diagonal(pairs, 0.5, grid, uni),
-                           rtol=1e-10, atol=1e-10)
+        # lattice points alone, on a grid as fine as the lattice: the tiles'
+        # own ends then sit exactly b from grid points too
+        fine = self.pairs(73, n=0, n_lattice=40000, step=0.03125)
+        for data, grid in ((pairs, grid), (fine, make_grid(0, 10, 321))):
+            self.assert_several_runs(data, 0.5, grid, uni)
+            got = covariance_diagonal(grouped(data), 0.5, grid, kernel=uni)
+            assert np.allclose(got, oracle_covariance_diagonal(data, 0.5, grid, uni),
+                               rtol=1e-10, atol=1e-10)
 
     def test_gap_along_diagonal_insufficient(self):
         pairs, grid = self.pairs(74), make_grid(0, 10, 41)
@@ -606,6 +611,21 @@ class TestEigendecompose:
         vals[0, 1] = 1.0
         with pytest.raises(NotSymmetric):
             eigendecompose(GridSurface(grid, grid, vals), grid, 3)
+
+    def test_at_matches_per_component_interp(self):
+        grid = make_grid(0, 10, 41)
+        eig = eigendecompose(self.make_surface(grid), grid, 6)
+        scale = np.max(np.abs(eig.functions))
+        rng = np.random.default_rng(28)
+        inside = rng.uniform(0, 10, 50)
+        cases = [grid.points, np.array([0.0, 10.0, -1.0, 12.0, 1e-300, 10.0 - 1e-15]),
+                 inside, inside.reshape(5, 10)]     # grid points, both ends, (g, n)
+        for times in cases:
+            got = eig.at(times)
+            assert got.shape == times.shape + (eig.n_components,)
+            for k in range(eig.n_components):
+                want = np.interp(times, grid.points, eig.functions[:, k])
+                assert np.max(np.abs(got[..., k] - want)) <= 1e-15 * scale
 
     def test_orthonormality_random_surfaces_1000(self):
         rng = np.random.default_rng(27)

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vcflr import smoothing
 from vcflr.errors import InsufficientCenters, InsufficientLocalData
 from vcflr.grids import make_grid
 from vcflr.kernels import Kernel1D, Kernel2D, kernel_eval
@@ -169,23 +172,29 @@ class TestLocalLinear2D:
                 want = oracle_local_linear_2d(x1, x2, y, s1, s2, (0.8, 0.8), kern)
                 assert got[i, j] == pytest.approx(want, abs=1e-10)
 
-    def test_chunking_invariance(self):
+    def test_chunking_invariance(self, monkeypatch):
         rng = np.random.default_rng(10)
         n = 300
         x1 = rng.uniform(0, 1, n)
         x2 = rng.uniform(0, 1, n)
         y = rng.normal(size=n)
         g = make_grid(0, 1, 5)
-        a = local_linear_2d_at(x1, x2, y, g.points, g.points, (0.5, 0.5), chunk=37)
-        b = local_linear_2d_at(x1, x2, y, g.points, g.points, (0.5, 0.5), chunk=10_000)
+        b = local_linear_2d_at(x1, x2, y, g.points, g.points, (0.5, 0.5))
+        # five evaluation points per axis: blocks of 37 data points
+        monkeypatch.setattr(smoothing, "_BLOCK", 5 * 37)
+        a = local_linear_2d_at(x1, x2, y, g.points, g.points, (0.5, 0.5))
         assert np.allclose(a, b, atol=1e-12)
 
 
 class TestTiledLocalLinear2D:
-    """Inputs of about 6000 points, split into cells, each in several chunks."""
+    """Inputs of about 6000 points, split into tiles, each in several blocks."""
 
     N = 6000
-    CHUNK = 500
+    BLOCK = 200   # kernel weights per block: a tile of ~240 points in 2+ blocks
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(smoothing, "_BLOCK", self.BLOCK)
 
     def data(self, seed, lattice=False):
         rng = np.random.default_rng(seed)
@@ -197,10 +206,14 @@ class TestTiledLocalLinear2D:
         return x1, x2, y
 
     def check(self, x1, x2, y, e1, e2, b, kern):
-        # the premise: several cells per axis, several chunks per cell
-        cap = int(np.sqrt(self.N // 1000))
-        assert min(cap, int(np.ptp(x1) / b[0]), int(np.ptp(x2) / b[1])) >= 2
-        got = local_linear_2d_at(x1, x2, y, e1, e2, b, kernel=kern, chunk=self.CHUNK)
+        # the premise: several tiles per axis, several blocks per tile
+        cap = math.isqrt(self.N // smoothing._TILE_POINTS_2D)
+        k1, k2 = min(cap, int(np.ptp(x1) / b[0])), min(cap, int(np.ptp(x2) / b[1]))
+        assert min(k1, k2) >= 2
+        _, blocks = smoothing._support_tiles((x1, x2), (np.sort(e1), np.sort(e2)), b,
+                                             smoothing._TILE_POINTS_2D)
+        assert len(blocks) > k1 * k2
+        got = local_linear_2d_at(x1, x2, y, e1, e2, b, kernel=kern)
         want = np.array([[oracle_local_linear_2d(x1, x2, y, s1, s2, b, kern) for s2 in e2]
                          for s1 in e1])
         assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
@@ -232,8 +245,7 @@ class TestTiledLocalLinear2D:
         hole = (np.abs(x1 - 5.0) < 1.5) & (np.abs(x2 - 5.0) < 1.5)
         e = make_grid(0, 10, 11).points
         with pytest.raises(InsufficientLocalData, match="only 0 point"):
-            local_linear_2d_at(x1[~hole], x2[~hole], y[~hole], e, e, (1.2, 1.2),
-                               chunk=self.CHUNK)
+            local_linear_2d_at(x1[~hole], x2[~hole], y[~hole], e, e, (1.2, 1.2))
 
     def test_collinear_design_insufficient(self):
         # every point on the line x2 = 5: plenty of points, no affine spread
@@ -241,7 +253,7 @@ class TestTiledLocalLinear2D:
         x2 = np.full(self.N, 5.0)
         with pytest.raises(InsufficientLocalData, match="degenerate"):
             local_linear_2d_at(x1, x2, y, make_grid(0, 10, 11).points,
-                               np.array([4.5, 5.0, 5.5]), (1.5, 1.5), chunk=self.CHUNK)
+                               np.array([4.5, 5.0, 5.5]), (1.5, 1.5))
 
 
 class TestLocalLinear2DAgainstOracle:
@@ -288,6 +300,44 @@ class TestLocalLinear2DAgainstOracle:
         want = np.array([[oracle_local_linear_2d(r1, r2, ry, s1, s2, b, kern) for s2 in e2]
                          for s1 in e1])
         assert np.allclose(got, want, rtol=1e-8, atol=1e-8)
+
+    @pytest.mark.parametrize("n", [300, 6000])
+    def test_column_stack_matches_per_column_calls(self, n, monkeypatch):
+        # one tile, then several tiles in several blocks
+        monkeypatch.setattr(smoothing, "_BLOCK", 5000)
+        rng = np.random.default_rng(77)
+        x1, x2 = rng.uniform(0, 10, (2, n))
+        w = rng.integers(0, 3, (n, 4)).astype(float)   # zeros: absent locations
+        y = (np.sin(x1) * np.cos(0.5 * x2))[:, None] + rng.normal(0, 0.3, (n, 4))
+        e1, e2, b = make_grid(0, 10, 9).points, make_grid(0, 10, 7).points, (2.5, 2.0)
+        got = local_linear_2d_at(x1, x2, y, e1[::-1], e2, b, weights=w)
+        assert got.shape == (9, 7, 4)
+        for f in range(4):
+            on = w[:, f] > 0
+            want = local_linear_2d_at(x1[on], x2[on], y[on, f], e1[::-1], e2, b,
+                                      weights=w[on, f])
+            assert np.allclose(got[..., f], want, rtol=1e-12, atol=1e-12)
+        one = local_linear_2d_at(x1, x2, y[:, :1], e1, e2, b, weights=w[:, :1])
+        assert one.shape == (9, 7, 1)
+        assert np.allclose(one[..., 0], local_linear_2d_at(x1, x2, y[:, 0], e1, e2, b,
+                                                           weights=w[:, 0]),
+                           rtol=1e-13, atol=1e-13)
+
+    def test_failing_column_raises(self):
+        # column 1 only observes x1 < 6: its own call fails, and the stack
+        # names it; the other columns fit
+        rng = np.random.default_rng(78)
+        x1, x2 = rng.uniform(0, 10, (2, 2000))
+        w = np.ones((2000, 3))
+        w[x1 >= 6.0, 1] = 0.0
+        y = rng.normal(size=(2000, 3))
+        e = make_grid(0, 10, 6).points
+        on = w[:, 1] > 0
+        with pytest.raises(InsufficientLocalData, match="only 0 point"):
+            local_linear_2d_at(x1[on], x2[on], y[on, 1], e, e, (1.5, 1.5))
+        with pytest.raises(InsufficientLocalData, match="only 0 point.* in column 1"):
+            local_linear_2d_at(x1, x2, y, e, e, (1.5, 1.5), weights=w)
+        local_linear_2d_at(x1, x2, y[:, [0, 2]], e, e, (1.5, 1.5), weights=w[:, [0, 2]])
 
     @pytest.mark.parametrize("jitter", [0.0, 1e-9])
     def test_near_collinear_design_is_degenerate(self, jitter):
@@ -353,6 +403,33 @@ class TestLocalLinear1DColumns:
             local_linear_1d_at(x, y, s, 1.5, weights=w)
         keep = [0, 1, 3]
         local_linear_1d_at(x, y[:, keep], s, 1.5, weights=w[:, keep])
+
+    @pytest.mark.parametrize("n", [60, 5000])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_tiled_matches_dense_oracle(self, n, family, monkeypatch):
+        """From one tile to several, each in several blocks: every column
+        against the direct solve of its present points, replicated."""
+        monkeypatch.setattr(smoothing, "_BLOCK", 2000)
+        rng = np.random.default_rng(75)
+        # multiples of 0.125: exact distances b to grid points, where the
+        # uniform kernel still weighs them
+        x = rng.integers(0, 81, n) * 0.125
+        w = rng.integers(0, 3, (n, 3)).astype(float)   # zeros: absent points
+        y = np.sin(x)[:, None] + rng.normal(0, 0.3, (n, 3))
+        s, b, kern = make_grid(0, 10, 41).points, 1.0 if n > 1000 else 2.0, Kernel1D(family)
+        tiles = min(n // smoothing._TILE_POINTS_1D, int(np.ptp(x) / b))
+        assert tiles >= 3 if n > 1000 else tiles <= 1
+        got = local_linear_1d_at(x, y, s, b, kernel=kern, weights=w)
+        for f in range(3):
+            reps = w[:, f].astype(int)
+            r, ry = np.repeat(x, reps), np.repeat(y[:, f], reps)
+            want = [oracle_local_linear_1d(r, ry, si, b, kern) for si in s]
+            assert np.allclose(got[:, f], want, rtol=1e-10, atol=1e-10)
+        # a gap of 3b in column 1 fails its own support check, and only its
+        w[np.abs(x - 5.0) < 1.5 * b, 1] = 0.0
+        with pytest.raises(InsufficientLocalData, match="in column 1"):
+            local_linear_1d_at(x, y, s, b, kernel=kern, weights=w)
+        local_linear_1d_at(x, y[:, [0, 2]], s, b, kernel=kern, weights=w[:, [0, 2]])
 
 
 def oracle_lp_weights(q, r, centers, z, b, kernel):
