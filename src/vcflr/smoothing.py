@@ -49,9 +49,10 @@ _WIDEN_ATTEMPTS = 5
 _TILE_POINTS_1D = 1000
 _TILE_POINTS_2D = 200
 # Most weighted products a smoother forms at once: evaluation points on a
-# tile's longest axis run, times data points, times the products per point
-# (its columns, five per column in 2D). A larger tile is smoothed in blocks
-# of its points, which bounds the temporaries.
+# tile's longest axis run times data points, in 1D, where the temporaries
+# are that size whatever the columns, and that times five per column in 2D,
+# whose moment array is (5, F, run, points). A larger tile is smoothed in
+# blocks of its points, which bounds the temporaries.
 _BLOCK = 1_000_000
 
 
@@ -117,7 +118,8 @@ def _support_tiles(points, evals, bandwidths, floor: int, width: int = 1):
     one bandwidth and a relative 1e-12, so it holds every point that the
     kernels' |x - s| / b <= 1 test accepts, closed-support boundaries
     included. A tile of more than ``_BLOCK`` products (longest run times
-    points times ``width``) comes as several slices of its points.
+    points times ``width``, the caller's arrays of that size per point)
+    comes as several slices of its points.
     """
     n = points[0].size
     cap = n // floor if len(points) == 1 else math.isqrt(n // floor)
@@ -164,8 +166,7 @@ def local_moments_1d(x: np.ndarray, eval_points: np.ndarray, bandwidth: float,
     matrix product per tile for all its columns.
     """
     b = float(bandwidth)
-    order, tiles = _support_tiles((x,), (eval_points,), (b,), _TILE_POINTS_1D,
-                                  max(c.shape[1] for c in columns))
+    order, tiles = _support_tiles((x,), (eval_points,), (b,), _TILE_POINTS_1D)
     x = x[order]
     columns = [c[order] for c in columns]
     sums = [np.zeros((eval_points.size, c.shape[1])) for c in columns]

@@ -180,8 +180,9 @@ class TestLocalLinear2D:
         y = rng.normal(size=n)
         g = make_grid(0, 1, 5)
         b = local_linear_2d_at(x1, x2, y, g.points, g.points, (0.5, 0.5))
-        # five evaluation points per axis: blocks of 37 data points
-        monkeypatch.setattr(smoothing, "_BLOCK", 5 * 37)
+        # five evaluation points per axis and five products per point:
+        # blocks of 37 data points
+        monkeypatch.setattr(smoothing, "_BLOCK", 5 * 5 * 37)
         a = local_linear_2d_at(x1, x2, y, g.points, g.points, (0.5, 0.5))
         assert np.allclose(a, b, atol=1e-12)
 

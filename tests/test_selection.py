@@ -576,10 +576,10 @@ class TestCvAgainstPerCandidateLoop:
         return out
 
     @staticmethod
-    def assert_same(got, want, rel=1e-14):
+    def assert_same(got, want):
         assert [c for c, _ in got] == [c for c, _ in want]
         for (_, a), (_, b) in zip(got, want):
-            assert a == pytest.approx(b, rel=rel, abs=0.0)
+            assert a == pytest.approx(b, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("lattice", [False, True])
     @pytest.mark.parametrize("kind", ["mean_x", "mean_y", "cov_x", "cov_y", "cross"])
@@ -604,21 +604,26 @@ class TestCvAgainstPerCandidateLoop:
         rng = np.random.default_rng(141)
         subjects = []
         for i in range(12):
-            st_, tt = np.sort(rng.uniform(0, 8, (2, 8)), axis=1)
+            st_ = np.sort(rng.uniform(0, 8, 8))
             if i == 0:
-                st_, tt = (np.concatenate([a, [9.3, 9.6, 9.9]]) for a in (st_, tt))
+                st_ = np.concatenate([st_, [9.3, 9.6, 9.9]])
             subjects.append(Subject(f"s{i}", 0.5, st_, np.sin(st_) + rng.normal(0, 0.3, st_.size),
-                                    tt, np.cos(tt) + rng.normal(0, 0.3, tt.size)))
+                                    np.array([1.0, 2.0]), rng.normal(size=2)))
+        # the response stream from a generator of its own, so the predictor
+        # stream is the same for every kind; subject 0 observes it every 0.5,
+        # so that a copy of it lets every fold fit each surface point
+        rng_y = np.random.default_rng(241)
+        for i, s in enumerate(subjects):
+            tt = (np.concatenate([np.arange(0.25, 8, 0.5), [9.3, 9.6, 9.9]]) if i == 0
+                  else np.sort(rng_y.uniform(0, 8, 8)))
+            subjects[i] = replace(s, y_times=tt, y_values=np.cos(tt) + rng_y.normal(0, 0.3, tt.size))
         grid = make_grid(0, 10, 21)
         means = None if kind.startswith("mean") else (3.0, 3.0)
         cands = (small, wide)
         got, _ = cv_errors(subjects, kind, 3, cands, grid, grid, mean_bandwidths=means)
         want = oracle_cv_errors(subjects, kind, 3, cands, grid, grid, mean_bandwidths=means)
         assert [c for c, _ in want] == [wide]
-        # the held-out fits at s, t = 10 extrapolate from subject 0's three
-        # points, which lifts the rounding of the oracle's per-fold sums to
-        # about 4e-14 of the mean_y error
-        self.assert_same(got, want, rel=1e-13)
+        self.assert_same(got, want)
         # the small bandwidth fails only while subject 0 is held out: with a
         # copy of it in fold 1, every fold keeps data near s = 10
         copied = subjects[:1] + [replace(subjects[0], id="copy")] + subjects[1:]
@@ -636,10 +641,15 @@ class TestCvAgainstPerCandidateLoop:
         rng = np.random.default_rng(142)
         subjects = []
         for i in range(15):
-            st_, tt = (np.sort(rng.choice(11, 6, replace=False)).astype(float)
-                       for _ in range(2))
+            st_ = np.sort(rng.choice(11, 6, replace=False)).astype(float)
             subjects.append(Subject(f"s{i}", 0.5, st_, rng.normal(size=6),
-                                    tt, rng.normal(size=6)))
+                                    np.array([1.0]), np.array([0.0])))
+        # the response stream from a generator of its own, so the predictor
+        # stream is the same for every kind
+        rng_y = np.random.default_rng(242)
+        for i, s in enumerate(subjects):
+            tt = np.sort(rng_y.choice(11, 6, replace=False)).astype(float)
+            subjects[i] = replace(s, y_times=tt, y_values=rng_y.normal(size=6))
         grid = make_grid(0, 10, 11)
         uni = Kernel1D("uniform")
         means = None if kind.startswith("mean") else (3.0, 3.0)
