@@ -55,7 +55,7 @@ class TruncationTooLarge(VcflrError):
 
 
 class SingularCovariance(VcflrError):
-    """An observation covariance matrix stayed singular after jitter."""
+    """A subject has no observations to condition its BLUP scores on."""
 
 
 class CovariateOutOfDomain(VcflrError):

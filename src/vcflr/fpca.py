@@ -55,11 +55,13 @@ class EigenSystem:
     def function(self, k: int) -> GridFunction:
         return GridFunction(self.grid, self.functions[:, k].copy())
 
-    def at(self, times) -> np.ndarray:
-        """All eigenfunctions interpolated at times: shape times.shape + (n_comp,)."""
+    def at(self, times, count: int | None = None) -> np.ndarray:
+        """The first ``count`` eigenfunctions (all by default) interpolated
+        at times: shape times.shape + (count,)."""
         times = np.asarray(times, dtype=float)
-        out = np.empty(times.shape + (self.n_components,))
-        for k in range(self.n_components):
+        count = self.n_components if count is None else count
+        out = np.empty(times.shape + (count,))
+        for k in range(count):
             out[..., k] = np.interp(times, self.grid.points, self.functions[:, k])
         return out
 
@@ -452,42 +454,17 @@ def sigma_mk(eig_x: EigenSystem, eig_y: EigenSystem | None,
     return lw.T @ cross.values @ rw
 
 
-def observation_covariance(times, cov: GridSurface, sigma2: float,
-                           cond_limit: float = 1e12) -> np.ndarray:
-    """Covariance of one subject's noisy observations: (n, n) for one time
-    vector, (g, n, n) for a (g, n) stack of them, each matrix on its own.
-
-    The smoothed surface is interpolated at observation-time pairs and the
-    error variance added on the diagonal. Noisy surfaces can be locally
-    negative definite at close time pairs, which would let the process part
-    eat the noise variance and blow up the BLUP, so negative eigenvalues of
-    the process block are clipped to zero first. A diagonal jitter of
-    1e-8 tr(Sigma)/n is applied when the condition number still exceeds
-    cond_limit; before the jitter Sigma has eigenvalues max(lambda, 0) +
-    sigma2, so that number is read off the eigenvalues already computed
-    (1 for a single observation).
-    """
-    times = np.asarray(times, dtype=float)
-    stack = np.atleast_2d(times)
-    g, n = stack.shape
-    sigma = cov.at(stack[:, :, None], stack[:, None, :])   # broadcasts to (g, n, n)
-    sigma = (sigma + sigma.swapaxes(1, 2)) / 2.0
-    noise = max(sigma2, VARIANCE_FLOOR)
-    jitter = np.zeros(g, dtype=bool)
-    if n > 1:
-        eigvals, eigvecs = np.linalg.eigh(sigma)
-        neg = eigvals[:, 0] < 0
-        if neg.any():
-            vecs = eigvecs[neg]
-            clipped = (vecs * np.maximum(eigvals[neg], 0.0)[:, None, :]) @ vecs.swapaxes(1, 2)
-            sigma[neg] = (clipped + clipped.swapaxes(1, 2)) / 2.0
-        jitter = (np.maximum(eigvals[:, -1], 0.0) + noise) \
-            / (np.maximum(eigvals[:, 0], 0.0) + noise) > cond_limit
-    diag = np.einsum("gii->gi", sigma)   # writable view of every diagonal
-    diag += noise
-    if jitter.any():
-        diag += np.where(jitter, 1e-8 * diag.sum(axis=1) / n, 0.0)[:, None]
-    return sigma[0] if times.ndim == 1 else sigma
+def observation_covariance(times, eig: EigenSystem, sigma2: float) -> np.ndarray:
+    """Dense covariance Psi Lambda Psi^T + sigma2 I of noisy observations at
+    one time vector (n, n) or at each of a (g, n) stack of them (g, n, n),
+    over every component of ``eig``, with sigma2 floored at
+    ``VARIANCE_FLOOR`` as in ``_blup_operator``. The BLUP never builds it;
+    it is the reference that operator is checked against."""
+    psi = eig.at(times)
+    sigma = (psi * eig.values) @ psi.swapaxes(-1, -2)
+    diag = np.arange(psi.shape[-2])
+    sigma[..., diag, diag] += max(sigma2, VARIANCE_FLOOR)
+    return sigma
 
 
 def _count_groups(sizes) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -518,28 +495,40 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[first], inverse
 
 
-def _blup_operator(times: np.ndarray, eig: EigenSystem, cov: GridSurface,
-                   sigma2: float, n_components: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenfunctions psi (g, n, m) and BLUP operators A = Lambda psi^T Sigma^{-1}
-    (g, m, n) at a (g, n) stack of time vectors: one stacked covariance build
-    and solve, shared by repeated vectors. Scores are A (values - mean)."""
+def _blup_operator(times: np.ndarray, eig: EigenSystem,
+                   sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenfunctions psi (g, n, K) and BLUP operators A (g, K, n) at a
+    (g, n) stack of time vectors, over all K retained components; scores
+    are A (values - mean), and their first k rows are the first k scores.
+
+    Each subject is conditioned on the covariance refitted from the
+    retained eigenpairs, Sigma = psi Lambda psi^T + sigma2 I (PACE), which
+    is positive definite by construction, so by Woodbury
+    A = Lambda psi^T Sigma^{-1} = (Lambda^{-1} + psi^T psi / sigma2)^{-1} psi^T / sigma2,
+    solved as (sigma2 Lambda^{-1} + psi^T psi)^{-1} psi^T: one K x K system
+    per distinct time vector, with sigma2 floored at ``VARIANCE_FLOOR``. The
+    retained spectrum (after ``eigen_floor``) is the bin's covariance
+    estimate, while a truncation order regularises the slope, so Sigma
+    uses every retained component whatever order is scored: one operator
+    per bin serves every candidate order.
+    """
     rows = slice(None)
     if times.shape[0] > 1:
         times, rows = _unique_rows(times)
-    psi = eig.at(times)[..., :n_components]
-    try:
-        sol = np.linalg.solve(observation_covariance(times, cov, sigma2), psi)
-    except np.linalg.LinAlgError as err:
-        raise SingularCovariance(f"observation covariance is singular: {err}") from None
-    return psi[rows], (eig.values[:n_components, None] * sol.swapaxes(1, 2))[rows]
+    psi = eig.at(times)
+    psi_t = psi.swapaxes(1, 2)
+    gram = psi_t @ psi
+    diag = np.arange(eig.n_components)
+    gram[:, diag, diag] += max(sigma2, VARIANCE_FLOOR) / eig.values
+    return psi[rows], np.linalg.solve(gram, psi_t)[rows]
 
 
-def blup_scores(times, values, mean_values, eig: EigenSystem,
-                cov: GridSurface, sigma2: float, n_components: int) -> np.ndarray:
-    """Best linear predictor of FPC scores from sparse noisy observations.
-
-    score_k = lambda_k phi_k(times)^T Sigma^{-1} (values - mean), with Sigma
-    from observation_covariance.
+def blup_scores(times, values, mean_values, eig: EigenSystem, sigma2: float,
+                n_components: int) -> np.ndarray:
+    """Best linear predictor of the first n_components FPC scores from
+    sparse noisy observations: Lambda phi(times)^T Sigma^{-1} (values - mean),
+    with Sigma the covariance of ``_blup_operator``, fitted from all of the
+    eigensystem's components.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
@@ -548,8 +537,8 @@ def blup_scores(times, values, mean_values, eig: EigenSystem,
         raise TruncationTooLarge(
             f"requested {n_components} components, {eig.n_components} available")
     resid = np.asarray(values, dtype=float) - np.asarray(mean_values, dtype=float)
-    _, ops = _blup_operator(times[None, :], eig, cov, sigma2, n_components)
-    return ops[0] @ resid
+    _, ops = _blup_operator(times[None, :], eig, sigma2)
+    return ops[0, :n_components] @ resid
 
 
 def default_bandwidth(domain_length: float, n_points: int) -> float:

@@ -446,9 +446,9 @@ def predict(model: FittedModel, x_obs, z_star: float) -> Prediction:
     a non-finite time or value, or a time outside the model's s domain, raise
     DomainViolation.
 
-    Cost: one ``refine`` plus, on the sparse path, one n x n covariance
-    build and solve for the n observations; everything else is a handful of
-    O(n + G T) array operations.
+    Cost: one ``refine`` plus, on the sparse path, one K x K solve for
+    the n observations (K the nearest bin's retained components);
+    everything else is a handful of O(n + G T) array operations.
     """
     lo, hi = model.z_domain
     if not (lo <= z_star <= hi):
@@ -478,8 +478,7 @@ def predict(model: FittedModel, x_obs, z_star: float) -> Prediction:
     else:
         p_star = model.partition.nearest_bin(z_star)
         near = model.bins[p_star]
-        scores = blup_scores(times, values, mean_x.at(times), near.eig_x,
-                             near.cov_x, near.sigma2_x, m)
+        scores = blup_scores(times, values, mean_x.at(times), near.eig_x, near.sigma2_x, m)
         centered = near.eig_x.functions[:, :m] @ scores
         mode = "sparse"
 

@@ -117,8 +117,7 @@ def _truncation_table(bins: list[BinEstimate], subjects_by_bin: list[list[Subjec
         resid = np.concatenate([getattr(sub, f"{stream}_values") for sub in subjects]) \
             - getattr(b, f"mean_{stream}").at(flat)
         for _, pos in _count_groups([t.size for t in times]):
-            phi, ops = _blup_operator(flat[pos], getattr(b, f"eig_{stream}"),
-                                      getattr(b, f"cov_{stream}"), sigma2, kmax)
+            phi, ops = _blup_operator(flat[pos], getattr(b, f"eig_{stream}"), sigma2)
             eps = resid[pos]
             scores = np.einsum("gkn,gn->gk", ops, eps)
             for k in range(1, kmax + 1):
@@ -165,8 +164,8 @@ class _RefinementResiduals:
 
     With w_i the refinement weights at subject i's covariate, the residual
     is eps_i = y_i - sum_q w_iq mu_{y,q}(t_i) - sum_p w_ip G_ip (U_ip - V_ip w_i):
-    A_ip = Lambda Psi^T Sigma^{-1} is bin p's BLUP operator at subject i's
-    predictor times, U_ip = A_ip x_i, V_ip = A_ip [mu_{x,q}(s_i)]_q and
+    A_ip is the first M rows of bin p's BLUP operator (``fpca._blup_operator``)
+    at subject i's predictor times, U_ip = A_ip x_i, V_ip = A_ip [mu_{x,q}(s_i)]_q and
     G_ip = phi_p(t_i) Gamma_p^T, Gamma_p = sigma_mk / rho_m (phi = 1 for a
     scalar response). U, V, G (one stacked BLUP operator per bin and
     observation count) and the bin response means at the flat, subject-tagged
@@ -187,8 +186,7 @@ class _RefinementResiduals:
         groups = _count_groups([sub.n_x for sub in subjects])
         for p, b in enumerate(model.bins):
             for idx, pos in groups:
-                _, ops = _blup_operator(x_times[pos], b.eig_x, b.cov_x,
-                                        max(b.sigma2_x, VARIANCE_FLOOR), m)
+                ops = _blup_operator(x_times[pos], b.eig_x, b.sigma2_x)[1][:, :m]
                 self.u[idx, p] = np.einsum("gmn,gn->gm", ops, x_values[pos])
                 self.v[idx, p] = ops @ mean_x[pos]
 
@@ -205,7 +203,7 @@ class _RefinementResiduals:
             self.y = np.concatenate([sub.y_values for sub in subjects])
             self.mean_y = np.column_stack([b.mean_y.at(y_times) for b in model.bins])
             self.g = np.stack([
-                b.eig_y.at(y_times)[:, :k] @ (b.sigma_mk[:m, :k] / b.eig_x.values[:m, None]).T
+                b.eig_y.at(y_times, k) @ (b.sigma_mk[:m, :k] / b.eig_x.values[:m, None]).T
                 for b in model.bins], axis=1)                    # (N_y, P, M)
             self.sigma2_y = max(model.sigma2_y, VARIANCE_FLOOR)
 

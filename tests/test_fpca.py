@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vcflr import fpca, smoothing
 from vcflr.data import Subject
@@ -758,57 +758,57 @@ class TestSigmaMk:
 
 
 class TestBlupScores:
-    def make_rank_one(self, grid):
-        phi = np.ones((grid.n, 1)) / np.sqrt(10.0)
-        # normalize under trapezoid: integral of phi^2 = 1
-        eig = EigenSystem(grid, np.array([1.0]),
-                          np.ones((grid.n, 1)) * np.sqrt(1.0 / 10.0))
-        return eig
-
     def test_scalar_shrinkage(self):
         grid = make_grid(0, 10, 11)
         # lambda = 1, phi(t) = 1, sigma2 = 0.5, single observation V = 3
         eig = EigenSystem(grid, np.array([1.0]), np.ones((grid.n, 1)))
-        cov = GridSurface(grid, grid, np.ones((11, 11)))   # lambda phi phi'
-        score = blup_scores(np.array([4.0]), np.array([3.0]), np.array([0.0]),
-                            eig, cov, 0.5, 1)
+        score = blup_scores(np.array([4.0]), np.array([3.0]), np.array([0.0]), eig, 0.5, 1)
         assert score[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_residual_zero_scores(self):
         grid = make_grid(0, 10, 21)
-        psi = basis(grid.points)
-        eig = EigenSystem(grid, RHO.copy(), psi.copy())
-        cov = GridSurface(grid, grid, (psi * RHO) @ psi.T)
+        eig = EigenSystem(grid, RHO.copy(), basis(grid.points))
         times = np.array([1.0, 3.0, 6.0])
         mu = np.array([2.0, 1.0, 0.0])
-        scores = blup_scores(times, mu, mu, eig, cov, 1.0, 3)
+        scores = blup_scores(times, mu, mu, eig, 1.0, 3)
         assert np.allclose(scores, 0.0, atol=1e-12)
 
     def test_linear_in_residuals(self):
         rng = np.random.default_rng(32)
         grid = make_grid(0, 10, 51)
-        psi = basis(grid.points)
-        eig = EigenSystem(grid, RHO.copy(), psi.copy())
-        cov = GridSurface(grid, grid, (psi * RHO) @ psi.T)
+        eig = EigenSystem(grid, RHO.copy(), basis(grid.points))
         times = np.sort(rng.uniform(0, 10, 7))
         v = rng.normal(size=7)
-        s1 = blup_scores(times, v, np.zeros(7), eig, cov, 1.0, 3)
-        s2 = blup_scores(times, 2 * v, np.zeros(7), eig, cov, 1.0, 3)
+        s1 = blup_scores(times, v, np.zeros(7), eig, 1.0, 3)
+        s2 = blup_scores(times, 2 * v, np.zeros(7), eig, 1.0, 3)
         assert np.allclose(s2, 2 * s1, atol=1e-10)
+
+    def test_leading_scores_condition_on_every_component(self):
+        # fewer scores than components: the same rows of the operator that
+        # conditions on the whole retained spectrum
+        rng = np.random.default_rng(34)
+        grid = make_grid(0, 10, 51)
+        eig = EigenSystem(grid, RHO.copy(), basis(grid.points))
+        times = np.sort(rng.uniform(0, 10, 5))
+        v = rng.normal(size=5)
+        full = blup_scores(times, v, np.zeros(5), eig, 0.5, 3)
+        assert np.allclose(blup_scores(times, v, np.zeros(5), eig, 0.5, 1), full[:1],
+                           rtol=1e-14, atol=0)
+        sigma = observation_covariance(times, eig, 0.5)
+        want = RHO * (eig.at(times).T @ np.linalg.solve(sigma, v))
+        assert np.allclose(full, want, rtol=1e-12, atol=0)
 
     def test_dense_noiseless_recovery(self):
         rng = np.random.default_rng(33)
         grid = make_grid(0, 10, 101)
-        psi = basis(grid.points)
-        eig = EigenSystem(grid, RHO.copy(), psi.copy())
-        cov = GridSurface(grid, grid, (psi * RHO) @ psi.T)
+        eig = EigenSystem(grid, RHO.copy(), basis(grid.points))
         times = np.linspace(0, 10, 31)
         psi_t = basis(times)
         errs = []
         for _ in range(50):
             zeta = rng.normal(0, np.sqrt(RHO))
             v = psi_t @ zeta
-            got = blup_scores(times, v, np.zeros(31), eig, cov, 0.0, 3)
+            got = blup_scores(times, v, np.zeros(31), eig, 0.0, 3)
             errs.append(got - zeta)
         rms = np.sqrt(np.mean(np.square(errs)))
         assert rms < 0.05
@@ -816,53 +816,18 @@ class TestBlupScores:
     def test_too_many_components(self):
         grid = make_grid(0, 10, 21)
         eig = EigenSystem(grid, np.array([1.0]), np.ones((21, 1)))
-        cov = GridSurface(grid, grid, np.ones((21, 21)))
         with pytest.raises(TruncationTooLarge):
-            blup_scores(np.array([1.0]), np.array([1.0]), np.array([0.0]),
-                        eig, cov, 0.5, 2)
+            blup_scores(np.array([1.0]), np.array([1.0]), np.array([0.0]), eig, 0.5, 2)
 
     def test_no_observations(self):
         grid = make_grid(0, 10, 21)
         eig = EigenSystem(grid, np.array([1.0]), np.ones((21, 1)))
-        cov = GridSurface(grid, grid, np.ones((21, 21)))
         with pytest.raises(SingularCovariance):
-            blup_scores(np.array([]), np.array([]), np.array([]), eig, cov, 0.5, 1)
-
-
-class TestObservationCovariance:
-    @pytest.mark.parametrize("kind, seed", [
-        ("psd", 90), ("psd", 91), ("indefinite", 92), ("indefinite", 93)])
-    def test_jitter_switches_at_svd_condition_number(self, kind, seed):
-        # the jitter rule reads the condition number off the eigenvalues it
-        # already has; it must agree with the SVD-based np.linalg.cond to 1e-8
-        rng = np.random.default_rng(seed)
-        grid = make_grid(0, 10, 31)
-        a = rng.normal(size=(grid.n, 3 if kind == "psd" else grid.n))
-        cov = GridSurface(grid, grid, a @ a.T if kind == "psd" else (a + a.T) / 2.0)
-        times = np.sort(rng.uniform(0, 10, 9))
-        tt1, tt2 = np.meshgrid(times, times, indexing="ij")
-        raw = cov.at(tt1.ravel(), tt2.ravel()).reshape(times.size, times.size)
-        assert kind == "psd" or np.linalg.eigvalsh((raw + raw.T) / 2.0)[0] < 0
-        sigma2 = 0.05
-        plain = observation_covariance(times, cov, sigma2, cond_limit=np.inf)
-        cond = np.linalg.cond(plain)
-        assert 10.0 < cond < 1e8
-        kept = observation_covariance(times, cov, sigma2, cond_limit=cond * (1 + 1e-8))
-        assert np.array_equal(kept, plain)
-        jittered = observation_covariance(times, cov, sigma2, cond_limit=cond * (1 - 1e-8))
-        jitter = 1e-8 * np.trace(plain) / times.size
-        assert np.array_equal(jittered, plain + jitter * np.eye(times.size))
+            blup_scores(np.array([]), np.array([]), np.array([]), eig, 0.5, 1)
 
 
 class TestBatchedObservationCovariance:
     GRID = make_grid(0, 10, 31)
-
-    def surfaces(self):
-        rng = np.random.default_rng(94)
-        psd = basis(self.GRID.points) * np.array([4e5, 2e5, 1e5])
-        a = rng.normal(size=(self.GRID.n, self.GRID.n))
-        return {"psd": GridSurface(self.GRID, self.GRID, psd @ basis(self.GRID.points).T),
-                "indefinite": GridSurface(self.GRID, self.GRID, (a + a.T) / 2.0)}
 
     def stack(self, n, seed):
         rng = np.random.default_rng(seed)
@@ -872,42 +837,75 @@ class TestBatchedObservationCovariance:
 
     @pytest.mark.parametrize("n", [1, 2, 6])
     def test_matches_per_vector_calls(self, n):
-        for name, cov in self.surfaces().items():
-            times = self.stack(n, 95 + n)
-            sigma2 = 1e-12 if name == "psd" else 0.3
-            conds = [np.linalg.cond(observation_covariance(t, cov, sigma2, cond_limit=np.inf))
-                     for t in times]
-            limit = float(np.median(conds)) if n > 1 else 1e12
-            batched = observation_covariance(times, cov, sigma2, cond_limit=limit)
+        # a (12, n) stack, one row repeated, gives what one call per row gives:
+        # the dense reference, and the operator through its row dedupe
+        eig = EigenSystem(self.GRID, RHO.copy(), basis(self.GRID.points))
+        times = self.stack(n, 95 + n)
+        for sigma2 in (1e-12, 0.3):
+            batched = observation_covariance(times, eig, sigma2)
             assert batched.shape == (12, n, n)
-            single = np.stack([observation_covariance(t, cov, sigma2, cond_limit=limit)
-                               for t in times])
+            single = np.stack([observation_covariance(t, eig, sigma2) for t in times])
             assert np.allclose(batched, single, rtol=1e-14, atol=0)
-            if n == 1:
-                continue
-            full = times.shape + (n,)
-            raw = cov.at(np.broadcast_to(times[:, :, None], full),
-                         np.broadcast_to(times[:, None, :], full))
-            clipped = np.linalg.eigvalsh((raw + raw.swapaxes(1, 2)) / 2.0)[:, 0] < 0
-            if name == "indefinite":
-                assert clipped.any()      # the clip fires inside the stack
-            else:
-                jittered = np.array(conds) > limit
-                assert jittered.any() and not jittered.all()
+            phi, ops = _blup_operator(times, eig, sigma2)
+            assert phi.shape == (12, n, 3) and ops.shape == (12, 3, n)
+            for t, p, op in zip(times, phi, ops):
+                p1, op1 = _blup_operator(t[None, :], eig, sigma2)
+                assert np.array_equal(p, p1[0])
+                assert np.allclose(op, op1[0], rtol=1e-12, atol=1e-14 * np.abs(op1).max())
+
+    @given(n_comp=st.integers(1, 4), g=st.integers(1, 6), n=st.integers(1, 8),
+           layout=st.sampled_from(["distinct", "duplicate", "one_time"]),
+           repeat=st.booleans(), sigma2=st.sampled_from([0.05, 0.5, 2.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n_comp=1, g=3, n=1, layout="distinct", repeat=False, sigma2=0.5, seed=0)
+    @example(n_comp=4, g=2, n=1, layout="distinct", repeat=True, sigma2=0.05, seed=1)
+    @example(n_comp=1, g=4, n=5, layout="duplicate", repeat=True, sigma2=0.5, seed=2)
+    @example(n_comp=3, g=5, n=6, layout="one_time", repeat=True, sigma2=0.05, seed=3)
+    @settings(max_examples=200, deadline=None)
+    def test_woodbury_matches_dense_solve(self, n_comp, g, n, layout, repeat, sigma2, seed):
+        # an eigensystem of n_comp components and a (g, n) stack of time
+        # vectors that may repeat a row, repeat a time within each row or
+        # put every time of a row at one point
+        rng = np.random.default_rng(seed)
+        funcs = np.linalg.qr(rng.normal(size=(self.GRID.n, n_comp)))[0] * 2.0
+        eig = EigenSystem(self.GRID, np.sort(rng.uniform(0.05, 5.0, n_comp))[::-1], funcs)
+        times = np.sort(rng.uniform(0, 10, (g, n)), axis=1)
+        if layout == "duplicate" and n > 1:
+            times[:, 1] = times[:, 0]
+        elif layout == "one_time":
+            times[:] = times[:, :1]
+        if repeat and g > 1:
+            times[-1] = times[0]
+        resid = rng.normal(size=(g, n))
+
+        phi, ops = _blup_operator(times, eig, sigma2)
+        assert phi.shape == (g, n, n_comp) and ops.shape == (g, n_comp, n)
+        sigma = observation_covariance(times, eig, sigma2)
+        want = eig.values * np.einsum("gnk,gn->gk", eig.at(times),
+                                      np.linalg.solve(sigma, resid[..., None])[..., 0])
+        got = np.einsum("gkn,gn->gk", ops, resid)
+        assert np.isfinite(got).all()
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-10 * scale)
+
+    def test_variance_floor_inside_the_operator(self):
+        eig = EigenSystem(self.GRID, RHO.copy(), basis(self.GRID.points))
+        times = self.stack(4, 97)
+        _, floored = _blup_operator(times, eig, fpca.VARIANCE_FLOOR)
+        for sigma2 in (0.0, -1.0):
+            assert np.array_equal(_blup_operator(times, eig, sigma2)[1], floored)
 
     def test_blup_operator_shares_repeated_vectors(self):
-        psi = basis(self.GRID.points)
-        eig = EigenSystem(self.GRID, RHO.copy(), psi.copy())
-        cov = GridSurface(self.GRID, self.GRID, (psi * RHO) @ psi.T)
+        eig = EigenSystem(self.GRID, RHO.copy(), basis(self.GRID.points))
         times = self.stack(5, 99)
-        phi, ops = _blup_operator(times, eig, cov, 0.5, 2)
-        assert phi.shape == (12, 5, 2) and ops.shape == (12, 2, 5)
+        phi, ops = _blup_operator(times, eig, 0.5)
+        assert phi.shape == (12, 5, 3) and ops.shape == (12, 3, 5)
         assert np.array_equal(ops[4], ops[5])
         rng = np.random.default_rng(99)
         for t, op in zip(times, ops):
             r = rng.normal(size=5)
-            want = blup_scores(t, r, np.zeros(5), eig, cov, 0.5, 2)
-            assert np.allclose(op @ r, want, rtol=1e-12, atol=1e-14)
+            want = blup_scores(t, r, np.zeros(5), eig, 0.5, 2)
+            assert np.allclose(op[:2] @ r, want, rtol=1e-12, atol=1e-14)
 
     def test_count_groups_positions(self):
         groups = _count_groups([3, 0, 2, 3])

@@ -1,14 +1,20 @@
 """Cross-module pipeline behaviors: BLUP scores against fitted bins,
-per-subject prediction quality versus the global baseline, and bandwidth CV
-on realistic bins."""
+per-subject prediction quality versus the global baseline, bandwidth CV
+on realistic bins, and a scalar response through full auto-selection,
+saving and loading."""
+
+import json
+import math
 
 import numpy as np
 
+from vcflr.data import LongitudinalDataset, Subject
 from vcflr.fpca import blup_scores
 from vcflr.grids import make_grid
 from vcflr.regression import FitConfig, fit, fit_global, predict
 from vcflr.selection import cv_smoother_bandwidth
-from vcflr.simulation import REGULAR, generate
+from vcflr.serialize import load_model, save_model
+from vcflr.simulation import REGULAR, SPARSE, generate
 
 
 class TestEstimateScores:
@@ -22,7 +28,7 @@ class TestEstimateScores:
         bin_est = model.bins[0]
         scores = np.array([
             blup_scores(s.x_times, s.x_values, bin_est.mean_x.at(s.x_times),
-                        bin_est.eig_x, bin_est.cov_x, bin_est.sigma2_x, 1)[0]
+                        bin_est.eig_x, bin_est.sigma2_x, 1)[0]
             for s in ds.subjects])
         corr = np.corrcoef(scores, truth.zeta[:, 0] * np.sign(
             bin_est.eig_x.functions[10, 0] /
@@ -71,3 +77,51 @@ class TestMeanBandwidthCv:
             if got < cands[-1]:
                 rejected_top += 1
         assert rejected_top >= 8
+
+
+def scalar_responses(ds):
+    """The dataset with each subject's response replaced by its mean y."""
+    subjects = [Subject(s.id, s.z, s.x_times, s.x_values, None,
+                        np.array([float(s.y_values.mean())])) for s in ds.subjects]
+    return LongitudinalDataset(subjects, ds.s_domain, None, ds.z_domain,
+                               scalar_response=True)
+
+
+def numbers(doc):
+    """Every number in a JSON document, nested lists and objects included."""
+    if isinstance(doc, dict):
+        for value in doc.values():
+            yield from numbers(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from numbers(value)
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield doc
+
+
+class TestScalarAutoSelection:
+    def test_fit_save_load_predict(self, tmp_path):
+        train = scalar_responses(generate(SPARSE, 400, seed=120)[0])
+        model = fit(train, FitConfig(n_bins=None))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert all(math.isfinite(v) for v in numbers(doc))
+        for stack in (model.mean_x_stack, model.mean_y_stack, model.raw_beta_stack):
+            assert np.isfinite(stack).all()
+
+        back = load_model(path)
+        chosen = back.selection.chosen
+        assert chosen["P"] == model.n_bins == back.n_bins
+        assert chosen["M"] == model.truncation[0] == back.truncation[0]
+        assert chosen["K"] is None and back.truncation[1] is None
+        assert chosen["b"] == model.refine_bandwidth == back.refine_bandwidth
+
+        test = scalar_responses(generate(SPARSE, 50, seed=121)[0])
+        for s in test.subjects:
+            x_obs = np.column_stack([s.x_times, s.x_values])
+            fitted = predict(model, x_obs, s.z)
+            loaded = predict(back, x_obs, s.z)
+            assert fitted.mode == "sparse" and math.isfinite(fitted.y_hat)
+            assert abs(fitted.y_hat - loaded.y_hat) <= 1e-12

@@ -107,15 +107,15 @@ class TestSelectTruncation:
 
 def recompute_truncation_table(bins, subjects_by_bin, candidates, stream, criterion,
                                n_total):
-    """Independent re-derivation of the truncation criterion: one
-    observation covariance and one np.linalg.solve per subject."""
+    """Independent re-derivation of the truncation criterion: one dense
+    observation covariance over every retained component and one
+    np.linalg.solve per subject."""
     pen_scale = 2.0 if criterion == "AIC" else math.log(n_total)
     table = {}
     for c in candidates:
         total = 0.0
         for bb, subjects in zip(bins, subjects_by_bin):
             eig = bb.eig_x if stream == "x" else bb.eig_y
-            cov = bb.cov_x if stream == "x" else bb.cov_y
             mean = bb.mean_x if stream == "x" else bb.mean_y
             sigma2 = max(bb.sigma2_x if stream == "x" else bb.sigma2_y, VARIANCE_FLOOR)
             for sub in subjects:
@@ -124,7 +124,7 @@ def recompute_truncation_table(bins, subjects_by_bin, candidates, stream, criter
                 resid = values - np.interp(times, mean.grid.points, mean.values)
                 phi = np.column_stack([np.interp(times, eig.grid.points, eig.functions[:, k])
                                        for k in range(c)])
-                sig = observation_covariance(times, cov, sigma2)
+                sig = observation_covariance(times, eig, sigma2)
                 scores = eig.values[:c] * (phi.T @ np.linalg.solve(sig, resid))
                 eps = resid - phi @ scores
                 total += float(eps @ eps) / sigma2 \
@@ -167,8 +167,8 @@ def recompute_bandwidth_table(model, ds, candidates, criterion):
             for p, bb in enumerate(model.bins):
                 if w[p] == 0.0:
                     continue
-                sig = observation_covariance(
-                    sub.x_times, bb.cov_x, max(bb.sigma2_x, VARIANCE_FLOOR))
+                sig = observation_covariance(sub.x_times, bb.eig_x,
+                                             max(bb.sigma2_x, VARIANCE_FLOOR))
                 alpha = np.linalg.solve(sig, rx)
                 psi_i = np.column_stack([
                     np.interp(sub.x_times, model.s_grid.points,
