@@ -122,8 +122,10 @@ class BinPartition:
     def counts(self) -> np.ndarray:
         return np.array([idx.size for idx in self.index_sets])
 
-    def nearest_bin(self, z: float) -> int:
-        return int(np.argmin(np.abs(self.centers - z)))
+    def nearest_bin(self, z):
+        """Index of the center nearest z (the lower one on a tie); an array
+        of them for an array of z."""
+        return np.abs(self.centers - np.asarray(z)[..., None]).argmin(axis=-1)
 
 
 def load_csv(path, s_domain: tuple[float, float], z_domain: tuple[float, float],

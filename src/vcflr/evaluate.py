@@ -61,11 +61,6 @@ def run_repetition(design: SimDesign, n_train: int, n_test: int, seed: int,
     return result
 
 
-def _worker(args):
-    design, n_train, n_test, seed, vc_config, global_config = args
-    return run_repetition(design, n_train, n_test, seed, vc_config, global_config)
-
-
 @contextmanager
 def _single_thread_blas():
     """Set every BLAS thread variable to 1 for the duration, then restore
@@ -89,29 +84,24 @@ def run_repetitions(design: SimDesign, reps: int, n_train: int, n_test: int,
     """Run several repetitions, tolerating individual failures.
 
     Returns (results, failures) where failures is a list of
-    (seed, exception message) pairs for repetitions that raised. With
-    ``threads`` > 1 the repetitions run in that many freshly spawned worker
-    processes, each with BLAS pinned to one thread: the workers already use
-    the cores, and threaded BLAS in each of them oversubscribes the machine.
+    (seed, exception message) pairs for repetitions that raised. The
+    repetitions run in ``threads`` freshly spawned worker processes (one by
+    default, and for any ``threads`` below one), each with BLAS pinned to
+    one thread: parallel workers already use the cores, threaded BLAS in
+    each of them oversubscribes the machine, and even a lone worker runs
+    these small products faster on one BLAS thread.
     """
     jobs = [(design, n_train, n_test, base_seed + r, vc_config, global_config)
             for r in range(reps)]
     results: list[RepetitionResult] = []
     failures: list[tuple[int, str]] = []
-    if threads > 1:
-        with _single_thread_blas(), ProcessPoolExecutor(
-                max_workers=threads, mp_context=multiprocessing.get_context("spawn")) as pool:
-            futures = {pool.submit(_worker, job): job[3] for job in jobs}
-            for fut, seed in futures.items():
-                try:
-                    results.append(fut.result())
-                except Exception as err:  # noqa: BLE001 - per-rep isolation
-                    failures.append((seed, f"{type(err).__name__}: {err}"))
-    else:
-        for job in jobs:
+    with _single_thread_blas(), ProcessPoolExecutor(
+            max_workers=max(threads, 1), mp_context=multiprocessing.get_context("spawn")) as pool:
+        futures = {pool.submit(run_repetition, *job): job[3] for job in jobs}
+        for fut, seed in futures.items():
             try:
-                results.append(_worker(job))
+                results.append(fut.result())
             except Exception as err:  # noqa: BLE001 - per-rep isolation
-                failures.append((job[3], f"{type(err).__name__}: {err}"))
+                failures.append((seed, f"{type(err).__name__}: {err}"))
     results.sort(key=lambda r: r.rep)
     return results, failures

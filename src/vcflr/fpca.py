@@ -55,13 +55,12 @@ class EigenSystem:
     def function(self, k: int) -> GridFunction:
         return GridFunction(self.grid, self.functions[:, k].copy())
 
-    def at(self, times, count: int | None = None) -> np.ndarray:
-        """The first ``count`` eigenfunctions (all by default) interpolated
-        at times: shape times.shape + (count,)."""
+    def at(self, times) -> np.ndarray:
+        """Every eigenfunction interpolated at times: shape
+        times.shape + (n_components,)."""
         times = np.asarray(times, dtype=float)
-        count = self.n_components if count is None else count
-        out = np.empty(times.shape + (count,))
-        for k in range(count):
+        out = np.empty(times.shape + (self.n_components,))
+        for k in range(self.n_components):
             out[..., k] = np.interp(times, self.grid.points, self.functions[:, k])
         return out
 

@@ -48,6 +48,14 @@ class Grid:
     def length(self) -> float:
         return self.upper - self.lower
 
+    def covered_by(self, times: np.ndarray) -> bool:
+        """Whether sorted, nonempty ``times`` leave no gap wider than two grid
+        spacings, to either end included: the observations that prediction
+        interpolates onto the grid rather than reconstructs from scores."""
+        max_gap = 2.0 * (self.points[1] - self.points[0])
+        return times[0] - self.lower <= max_gap and self.upper - times[-1] <= max_gap \
+            and (times.size == 1 or np.diff(times).max() <= max_gap)
+
     def same_as(self, other: "Grid") -> bool:
         return (
             self.n == other.n

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import selection
-from .data import BinPartition, LongitudinalDataset, explicit_bins, partition as make_partition
+from .data import BinPartition, LongitudinalDataset, partition as make_partition
 from .errors import (
     CovariateOutOfDomain,
     DomainViolation,
@@ -65,7 +65,6 @@ class FitConfig:
 
     n_bins: int | None = 8
     bin_candidates: tuple[int, ...] = (4, 6, 8, 10)
-    explicit_centers: tuple | None = None      # (centers, width) for preset bins
     grid_size: int = 51
     truncation: tuple[int, int | None] | None = None
     truncation_candidates: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
@@ -200,19 +199,15 @@ def raw_beta(bin_est: BinEstimate, m: int, k: int | None = None):
     return GridSurface(eig_x.grid, eig_y.grid, values)
 
 
-def refinement_weights(model: FittedModel, z: float) -> np.ndarray:
-    """Local linear weights over bin centers at covariate level z, widening
-    the refinement bandwidth when no center carries weight; the weights
-    bandwidth selection scores (``smoothing.local_linear_weights``)."""
-    return local_linear_weights(model.partition.centers, z, model.refine_bandwidth,
-                                model.kernel)
-
-
 def refine(model: FittedModel, z: float):
     """Final estimators at covariate level z.
 
     Returns (mean_x, mean_y, beta): pointwise weighted combinations of the
     per-bin raw estimates, sharing one weight vector across all grid points.
+
+    The weights are local linear over the bin centers, widened where no
+    center carries weight (``smoothing.local_linear_weights``, which
+    bandwidth selection scores too).
 
     Cost: one local linear weight row over the P bin centers, then one
     matrix-vector product per estimator against the model's bin stacks
@@ -225,7 +220,7 @@ def refine(model: FittedModel, z: float):
         missing = next(b for b in model.bins if b.raw_beta is None)
         raise ModelFormatError(
             f"bin at z={missing.center:g} has no raw slope; the model cannot be refined")
-    w = refinement_weights(model, z)
+    w = local_linear_weights(model.partition.centers, z, model.refine_bandwidth, model.kernel)
     stack = model.raw_beta_stack
     beta = (w @ stack.reshape(stack.shape[0], -1)).reshape(stack.shape[1:])
     mean_x = GridFunction(model.s_grid, w @ model.mean_x_stack)
@@ -345,7 +340,7 @@ def fit(ds: LongitudinalDataset, config: FitConfig | None = None) -> FittedModel
     ds = _usable_subjects(ds)
     kernel = cfg.kernel1d()
 
-    if cfg.explicit_centers is None and cfg.n_bins is None:
+    if cfg.n_bins is None:
         models = []
         for p in sorted(set(int(p) for p in cfg.bin_candidates)):
             try:
@@ -358,11 +353,7 @@ def fit(ds: LongitudinalDataset, config: FitConfig | None = None) -> FittedModel
         model.selection.tables["P"] = p_table
         return model
 
-    if cfg.explicit_centers is not None:
-        centers, width = cfg.explicit_centers
-        part = explicit_bins(ds, centers, width, min_count=cfg.min_bin_count)
-    else:
-        part = make_partition(ds, cfg.n_bins, min_count=cfg.min_bin_count)
+    part = make_partition(ds, cfg.n_bins, min_count=cfg.min_bin_count)
 
     s_grid = make_grid(*ds.s_domain, cfg.grid_size)
     t_grid = None if ds.scalar_response else make_grid(*ds.t_domain, cfg.grid_size)
@@ -384,7 +375,6 @@ def fit(ds: LongitudinalDataset, config: FitConfig | None = None) -> FittedModel
     sigma2_y = None if ds.scalar_response else float(np.mean([b.sigma2_y for b in bins]))
 
     report = selection.SelectionReport(criterion=cfg.criterion, chosen={}, tables={})
-    report.bandwidths = [b.bandwidths for b in bins]
 
     if cfg.truncation is not None:
         m, k = cfg.truncation
@@ -431,17 +421,18 @@ def fit(ds: LongitudinalDataset, config: FitConfig | None = None) -> FittedModel
 def fit_global(ds: LongitudinalDataset, config: FitConfig | None = None) -> FittedModel:
     """Global (non-varying) baseline: a single bin covering all of Z."""
     cfg = config if config is not None else FitConfig()
-    cfg = replace(cfg, n_bins=1, explicit_centers=None, bin_candidates=(1,))
-    return fit(ds, cfg)
+    return fit(ds, replace(cfg, n_bins=1))
 
 
 def predict(model: FittedModel, x_obs, z_star: float) -> Prediction:
     """Predicted conditional response trajectory for a new subject.
 
-    Dense predictor observations (maximum gap, including to the domain ends,
-    at most twice the grid spacing) are interpolated onto the grid; sparse
-    ones are reconstructed from BLUP scores against the nearest bin's
-    eigensystem around the refined mean. The centered reconstruction is then
+    Dense predictor observations (``Grid.covered_by``: maximum gap, including
+    to the domain ends, at most twice the grid spacing) are interpolated onto
+    the grid; sparse ones are reconstructed from BLUP scores against the
+    nearest bin's (``BinPartition.nearest_bin``) eigensystem around the
+    refined mean. Bandwidth selection scores this same rule
+    (``selection._RefinementResiduals``). The centered reconstruction is then
     pushed through the refined slope surface by quadrature. Observations with
     a non-finite time or value, or a time outside the model's s domain, raise
     DomainViolation.
@@ -467,12 +458,8 @@ def predict(model: FittedModel, x_obs, z_star: float) -> Prediction:
 
     mean_x, mean_y, beta = refine(model, z_star)
 
-    max_gap = 2.0 * (model.s_grid.points[1] - model.s_grid.points[0])
-    dense = times[0] - s_lo <= max_gap and s_hi - times[-1] <= max_gap \
-        and (times.size == 1 or np.diff(times).max() <= max_gap)
-
     m = model.truncation[0]
-    if dense:
+    if model.s_grid.covered_by(times):
         centered = np.interp(model.s_grid.points, times, values) - mean_x.values
         mode = "dense"
     else:

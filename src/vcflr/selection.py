@@ -3,10 +3,11 @@ bin count, plus k-fold-by-subject cross-validation for smoother bandwidths.
 
 The truncation criterion scores BLUP reconstructions of each subject's
 observations inside its own bin; the bandwidth and bin-count criteria score
-the full refined regression fit of the response observations, penalized by
-the effective parameter count of the refinement smoother (trace form) or by
-the total parameter count 2MKP. Bin-count selection only scores models that
-``regression.fit`` has already fitted at each candidate count.
+``regression.predict``'s predictions of the training subjects' response
+observations, penalized by the effective parameter count of the refinement
+smoother (trace form) or by the total parameter count 2MKP. Bin-count
+selection only scores models that ``regression.fit`` has already fitted at
+each candidate count.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class SelectionReport:
     criterion: str
     chosen: dict = field(default_factory=dict)
     tables: dict = field(default_factory=dict)
-    bandwidths: list = field(default_factory=list)
     refined_residual: float | None = None
 
     def to_rows(self) -> list[tuple[str, str, float]]:
@@ -160,75 +160,90 @@ def select_truncation(bins: list[BinEstimate], subjects_by_bin: list[list[Subjec
 
 
 class _RefinementResiduals:
-    """Shared precomputation for the refined-fit residual criterion.
+    """The refined-fit residual criterion: the residuals of
+    ``regression.predict`` at a candidate refinement bandwidth, taken at
+    each training subject's response times.
 
-    With w_i the refinement weights at subject i's covariate, the residual
-    is eps_i = y_i - sum_q w_iq mu_{y,q}(t_i) - sum_p w_ip G_ip (U_ip - V_ip w_i):
-    A_ip is the first M rows of bin p's BLUP operator (``fpca._blup_operator``)
-    at subject i's predictor times, U_ip = A_ip x_i, V_ip = A_ip [mu_{x,q}(s_i)]_q and
-    G_ip = phi_p(t_i) Gamma_p^T, Gamma_p = sigma_mk / rho_m (phi = 1 for a
-    scalar response). U, V, G (one stacked BLUP operator per bin and
-    observation count) and the bin response means at the flat, subject-tagged
-    response observations are built once; a candidate bandwidth then costs a
-    weight matrix and a few contractions.
+    Predict's centred reconstruction of subject i's predictor on the s grid
+    is affine in its refinement weights w_i: c_i = r_i - R_i w_i. Dense
+    subjects (``Grid.covered_by``) interpolate x onto the grid, R_i the bins'
+    mean_x curves; sparse ones take BLUP scores in their nearest bin's
+    (``BinPartition.nearest_bin``) eigenbasis Psi, r_i = Psi A x_i and
+    R_i = Psi A [mu_{x,q}(s_i)]_q, A from ``fpca._blup_operator`` (one stack
+    per nearest bin and observation count). r, R and the response times'
+    grid cells are built once; a candidate bandwidth costs a weight matrix,
+    one GEMM of the c_i against the bins' raw slopes and one interpolation.
     """
 
     def __init__(self, model: "FittedModel", ds: LongitudinalDataset):
         self.model = model
-        m, k = model.truncation
+        m = model.truncation[0]
         subjects = ds.subjects
+        grid = model.s_grid
         self.z = np.array([sub.z for sub in subjects])
+        self.r = np.zeros((ds.n, grid.n))
+        self.r_mean = np.zeros((ds.n, model.n_bins, grid.n))   # R_i^T; no observations: 0
+        dense = np.array([sub.n_x > 0 and grid.covered_by(sub.x_times) for sub in subjects],
+                         dtype=bool)
+        for i in np.flatnonzero(dense):
+            self.r[i] = np.interp(grid.points, subjects[i].x_times, subjects[i].x_values)
+        self.r_mean[dense] = model.mean_x_stack
         x_times = np.concatenate([sub.x_times for sub in subjects])
         x_values = np.concatenate([sub.x_values for sub in subjects])
         mean_x = np.column_stack([b.mean_x.at(x_times) for b in model.bins])   # (N_x, P)
-        self.u = np.zeros((ds.n, model.n_bins, m))     # no observations: zero scores
-        self.v = np.zeros((ds.n, model.n_bins, m, model.n_bins))
-        groups = _count_groups([sub.n_x for sub in subjects])
-        for p, b in enumerate(model.bins):
-            for idx, pos in groups:
-                ops = _blup_operator(x_times[pos], b.eig_x, b.sigma2_x)[1][:, :m]
-                self.u[idx, p] = np.einsum("gmn,gn->gm", ops, x_values[pos])
-                self.v[idx, p] = ops @ mean_x[pos]
+        near = model.partition.nearest_bin(self.z)
+        near[dense] = -1
+        for idx, pos in _count_groups([sub.n_x for sub in subjects]):
+            for p in set(near[idx].tolist()) - {-1}:
+                rows, pos_p, eig = idx[near[idx] == p], pos[near[idx] == p], model.bins[p].eig_x
+                ops = _blup_operator(x_times[pos_p], eig, model.bins[p].sigma2_x)[1][:, :m]
+                psi_t = eig.functions[:, :m].T
+                self.r[rows] = np.einsum("gmn,gn->gm", ops, x_values[pos_p]) @ psi_t
+                self.r_mean[rows] = (ops @ mean_x[pos_p]).swapaxes(1, 2) @ psi_t
 
+        stack = model.raw_beta_stack
+        self.beta = stack.reshape((-1,) + stack.shape[2:])        # (P G, T) or (P G,)
+        self.y = np.concatenate([sub.y_values for sub in subjects])
         if model.scalar_response:
-            self.subject_of = np.arange(ds.n)
-            self.y = np.array([sub.y_scalar for sub in subjects])
-            self.mean_y = np.tile([b.mean_y for b in model.bins], (ds.n, 1))
-            gamma = np.stack([b.sigma_mk[:m] / b.eig_x.values[:m] for b in model.bins])
-            self.g = np.broadcast_to(gamma, (ds.n,) + gamma.shape)
             self.sigma2_y = max(float(np.var(self.y)), VARIANCE_FLOOR)
+            self.lo = self.hi = np.arange(ds.n)
+            self.frac = np.zeros(ds.n)
         else:
-            self.subject_of = np.repeat(np.arange(ds.n), [sub.n_y for sub in subjects])
-            y_times = np.concatenate([sub.y_times for sub in subjects])
-            self.y = np.concatenate([sub.y_values for sub in subjects])
-            self.mean_y = np.column_stack([b.mean_y.at(y_times) for b in model.bins])
-            self.g = np.stack([
-                b.eig_y.at(y_times, k) @ (b.sigma_mk[:m, :k] / b.eig_x.values[:m, None]).T
-                for b in model.bins], axis=1)                    # (N_y, P, M)
             self.sigma2_y = max(model.sigma2_y, VARIANCE_FLOOR)
+            t = model.t_grid.points
+            y_times = np.concatenate([sub.y_times for sub in subjects])
+            # the t cell of each response time, as grids.bilinear finds it
+            cell = np.searchsorted(t[1:-1], y_times, side="right")
+            self.frac = (y_times - t[cell]) / (t[cell + 1] - t[cell])
+            self.lo = np.repeat(np.arange(ds.n) * t.size, [sub.n_y for sub in subjects]) + cell
+            self.hi = self.lo + 1
 
     def residual_term(self, b: float) -> float:
         """Sum over subjects of eps'eps / sigma2 + N log(2 pi sigma2) at
-        refinement bandwidth b.
+        refinement bandwidth b, eps the residuals of predict's response at
+        the observed times.
 
         The weights are the ones refine() deploys (``local_linear_weights``,
-        widening included), so the criterion scores the model as deployed;
-        InsufficientCenters escapes only when widening is exhausted at some
-        subject's covariate.
+        widening included); InsufficientCenters escapes only when widening
+        is exhausted at some subject's covariate.
         """
-        w = local_linear_weights(self.model.partition.centers, self.z, b,
-                                 self.model.kernel)               # (n, P)
-        zeta = self.u - np.einsum("ipmq,iq->ipm", self.v, w)      # BLUP scores
-        sid = self.subject_of
-        eps = (self.y - np.einsum("op,op->o", w[sid], self.mean_y)
-               - np.einsum("opm,opm->o", self.g, (w[:, :, None] * zeta)[sid]))
+        model = self.model
+        w = local_linear_weights(model.partition.centers, self.z, b, model.kernel)  # (n, P)
+        integ = (self.r - (w[:, None] @ self.r_mean)[:, 0]) * model.s_grid.weights
+        # sum_q w_q beta_q^T integ as one GEMM: rows w_i (x) integ_i, (n, P G)
+        y_hat = w @ model.mean_y_stack + (w[:, :, None] * integ[:, None]).reshape(
+            len(w), -1) @ self.beta
+        y_hat = y_hat.ravel()                                             # (n T,) or (n,)
+        eps = self.y - (y_hat[self.lo] + self.frac * (y_hat[self.hi] - y_hat[self.lo]))
         return float(eps @ eps) / self.sigma2_y \
             + self.y.size * (_LOG_2PI + math.log(self.sigma2_y))
 
 
 def select_bandwidth(model: "FittedModel", ds: LongitudinalDataset, candidates,
                      criterion: str = "BIC"):
-    """Refinement bandwidth minimizing the penalized refined-fit deviance.
+    """Refinement bandwidth minimizing the penalized refined-fit deviance:
+    the deviance of the predictions that ``regression.predict`` makes of
+    the training subjects' responses at each candidate bandwidth.
 
     The penalty is the effective parameter count tr(SᵀS) of the refinement
     smoother matrix, scaled by 2 (AIC) or log n (BIC). Inadmissible
@@ -259,7 +274,7 @@ def select_binwidth(models: list["FittedModel"], criterion: str, n_total: int):
 
     ``models`` are fits at the candidate bin counts, each with its truncation
     and refinement bandwidth selected, so its ``selection.refined_residual``
-    is the deviance of its refined fit at its own bandwidth. The penalty is
+    is the deviance of its predictions at its own bandwidth. The penalty is
     M K P scaled by 2 (AIC) or log n_total (BIC). Ties break toward fewer
     bins. Returns (winning model, score table).
     """

@@ -132,7 +132,6 @@ def save_model(model: FittedModel, path) -> None:
             "criterion": report.criterion,
             "chosen": report.chosen,
             "tables": {k: [[c, s] for c, s in v] for k, v in report.tables.items()},
-            "bandwidths": report.bandwidths,
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -163,8 +162,7 @@ def load_model(path) -> FittedModel:
         if sel is not None:
             report = SelectionReport(
                 criterion=sel["criterion"], chosen=sel["chosen"],
-                tables={k: [(c, s) for c, s in v] for k, v in sel["tables"].items()},
-                bandwidths=sel.get("bandwidths", []))
+                tables={k: [(c, s) for c, s in v] for k, v in sel["tables"].items()})
         trunc = doc["truncation"]
         order = doc["refine"]["order"]
         if order != 1:

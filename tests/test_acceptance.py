@@ -18,12 +18,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vcflr.evaluate import run_repetitions
+from vcflr.evaluate import TEST_SEED_OFFSET, run_repetitions
 from vcflr.fpca import eigendecompose
-from vcflr.grids import GridSurface, make_grid
-from vcflr.regression import FitConfig, fit
+from vcflr.grids import GridFunction, GridSurface, make_grid
+from vcflr.regression import FitConfig, Prediction, fit
 from vcflr.selection import select_truncation
-from vcflr.simulation import REGULAR, SPARSE, generate
+from vcflr.simulation import (
+    REGULAR,
+    SPARSE,
+    eigenfunctions,
+    generate,
+    mean_x,
+    mean_y,
+    mispe,
+)
 
 SEEDS = range(10)
 
@@ -75,6 +83,35 @@ class TestCriterion1RegularTable:
         assert 2.0 <= g_mean <= 6.5
         assert 0.3 <= v_mean <= 1.8
         assert v_mean < 0.5 * g_mean
+
+
+def blup_oracle_mispe(design, seed):
+    """MISPE of the criterion's test set of one seed predicted from the true
+    model: BLUP scores of each subject's predictor observations under the
+    true mean, eigenpairs and noise variance, pushed through the true
+    conditional mean. No fitted model predicts better in expectation."""
+    test, truth = generate(design, 200, TEST_SEED_OFFSET + seed)
+    rho = np.square(design.score_sds)
+    psi_t = eigenfunctions(truth.grid.points)
+    preds = []
+    for sub in test.subjects:
+        psi = eigenfunctions(sub.x_times)
+        sigma = (psi * rho) @ psi.T + design.sigma_x ** 2 * np.eye(sub.n_x)
+        zeta = rho * (psi.T @ np.linalg.solve(sigma, sub.x_values - mean_x(sub.x_times)))
+        curve = mean_y(sub.z, truth.grid.points) + (1.0 + sub.z) * (psi_t @ zeta)
+        preds.append(Prediction(GridFunction(truth.grid, curve), sub.z))
+    return mispe(truth, preds)
+
+
+class TestCriterion1Floor:
+    def test_vc_mean_is_at_least_the_blup_oracle(self, table_regular):
+        oracle = np.mean([blup_oracle_mispe(REGULAR, seed) for seed in SEEDS])
+        v_mean = table_regular[:, 1].mean()
+        ok = v_mean >= oracle
+        report("note (criterion 1 floor)", ok,
+               f"vc mean {v_mean:.4f} >= BLUP-oracle mean {oracle:.4f}; "
+               f"estimation gap {v_mean - oracle:.4f}")
+        assert v_mean >= oracle
 
 
 class TestCriterion2SparseTable:

@@ -158,6 +158,13 @@ class TestPartition:
                 ok += 1
         assert ok / reps >= 0.97
 
+    def test_nearest_bin_of_scalars_and_arrays(self):
+        part = partition(toy_dataset(n=40, seed=3), 4, min_count=1)
+        z = np.array([0.0, 0.2, 0.25, 0.26, 0.5, 0.99, 1.0])
+        # z = 0.25 and 0.5 sit halfway between two centers: the lower wins
+        assert part.nearest_bin(z).tolist() == [0, 0, 0, 1, 1, 3, 3]
+        assert [part.nearest_bin(v) for v in z] == part.nearest_bin(z).tolist()
+
 
 class TestExplicitBins:
     def make_ds(self, zs):

@@ -47,6 +47,22 @@ class TestMakeGrid:
         assert abs(g.weights.sum() - length) < 1e-12 * max(1.0, length)
 
 
+class TestCoveredBy:
+    # grid spacing 0.25 on [0, 10]: a gap of 0.5 is dense, anything wider is not
+    GRID = make_grid(0, 10, 41)
+
+    @pytest.mark.parametrize("times, dense", [
+        (np.arange(0.0, 10.01, 0.5), True),
+        (np.arange(0.5, 9.51, 0.5), True),          # both ends exactly two spacings away
+        (np.arange(0.0, 10.01, 0.5)[np.arange(21) != 10], False),   # one interior gap of 1
+        (np.arange(0.6, 10.01, 0.5), False),        # the lower end too far
+        (np.arange(0.0, 9.41, 0.5), False),         # the upper end too far
+        (np.array([5.0]), False),
+    ])
+    def test_largest_gap_decides(self, times, dense):
+        assert bool(self.GRID.covered_by(times)) is dense
+
+
 def integrate(g, values):
     """Trapezoid integral as the pipeline writes it: weights times values."""
     return float(g.weights @ values)

@@ -23,10 +23,10 @@ from vcflr.regression import (
     predict,
     raw_beta,
     refine,
-    refinement_weights,
 )
 from vcflr.serialize import load_model, save_model
 from vcflr.simulation import REGULAR, generate
+from vcflr.smoothing import local_linear_weights
 
 
 def basis(s):
@@ -427,7 +427,7 @@ class TestPredictRejectsUnusableObservations:
 def summed_refine(model, z):
     """The refinement written bin by bin: Python sums of weighted raw
     estimates."""
-    w = refinement_weights(model, z)
+    w = local_linear_weights(model.partition.centers, z, model.refine_bandwidth, model.kernel)
     mean_x = sum(wp * b.mean_x.values for wp, b in zip(w, model.bins))
     beta = sum(wp * b.raw_beta.values for wp, b in zip(w, model.bins))
     if model.scalar_response:

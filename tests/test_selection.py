@@ -20,8 +20,9 @@ from vcflr.fpca import (
 )
 from vcflr.grids import GridSurface, make_grid
 from vcflr.kernels import Kernel1D, Kernel2D
-from vcflr.regression import FitConfig, fit
+from vcflr.regression import FitConfig, fit, predict
 from vcflr.selection import (
+    _RefinementResiduals,
     _cv_choice,
     cv_errors,
     cv_smoother_bandwidth,
@@ -133,66 +134,49 @@ def recompute_truncation_table(bins, subjects_by_bin, candidates, stream, criter
     return table
 
 
-def recompute_bandwidth_table(model, ds, candidates, criterion):
-    """Independent re-derivation of the refined-fit criterion.
-
-    The refinement weights over the bin centers are local linear; the
-    smoother trace tr(SᵀS) is the sum of squares of their rows at the
-    centers. A scalar response is one observation per subject, scored
-    against the variance of the responses.
-    """
-    def weights(z, b):
-        return lp_weights(0, 1, model.partition.centers, z, b, model.kernel)
-
-    n = ds.n
-    pen_scale = 2.0 if criterion == "AIC" else math.log(n)
-    scalar = model.scalar_response
-    if scalar:
+def predicted_residual_term(model, ds, b):
+    """The refined-fit deviance built from ``predict`` itself: every subject
+    predicted at refinement bandwidth b from its own predictor observations
+    and covariate, its residuals taken at its response times, summed over
+    sigma2 (the variance of the responses for a scalar response), plus
+    N log(2 pi sigma2)."""
+    at_b = replace(model, refine_bandwidth=b)
+    if model.scalar_response:
         sigma2 = max(float(np.var([sub.y_scalar for sub in ds.subjects])), VARIANCE_FLOOR)
     else:
         sigma2 = max(model.sigma2_y, VARIANCE_FLOOR)
-    m_ord, k_ord = model.truncation
+    total = 0.0
+    n_obs = 0
+    for sub in ds.subjects:
+        y_hat = predict(at_b, np.column_stack([sub.x_times, sub.x_values]), sub.z).y_hat
+        eps = sub.y_values - (y_hat if model.scalar_response else y_hat.at(sub.y_times))
+        total += float(eps @ eps)
+        n_obs += eps.size
+    return total / sigma2 + n_obs * (math.log(2 * math.pi) + math.log(sigma2))
+
+
+def recompute_bandwidth_table(model, ds, candidates, criterion):
+    """Independent re-derivation of the refined-fit criterion: the deviance
+    of ``predict``'s predictions of the subjects plus the penalty. The
+    refinement weights over the bin centers are local linear; the smoother
+    trace tr(SᵀS) is the sum of squares of their rows at the centers.
+    """
+    pen_scale = 2.0 if criterion == "AIC" else math.log(ds.n)
     table = {}
     for b in candidates:
-        trace = sum(float(r @ r) for r in (weights(c, b) for c in model.partition.centers))
-        total = 0.0
-        n_obs = 0
-        for sub in ds.subjects:
-            w = weights(sub.z, b)
-            mu_x = sum(wp * bb.mean_x.values for wp, bb in zip(w, model.bins))
-            mu_y = sum(wp * (bb.mean_y if scalar else bb.mean_y.values)
-                       for wp, bb in zip(w, model.bins))
-            rx = sub.x_values - np.interp(sub.x_times, model.s_grid.points, mu_x)
-            fitted_vals = 0.0 if scalar else np.zeros(sub.n_y)
-            for p, bb in enumerate(model.bins):
-                if w[p] == 0.0:
-                    continue
-                sig = observation_covariance(sub.x_times, bb.eig_x,
-                                             max(bb.sigma2_x, VARIANCE_FLOOR))
-                alpha = np.linalg.solve(sig, rx)
-                psi_i = np.column_stack([
-                    np.interp(sub.x_times, model.s_grid.points,
-                              bb.eig_x.functions[:, m]) for m in range(m_ord)])
-                zeta = bb.eig_x.values[:m_ord] * (psi_i.T @ alpha)
-                if scalar:
-                    fitted_vals += w[p] * float(bb.sigma_mk[:m_ord] / bb.eig_x.values[:m_ord]
-                                                @ zeta)
-                    continue
-                gamma = bb.sigma_mk[:m_ord, :k_ord] / bb.eig_x.values[:m_ord, None]
-                phi_i = np.column_stack([
-                    np.interp(sub.y_times, model.t_grid.points,
-                              bb.eig_y.functions[:, k]) for k in range(k_ord)])
-                fitted_vals += w[p] * (phi_i @ (gamma.T @ zeta))
-            if scalar:
-                eps = np.array([sub.y_scalar - mu_y - fitted_vals])
-            else:
-                eps = sub.y_values - np.interp(sub.y_times, model.t_grid.points,
-                                               mu_y) - fitted_vals
-            total += float(eps @ eps) / sigma2
-            n_obs += eps.size
-        total += n_obs * (math.log(2 * math.pi) + math.log(sigma2))
-        table[b] = total + pen_scale * trace
+        rows = (lp_weights(0, 1, model.partition.centers, c, b, model.kernel)
+                for c in model.partition.centers)
+        trace = sum(float(r @ r) for r in rows)
+        table[b] = predicted_residual_term(model, ds, b) + pen_scale * trace
     return table
+
+
+def _scalar_version(ds):
+    """The dataset with each response replaced by its mean, as a scalar."""
+    subjects = [Subject(s.id, s.z, s.x_times, s.x_values, None,
+                        np.array([float(s.y_values.mean())])) for s in ds.subjects]
+    return LongitudinalDataset(subjects, ds.s_domain, None, ds.z_domain,
+                               scalar_response=True)
 
 
 class TestTruncationOracle:
@@ -216,11 +200,7 @@ class TestTruncationOracle:
 
 class TestSelectBandwidth:
     def test_scalar_response_matches_recompute(self):
-        ds, _ = generate(SPARSE, 150, seed=69)
-        subjects = [Subject(s.id, s.z, s.x_times, s.x_values, None,
-                            np.array([float(s.y_values.mean())])) for s in ds.subjects]
-        scalar = LongitudinalDataset(subjects, ds.s_domain, None, ds.z_domain,
-                                     scalar_response=True)
+        scalar = _scalar_version(generate(SPARSE, 150, seed=69)[0])
         model = fit(scalar, FitConfig(n_bins=4, truncation=(3, None), refine_bandwidth=0.3,
                                       bandwidth_policy="default", min_bin_count=2))
         candidates = (0.2, 0.3, 0.5)
@@ -288,6 +268,52 @@ class TestSelectBandwidth:
         assert trace == pytest.approx(model.n_bins)
 
 
+def _half_thinned(ds, seed):
+    """Every other subject keeps 4 of its predictor observations, which
+    leaves gaps wider than two grid spacings, so predict reconstructs it
+    from scores; the rest stay dense."""
+    rng = np.random.default_rng(seed)
+    subjects = []
+    for i, s in enumerate(ds.subjects):
+        if i % 2:
+            keep = np.sort(rng.choice(s.n_x, 4, replace=False))
+            s = Subject(s.id, s.z, s.x_times[keep], s.x_values[keep], s.y_times, s.y_values)
+        subjects.append(s)
+    return LongitudinalDataset(subjects, ds.s_domain, ds.t_domain, ds.z_domain)
+
+
+class TestResidualTermIsPredict:
+    """The refined-fit criterion scores exactly the predictions ``predict``
+    deploys: dense and sparse subjects, functional and scalar responses,
+    and bandwidths at which some subject's weights widen."""
+
+    CASES = {
+        "regular": lambda: generate(REGULAR, 80, seed=71)[0],
+        "sparse": lambda: generate(SPARSE, 150, seed=72)[0],
+        "scalar": lambda: _scalar_version(generate(SPARSE, 150, seed=73)[0]),
+        "mixed": lambda: _half_thinned(generate(REGULAR, 80, seed=74)[0], 74),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_the_predict_built_sum(self, case):
+        ds = self.CASES[case]()
+        trunc = (3, None) if ds.scalar_response else (3, 3)
+        model = fit(ds, FitConfig(n_bins=4, truncation=trunc, refine_bandwidth=0.3,
+                                  bandwidth_policy="default", min_bin_count=2))
+        modes = {predict(model, np.column_stack([s.x_times, s.x_values]), s.z).mode
+                 for s in ds.subjects}
+        assert modes == ({"dense", "sparse"} if case == "mixed" else
+                         {"dense"} if case == "regular" else {"sparse"})
+        prep = _RefinementResiduals(model, ds)
+        # at b = 0.1 no center of the four bins lies within b of z = 0.25,
+        # so the weights of the subjects around it widen
+        z = ds.z_values()
+        assert (np.abs(z[:, None] - model.partition.centers).min(axis=1) > 0.1).any()
+        for b in (0.1, 0.3, 0.6):
+            assert prep.residual_term(b) == pytest.approx(
+                predicted_residual_term(model, ds, b), rel=1e-10)
+
+
 class TestSelectBinwidth:
     def test_single_candidate_returned(self):
         ds, _ = generate(REGULAR, 60, seed=62)
@@ -312,7 +338,6 @@ class TestSelectBinwidth:
                         min_bin_count=2)
         auto = fit(ds, replace(cfg, n_bins=None, bin_candidates=(2, 3)))
         # recompute each candidate's score independently
-        from vcflr.selection import _RefinementResiduals
         models = [fit(ds, replace(cfg, n_bins=p, refine_bandwidth=None)) for p in (2, 3)]
         resid = [_RefinementResiduals(m, ds).residual_term(m.refine_bandwidth)
                  for m in models]
@@ -372,7 +397,6 @@ class TestAutoSelectedFit:
             if f.name != "selection":
                 assert_same(getattr(auto, f.name), getattr(fixed, f.name), f.name)
         assert chosen == fixed.selection.chosen
-        assert_same(auto.selection.bandwidths, fixed.selection.bandwidths, "bandwidths")
         for name in ("M", "K"):
             assert_same(auto.selection.tables[name], fixed.selection.tables[name], name)
         # the winner keeps its own refinement-bandwidth table

@@ -104,6 +104,29 @@ class TestRefinementOrder:
             load_model(path)
 
 
+class TestBinBandwidths:
+    def test_written_once_per_bin(self, model, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        assert "bandwidths" not in doc["selection"]
+        assert [b["bandwidths"] for b in doc["bins"]] == [b.bandwidths for b in model.bins]
+
+    def test_file_with_report_copy_loads(self, model, tmp_path):
+        # earlier v1 files also carry a copy of the bins' bandwidths in the
+        # selection report
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["selection"]["bandwidths"] = [b["bandwidths"] for b in doc["bins"]]
+        path.write_text(json.dumps(doc))
+        back = load_model(path)
+        assert [b.bandwidths for b in back.bins] == [b.bandwidths for b in model.bins]
+        assert back.selection.chosen == model.selection.chosen
+        save_model(back, tmp_path / "again.json")
+        assert "bandwidths" not in json.loads((tmp_path / "again.json").read_text())["selection"]
+
+
 class TestFormatErrors:
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
