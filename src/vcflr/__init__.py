@@ -13,12 +13,10 @@ from .errors import VcflrError
 from .fpca import (
     BinEstimate,
     EigenSystem,
-    aggregate_2d,
     blup_scores,
     eigendecompose,
     estimate_mean,
     estimate_sigma2,
-    raw_covariances,
     sigma_mk,
     smooth_covariance,
     smooth_cross_covariance,
@@ -53,11 +51,11 @@ __all__ = [
     "Grid", "GridFunction", "GridSurface", "Kernel1D", "Kernel2D",
     "LocalFitConfig", "LongitudinalDataset", "Prediction", "REGULAR", "SPARSE",
     "SelectionReport", "SimDesign", "SimTruth", "Subject", "VcflrError",
-    "aggregate_2d", "blup_scores", "cv_smoother_bandwidth", "eigendecompose",
+    "blup_scores", "cv_smoother_bandwidth", "eigendecompose",
     "estimate_mean", "estimate_sigma2", "explicit_bins",
     "fit", "fit_global", "generate", "kernel_eval", "load_csv", "load_model",
     "lp_weights", "make_grid", "mispe", "partition",
-    "predict", "raw_beta", "raw_covariances", "refine", "save_csv",
+    "predict", "raw_beta", "refine", "save_csv",
     "save_model", "select_bandwidth", "select_binwidth", "select_truncation",
     "sigma_mk", "smooth_covariance", "smooth_cross_covariance",
     "smoothing_matrix",

@@ -30,7 +30,7 @@ from .errors import (
     UncoveredSubject,
 )
 from .evaluate import run_repetitions
-from .regression import FitConfig, fit, fit_global, predict, refine
+from .regression import FitConfig, fit, fit_global, predict
 from .simulation import REGULAR, SPARSE, generate, save_truth
 
 EXIT_USAGE = 2
@@ -215,7 +215,8 @@ def cmd_evaluate(args) -> int:
 
     results, failures = run_repetitions(
         design, args.reps, args.n, args.test_n, base_seed=args.seed,
-        vc_config=vc_config, global_config=global_config, threads=args.threads)
+        vc_config=vc_config, global_config=global_config, threads=args.threads,
+        beta_levels=args.beta_levels)
 
     rows = []
     for res in results:
@@ -223,14 +224,11 @@ def cmd_evaluate(args) -> int:
         rows.append([res.rep, "vc", repr(res.mispe_vc)])
     _write_rows(out / "mispe.csv", ["rep", "model", "mispe"], rows)
 
-    if results:
-        train, _ = generate(design, args.n, results[0].rep)
-        vc_model = fit(train, vc_config)
-        for z in args.beta_levels:
-            _, _, beta = refine(vc_model, z)
+    if results:   # the first repetition's surfaces, from its worker
+        for z, beta in zip(args.beta_levels, results[0].betas):
             dump = []
-            for i, s in enumerate(vc_model.s_grid.points):
-                for j, t in enumerate(vc_model.t_grid.points):
+            for i, s in enumerate(beta.row_grid.points):
+                for j, t in enumerate(beta.col_grid.points):
                     dump.append([repr(float(s)), repr(float(t)),
                                  repr(float(beta.values[i, j]))])
             _write_rows(out / f"beta_z{z:g}.csv", ["s", "t", "value"], dump)

@@ -4,7 +4,9 @@ One repetition draws a fresh training sample and an independent test sample
 from the same design, fits both models, predicts every test subject from its
 own predictor observations and covariate, and scores both MISPEs against the
 test sample's true conditional response curves. Test streams use seed
-100000 + repetition seed so train/test draws never collide.
+100000 + repetition seed so train/test draws never collide. A repetition can
+also return its varying-coefficient model's refined slope surfaces at given
+covariate levels, so a caller that dumps them needs no refit of its own.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import regression
 from .regression import FitConfig, FittedModel, fit, fit_global, predict
 from .simulation import SimDesign, generate, mispe
 
@@ -30,6 +33,7 @@ class RepetitionResult:
     rep: int
     mispe_global: float
     mispe_vc: float
+    betas: tuple = ()    # refined slope surfaces at the requested levels
 
 
 def predict_dataset(model: FittedModel, ds) -> list:
@@ -43,8 +47,10 @@ def predict_dataset(model: FittedModel, ds) -> list:
 def run_repetition(design: SimDesign, n_train: int, n_test: int, seed: int,
                    vc_config: FitConfig | None = None,
                    global_config: FitConfig | None = None,
-                   keep_models: bool = False):
-    """One generate -> fit both models -> predict -> MISPE cycle."""
+                   keep_models: bool = False, beta_levels=()):
+    """One generate -> fit both models -> predict -> MISPE cycle; the
+    result carries the varying-coefficient model's refined slope surface
+    at each of ``beta_levels``."""
     vc_config = vc_config if vc_config is not None else FitConfig(n_bins=None)
     global_config = global_config if global_config is not None else FitConfig()
     train, _ = generate(design, n_train, seed)
@@ -55,7 +61,8 @@ def run_repetition(design: SimDesign, n_train: int, n_test: int, seed: int,
     g_model = fit_global(train, global_config)
     g_mispe = mispe(truth, predict_dataset(g_model, test))
 
-    result = RepetitionResult(seed, g_mispe, vc_mispe)
+    betas = tuple(regression.refine(vc_model, z)[2] for z in beta_levels)
+    result = RepetitionResult(seed, g_mispe, vc_mispe, betas)
     if keep_models:
         return result, vc_model, g_model
     return result
@@ -80,19 +87,21 @@ def _single_thread_blas():
 
 def run_repetitions(design: SimDesign, reps: int, n_train: int, n_test: int,
                     base_seed: int = 0, vc_config: FitConfig | None = None,
-                    global_config: FitConfig | None = None, threads: int = 1):
+                    global_config: FitConfig | None = None, threads: int = 1,
+                    beta_levels=()):
     """Run several repetitions, tolerating individual failures.
 
     Returns (results, failures) where failures is a list of
-    (seed, exception message) pairs for repetitions that raised. The
-    repetitions run in ``threads`` freshly spawned worker processes (one by
+    (seed, exception message) pairs for repetitions that raised. Every
+    result carries its slope surfaces at ``beta_levels`` (none by default).
+    The repetitions run in ``threads`` freshly spawned worker processes (one by
     default, and for any ``threads`` below one), each with BLAS pinned to
     one thread: parallel workers already use the cores, threaded BLAS in
     each of them oversubscribes the machine, and even a lone worker runs
     these small products faster on one BLAS thread.
     """
-    jobs = [(design, n_train, n_test, base_seed + r, vc_config, global_config)
-            for r in range(reps)]
+    jobs = [(design, n_train, n_test, base_seed + r, vc_config, global_config, False,
+             tuple(beta_levels)) for r in range(reps)]
     results: list[RepetitionResult] = []
     failures: list[tuple[int, str]] = []
     with _single_thread_blas(), ProcessPoolExecutor(

@@ -277,3 +277,31 @@ class TestEvaluate:
         psi1 = -np.sqrt(0.2) * np.cos(np.pi * s / 5)
         proj = (psi1 * w) @ vals @ (psi1 * w)
         assert proj == pytest.approx(1.5, abs=0.5)
+
+    def test_slope_dumps_come_from_the_worker(self, tmp_path, monkeypatch):
+        from vcflr import cli, evaluate, regression
+        from vcflr.simulation import REGULAR, generate
+
+        config = {"bins": 2, "truncation": [3, 3], "refine_bandwidth": 0.3,
+                  "min_bin_count": 2, "bandwidth_policy": "default"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        fit_config = cli.fit_config_from(cli.load_config(cfg))
+        model = regression.fit(generate(REGULAR, 40, 3)[0], fit_config)
+        want = {z: regression.refine(model, z)[2].values for z in (0.3, 0.7)}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the calling process fitted a model")
+
+        for module in (cli, evaluate, regression):
+            monkeypatch.setattr(module, "fit", refuse)
+        out = tmp_path / "eval"
+        code = main(["evaluate", "--example", "regular", "--reps", "2",
+                     "--n", "40", "--test-n", "10", "--seed", "3",
+                     "--config", str(cfg), "--out", str(out),
+                     "--beta-levels", "0.3", "0.7"])
+        assert code == 0
+        for z, values in want.items():
+            _, rows = read_rows(out / f"beta_z{z:g}.csv")
+            got = np.array([float(r[2]) for r in rows]).reshape(values.shape)
+            assert np.allclose(got, values, rtol=0, atol=1e-12 * np.max(np.abs(values)))

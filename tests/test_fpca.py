@@ -16,7 +16,6 @@ from vcflr.fpca import (
     _count_groups,
     _unique_rows,
     aggregate_1d,
-    aggregate_2d,
     BinBandwidths,
     blup_scores,
     covariance_diagonal,
@@ -28,7 +27,6 @@ from vcflr.fpca import (
     fit_bin,
     group_pairs,
     observation_covariance,
-    raw_covariances,
     raw_cross_products,
     sigma_mk,
     smooth_covariance,
@@ -37,6 +35,8 @@ from vcflr.fpca import (
 from vcflr.grids import GridFunction, GridSurface, make_grid
 from vcflr.kernels import Kernel1D, kernel_eval
 from vcflr.smoothing import LocalFitConfig
+
+from reference import aggregate_2d, raw_covariances
 
 
 def basis(s):
@@ -250,6 +250,125 @@ class TestFitBinGroupsOnce:
         fit_bin(subjects, 0.5, grid, None, bw, Kernel1D(), 3, 1)
         assert len(calls) == 1
         assert max(attempts) > 1
+
+
+LATTICE = np.arange(21) * 0.5
+
+
+@st.composite
+def vector_pool_subjects(draw):
+    """Subjects drawn from a small pool of time vectors on one lattice, so
+    that vectors repeat and reach each other's locations: the full lattice,
+    thinned and tied subsets of it, and vectors of 0 and 1 observations.
+    Each subject takes one pool vector per stream (one x vector and one
+    scalar response when ``scalar``)."""
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["full", "thinned", "tied", "empty", "single"]))
+        if kind == "full":
+            times = LATTICE
+        elif kind == "empty":
+            times = LATTICE[:0]
+        elif kind == "single":
+            times = LATTICE[[draw(st.integers(0, 20))]]
+        else:
+            idx = draw(st.lists(st.integers(0, 20), min_size=2, max_size=8, unique=True))
+            times = LATTICE[sorted(idx)]
+            if kind == "tied":
+                times = np.sort(np.append(times, times[draw(st.integers(0, times.size - 1))]))
+        pool.append(times)
+    scalar = draw(st.booleans())
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                    st.integers(0, len(pool) - 1)), max_size=14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    subjects = []
+    for i, (px, py) in enumerate(picks):
+        xt, yt = pool[px], None if scalar else pool[py]
+        yv = rng.normal(size=1 if scalar else yt.size)
+        subjects.append(Subject(f"s{i}", 0.5, xt, rng.normal(size=xt.size), yt, yv))
+    return subjects, scalar
+
+
+def by_vector_rows_match_pairs(subjects, scalar):
+    """Grouped by-vector entries equal the oracle grouping of the raw rows,
+    element for element, for both covariance streams and the cross surface;
+    a scalar response's cross pairs come through unchanged."""
+    mean_x, mean_y = lattice_means()
+    for stream, mean in (("x", mean_x), ("y", mean_y))[:1 if scalar else 2]:
+        off, _ = oracle_raw_covariances(subjects, mean, stream)
+        entries, _ = covariance_pairs(subjects, mean, stream, by_vector=True)
+        assert_rows_equal(group_pairs(*entries),
+                          oracle_aggregate_2d(off[:, 0], off[:, 1], off[:, 2]))
+    if scalar:
+        entries = cross_pairs(subjects, mean_x, 0.25, by_vector=True)
+        assert entries[5] is None
+        for got, want in zip(entries[2:5], cross_pairs(subjects, mean_x, 0.25)[2:]):
+            assert np.array_equal(got, want)
+        return
+    raw = oracle_raw_cross_products(subjects, mean_x, mean_y)
+    assert_rows_equal(group_pairs(*cross_pairs(subjects, mean_x, mean_y, by_vector=True)),
+                      oracle_aggregate_2d(raw[:, 0], raw[:, 1], raw[:, 2]))
+
+
+class TestByVectorEntries:
+    """Summing each shared time vector's products once gives the rows of
+    grouping every pair, bit for bit; a bin's grouping then receives one
+    entry per location of a shared vector and every pair of the rest."""
+
+    @given(drawn=vector_pool_subjects())
+    @settings(max_examples=150, deadline=None)
+    def test_pooled_vectors_match_pairs(self, drawn):
+        by_vector_rows_match_pairs(*drawn)
+
+    @pytest.mark.parametrize("design", ["regular", "mixed", "thinned", "shifted"])
+    def test_study_designs_match_pairs(self, design):
+        from vcflr.simulation import REGULAR, SPARSE, generate
+        regular = generate(REGULAR, 60, seed=97)[0].subjects
+        sparse = generate(SPARSE, 60, seed=98)[0].subjects
+        subjects = {
+            "regular": regular,
+            "mixed": regular[:20] + sparse[:30] + regular[20:],
+            # every third subject observes half the times: their locations
+            # are the full vector's, so nothing may be pre-summed
+            "thinned": [Subject(s.id, s.z, s.x_times[::2], s.x_values[::2],
+                                s.y_times[::2], s.y_values[::2]) if i % 3 == 0 else s
+                        for i, s in enumerate(regular)],
+            # two disjoint shared vectors
+            "shifted": [Subject(s.id, s.z, s.x_times + 0.1 * (i % 2), s.x_values,
+                                s.y_times + 0.1 * (i % 2), s.y_values)
+                        for i, s in enumerate(regular)],
+        }[design]
+        by_vector_rows_match_pairs(subjects, False)
+        x_entries, _ = covariance_pairs(subjects, lattice_means()[0], "x", by_vector=True)
+        n_pairs = sum(s.n_x * (s.n_x - 1) for s in subjects)
+        if design == "thinned":
+            assert x_entries[5] is None and x_entries[2].size == n_pairs
+        else:
+            assert x_entries[2].size < n_pairs
+
+    @staticmethod
+    def fit_one_bin(design, n, seed):
+        from vcflr.simulation import generate
+        ds, _ = generate(design, n, seed=seed)
+        grid = make_grid(0, 10, 21)
+        bw = BinBandwidths(mean_x=2.0, mean_y=2.0, cov_x=2.0, cov_y=2.0,
+                           diag_x=2.0, diag_y=2.0, cross=2.0)
+        fit_bin(ds.subjects, 0.5, grid, grid, bw, Kernel1D(), 3, 3)
+        return ds.subjects
+
+    def test_regular_bin_groups_one_entry_per_location(self, monkeypatch):
+        from vcflr.simulation import REGULAR
+        calls = TestFitBinGroupsOnce.count_grouping(monkeypatch)
+        self.fit_one_bin(REGULAR, 100, 95)
+        assert calls == [930, 930, 961]
+
+    def test_sparse_bin_groups_every_pair(self, monkeypatch):
+        from vcflr.simulation import SPARSE
+        calls = TestFitBinGroupsOnce.count_grouping(monkeypatch)
+        subjects = self.fit_one_bin(SPARSE, 100, 96)
+        n_x = np.array([s.n_x for s in subjects])
+        n_y = np.array([s.n_y for s in subjects])
+        assert calls == [np.sum(n_x * (n_x - 1)), np.sum(n_y * (n_y - 1)), np.sum(n_x * n_y)]
 
 
 class TestEstimateMean:

