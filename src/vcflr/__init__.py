@@ -4,7 +4,6 @@ from .data import (
     BinPartition,
     LongitudinalDataset,
     Subject,
-    explicit_bins,
     load_csv,
     partition,
     save_csv,
@@ -52,7 +51,7 @@ __all__ = [
     "LocalFitConfig", "LongitudinalDataset", "Prediction", "REGULAR", "SPARSE",
     "SelectionReport", "SimDesign", "SimTruth", "Subject", "VcflrError",
     "blup_scores", "cv_smoother_bandwidth", "eigendecompose",
-    "estimate_mean", "estimate_sigma2", "explicit_bins",
+    "estimate_mean", "estimate_sigma2",
     "fit", "fit_global", "generate", "kernel_eval", "load_csv", "load_model",
     "lp_weights", "make_grid", "mispe", "partition",
     "predict", "raw_beta", "refine", "save_csv",

@@ -27,7 +27,6 @@ from .errors import (
     ParseError,
     SingularCovariance,
     TruncationTooLarge,
-    UncoveredSubject,
 )
 from .evaluate import run_repetitions
 from .regression import FitConfig, fit, fit_global, predict
@@ -38,7 +37,7 @@ EXIT_DATA = 3
 EXIT_FORMAT = 4
 EXIT_NUMERIC = 5
 
-_DATA_ERRORS = (EmptyBin, ParseError, DomainViolation, UncoveredSubject)
+_DATA_ERRORS = (EmptyBin, ParseError, DomainViolation)
 _NUMERIC_ERRORS = (InsufficientLocalData, InsufficientCenters,
                    SingularCovariance, TruncationTooLarge)
 
@@ -104,15 +103,11 @@ def fit_config_from(cfg: dict, bins_override: int | None = None) -> FitConfig:
     out of range raise ModelFormatError."""
     try:
         bins = bins_override if bins_override is not None else cfg["bins"]
-        truncation = cfg["truncation"]
-        if truncation is not None:
-            truncation = (int(truncation[0]),
-                          None if truncation[1] is None else int(truncation[1]))
         refine_bandwidth = cfg["refine_bandwidth"]
         fc = FitConfig(
             n_bins=None if bins is None else int(bins),
             grid_size=int(cfg["grid_size"]),
-            truncation=truncation,
+            truncation=cfg["truncation"],
             refine_bandwidth=None if refine_bandwidth is None else float(refine_bandwidth),
             criterion=cfg["criterion"],
             binwidth_criterion=cfg["binwidth_criterion"],

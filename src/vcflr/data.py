@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainViolation, EmptyBin, ParseError, UncoveredSubject
+from .errors import DomainViolation, EmptyBin, ParseError
 
 
 @dataclass
@@ -226,34 +226,6 @@ def partition(ds: LongitudinalDataset, n_bins: int, min_count: int = 5) -> BinPa
     idx = np.clip(idx, 0, n_bins - 1)
     index_sets = [np.flatnonzero(idx == p) for p in range(n_bins)]
     part = BinPartition(centers, h, index_sets)
-    _check_occupancy(part, min_count)
-    return part
-
-
-def explicit_bins(ds: LongitudinalDataset, centers, width: float,
-                  min_count: int = 0) -> BinPartition:
-    """Bin subjects into caller-supplied intervals [c - h/2, c + h/2).
-
-    Bins are scanned in increasing center order and the first matching
-    half-open interval wins; the right edge of the last bin is included.
-    Raises UncoveredSubject when some z matches no bin.
-    """
-    centers = np.sort(np.asarray(centers, dtype=float))
-    h = float(width)
-    index_sets = [[] for _ in centers]
-    for i, sub in enumerate(ds.subjects):
-        assigned = False
-        for p, c in enumerate(centers):
-            right_closed = p == len(centers) - 1
-            if c - h / 2 <= sub.z < c + h / 2 or (right_closed and sub.z == c + h / 2):
-                index_sets[p].append(i)
-                assigned = True
-                break
-        if not assigned:
-            raise UncoveredSubject(
-                f"subject {sub.id}: z={sub.z} not covered by any bin"
-            )
-    part = BinPartition(centers, h, [np.asarray(s, dtype=int) for s in index_sets])
     _check_occupancy(part, min_count)
     return part
 

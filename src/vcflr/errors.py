@@ -46,10 +46,6 @@ class EmptyBin(VcflrError):
         self.bin_index = bin_index
 
 
-class UncoveredSubject(VcflrError):
-    """A subject's covariate value falls outside every explicit bin."""
-
-
 class TruncationTooLarge(VcflrError):
     """Requested more components than an eigensystem provides."""
 
@@ -65,4 +61,5 @@ class CovariateOutOfDomain(VcflrError):
 class ModelFormatError(VcflrError):
     """A model or config document is corrupt, ill-typed or has the wrong
     format version, or a fit configuration does not fit the data's type
-    (a pair of bandwidths where a scalar response needs one)."""
+    (a pair of bandwidths where a scalar response needs one, or no number
+    of response components for a functional response)."""

@@ -130,22 +130,17 @@ def pair_locations(times_a, times_b, ia, ib):
     return ua[key // nb], ub[key % nb], order, np.cumsum(first) - 1
 
 
-def group_pairs(times_a, times_b, ia, ib, values, counts=None):
-    """Group pair entries (times_a[ia], times_b[ib], values) by location:
-    rows (x1, x2, mean value, multiplicity), sorted by (x1, x2), at the
-    ``pair_locations``. An entry is one pair, or, where ``counts`` is given,
-    ``counts`` pairs whose values it sums. Every group sums its values in
-    input order, so the rows equal those of sorting the pair coordinates
-    themselves.
+def group_pairs(times_a, times_b, ia, ib, values):
+    """Group pairs (times_a[ia], times_b[ib], values) by location: rows
+    (x1, x2, mean value, multiplicity), sorted by (x1, x2), at the
+    ``pair_locations``. Every group sums its values in input order, so the
+    rows equal those of sorting the pair coordinates themselves.
 
-    Cost: one stable integer sort of the entries. ``covariance_pairs`` and
-    ``cross_pairs`` with ``by_vector`` pass one entry per location of each
-    time vector that several subjects share, so a regular bin's 100
-    subjects arrive as 930 entries, not 93,000 pairs.
+    Cost: one stable integer sort of the pairs, which ``pair_rows`` skips
+    for a bin whose subjects all share one time vector.
     """
     x1, x2, order, group = pair_locations(times_a, times_b, ia, ib)
-    w = np.bincount(group).astype(float) if counts is None \
-        else np.bincount(group, weights=counts[order])
+    w = np.bincount(group).astype(float)
     return x1, x2, np.bincount(group, weights=values[order]) / w, w
 
 
@@ -174,31 +169,18 @@ def _stacked(arrays) -> np.ndarray:
     return np.concatenate(arrays) if arrays else np.empty(0)
 
 
-def _pair_index(n_a, n_b) -> tuple[np.ndarray, np.ndarray]:
+def _subject_pairs(n_a, n_b, off_diagonal: bool) -> tuple[np.ndarray, np.ndarray]:
     """Every within-subject pair (j, l) of a subject's j-th observation in
     one stream and l-th in another, subject by subject and row-major: the
     positions of both in the concatenations of all subjects' observations
-    (``n_a``/``n_b`` the per-subject counts, in order)."""
+    (``n_a``/``n_b`` the per-subject counts, in order), without the j == l
+    pairs when ``off_diagonal`` (a stream paired with itself)."""
     n_a = np.asarray(n_a, dtype=int)
     n_b = np.asarray(n_b, dtype=int)
     reps = np.repeat(n_b, n_a)   # per a-observation: its subject's b-count
     ia = np.repeat(np.arange(reps.size), reps)
     shift = np.repeat(np.cumsum(n_b) - n_b, n_a) - (np.cumsum(reps) - reps)
     ib = np.arange(reps.sum()) + np.repeat(shift, reps)
-    return ia, ib
-
-
-def _subject_pairs(n_a, n_b, off_diagonal: bool, keep=None):
-    """``_pair_index`` over the subjects where ``keep`` is set (every subject
-    by default), still as positions in the concatenations of all subjects'
-    observations, without the j == l pairs when ``off_diagonal`` (a stream
-    paired with itself)."""
-    if keep is None:
-        ia, ib = _pair_index(n_a, n_b)
-    else:
-        ia, ib = _pair_index(n_a * keep, n_b * keep)
-        ia = np.flatnonzero(np.repeat(keep, n_a))[ia]
-        ib = np.flatnonzero(np.repeat(keep, n_b))[ib]
     if off_diagonal:
         off = ia != ib
         ia, ib = ia[off], ib[off]
@@ -216,129 +198,85 @@ def _centered(subjects: list[Subject], stream: str, mean: GridFunction | float):
     return times, values - mean.at(times), sizes
 
 
-def _shared_vectors(streams, off_diagonal: bool) -> list[np.ndarray]:
-    """The groups of two or more subjects observed at one time vector and
-    with at least two pairs: one ascending index array per vector.
-    ``streams`` holds the concatenated times and per-subject counts of each
-    stream whose times together make up a subject's vector, the first one
-    the stream ``a`` of the pairs (``off_diagonal`` as in ``_pair_entries``).
-    A vector that two subjects share has each of its times observed twice,
-    so one sort of the stream's times settles a bin where no time repeats,
-    as on a sparse design; otherwise the subjects' vectors, padded to one
-    width, are compared as rows."""
-    ordered = np.sort(streams[0][0])
-    if np.count_nonzero(ordered[1:] == ordered[:-1]) == 0:
-        return []
-    n_a, n_b = streams[0][1], streams[-1][1]
-    cand = np.flatnonzero(n_a * n_b - (n_a if off_diagonal else 0) > 1)
-    if cand.size < 2:
-        return []
-    columns = []
-    for times, counts in streams:
-        n, start = counts[cand], (np.cumsum(counts) - counts)[cand]
-        width = np.arange(n.max())
-        inside = width < n[:, None]
-        block = np.full(inside.shape, -np.inf)
-        block[inside] = times[(start[:, None] + width)[inside]]
-        columns += [n[:, None], block]
-    _, vector = _unique_rows(np.hstack(columns))
-    groups = np.split(cand[np.argsort(vector, kind="stable")],
-                      np.cumsum(np.bincount(vector))[:-1])
-    return [g for g in groups if g.size > 1]
+def _diagonal(stream_) -> np.ndarray:
+    """The (s, squared centered value) rows of a ``_centered`` stream."""
+    times, resid, _ = stream_
+    return np.column_stack([times, resid * resid])
 
 
-def _exclusive(groups, times_a, n_a, times_b, n_b, off_diagonal: bool):
-    """The shared-vector ``groups`` none of whose pair locations any other
-    pair reaches: no subject outside the group, and no second (j, l) of the
-    vector itself (tied times). Each group counts once, through its first
-    subject, and the locations of all such pairs are compared at once."""
-    keep = np.ones(n_a.size, dtype=bool)
-    keep[np.concatenate([g[1:] for g in groups])] = False
-    ia, ib = _subject_pairs(n_a, n_b, off_diagonal, keep)
-    _, location = _unique_rows(np.column_stack([times_a[ia], times_b[ib]]))
-    shared = np.bincount(location)[location] > 1
-    n_pairs = n_a * n_b - (n_a if off_diagonal else 0)
-    owner = np.repeat(np.arange(n_a.size), n_pairs * keep)
-    clash = np.zeros(n_a.size, dtype=bool)
-    clash[owner[shared]] = True
-    return [g for g in groups if not clash[g[0]]]
+def _stream_pairs(a, b, off_diagonal: bool):
+    """Every within-subject pair of ``_centered`` streams ``a`` and ``b``
+    (``b`` is ``a`` for a covariance, whose j == l pairs ``off_diagonal``
+    drops), subject by subject and row-major, as ``group_pairs`` takes
+    them: ``(times_a, times_b, ia, ib, products)``."""
+    (times_a, ra, n_a), (times_b, rb, n_b) = a, b
+    ia, ib = _subject_pairs(n_a, n_b, off_diagonal)
+    return times_a, times_b, ia, ib, ra[ia] * rb[ib]
 
 
-def _pair_entries(a, b, off_diagonal: bool, by_vector: bool):
-    """The within-subject pair entries of streams ``a`` and ``b`` (each
-    ``(times, centered values, counts)``; ``b`` is ``a`` for a covariance,
-    whose j == l pairs ``off_diagonal`` drops), as ``group_pairs`` takes
-    them: every pair, subject by subject and row-major, with
-    ``(times_a, times_b, ia, ib, products)``.
+def _shared_vector(times, sizes):
+    """The time vector at which every subject of a stream is observed, when
+    there are at least two subjects and its times strictly increase; None
+    otherwise. Unequal counts, as on a sparse design, settle it at once."""
+    c = sizes.size
+    if c < 2 or np.any(sizes != sizes[0]):
+        return None
+    vector = times[:sizes[0]]
+    if np.all(vector[1:] > vector[:-1]) and np.all(times.reshape(c, vector.size) == vector):
+        return vector
+    return None
 
-    With ``by_vector`` a multiplicity column follows (None when every entry
-    is one pair), and a time vector shared by several subjects whose every
-    location no other pair reaches (``_exclusive``) enters once per
-    location: its members' products summed row by row in subject order,
-    which is the order and arithmetic in which ``group_pairs`` adds them
-    pair by pair, so the grouped rows are the same bits. A vector of a
-    single pair stays as it is: numpy adds a single column pairwise, not
-    row by row. Every other subject's pairs enter as without ``by_vector``,
-    and a bin where no observation time repeats costs one sort of the
-    times more.
+
+def pair_rows(a, b, off_diagonal: bool):
+    """Grouped (x1, x2, ybar, w) rows of the pairs of ``_stream_pairs``:
+    ``group_pairs`` of those pairs, unless all c subjects share one time
+    vector per stream and it has at least two pairs. Then each location is
+    one (j, l) of every subject, the rows are the vector's (j, l) in
+    row-major order (strictly increasing times make that the sorted order),
+    and each row's value is the members' products summed row by row in
+    subject order, divided by c: the order and arithmetic in which
+    ``group_pairs`` adds them, so the rows are the same bits. numpy sums a
+    C-ordered (c, n_a, n_b) stack row by row only when a row holds two or
+    more products (it sums a single column pairwise), so a vector of one
+    pair is left to ``group_pairs``.
+
+    Cost: a regular bin of 100 subjects sums 100 rows of 930 products and
+    sorts nothing; ``group_pairs`` would sort its 93,000 pairs.
     """
     (times_a, ra, n_a), (times_b, rb, n_b) = a, b
-    groups = []
-    if by_vector and times_b is not None:
-        streams = [(times_a, n_a)] if b is a else [(times_a, n_a), (times_b, n_b)]
-        groups = _shared_vectors(streams, off_diagonal)
-        if groups:
-            groups = _exclusive(groups, times_a, n_a, times_b, n_b, off_diagonal)
-    if not groups:
-        ia, ib = _subject_pairs(n_a, n_b, off_diagonal)
-        pairs = (times_a, times_b, ia, ib, ra[ia] * rb[ib])
-        return pairs + (None,) if by_vector else pairs
-    in_vector = np.zeros(n_a.size, dtype=bool)
-    in_vector[np.concatenate(groups)] = True
-    ia, ib = _subject_pairs(n_a, n_b, off_diagonal, ~in_vector)
-    parts = [(ia, ib, ra[ia] * rb[ib], np.ones(ia.size))]
-    starts_a, starts_b = np.cumsum(n_a) - n_a, np.cumsum(n_b) - n_b
-    for g in groups:
-        pa = starts_a[g, None] + np.arange(n_a[g[0]])
-        pb = starts_b[g, None] + np.arange(n_b[g[0]])
-        sums = (ra[pa][:, :, None] * rb[pb][:, None, :]).sum(axis=0)
-        ja, jb = _subject_pairs(n_a[g[:1]], n_b[g[:1]], off_diagonal)
-        parts.append((pa[0, ja], pb[0, jb], sums[ja, jb], np.full(ja.size, float(g.size))))
-    ia, ib, values, counts = (np.concatenate(col) for col in zip(*parts))
-    return times_a, times_b, ia, ib, values, counts
+    va = _shared_vector(times_a, n_a)
+    vb = va if b is a or va is None else _shared_vector(times_b, n_b)
+    if vb is not None:
+        ja, jb = _subject_pairs(n_a[:1], n_b[:1], off_diagonal)
+        if ja.size > 1:
+            c = n_a.size
+            products = ra.reshape(c, -1, 1) * rb.reshape(c, 1, -1)
+            w = np.full(ja.size, float(c))
+            return va[ja], vb[jb], products.sum(axis=0)[ja, jb] / w, w
+    pairs = _stream_pairs(a, b, off_diagonal)
+    del a, b, ra, rb   # the centered values are spent once multiplied
+    return group_pairs(*pairs)
 
 
-def covariance_pairs(subjects: list[Subject], mean: GridFunction, stream: str,
-                     by_vector: bool = False):
+def covariance_pairs(subjects: list[Subject], mean: GridFunction, stream: str):
     """One stream's centered observations paired with themselves.
 
     Returns ``(pairs, diag)``: pairs is ``(times, times, ia, ib, products)``
     for every within-subject pair with j != l, subject by subject and
     row-major, as ``group_pairs`` takes it; diag is the (m, 2) array of
-    (s, squared centered value) rows. ``by_vector`` sums each time vector
-    that several subjects share once per location and adds the
-    multiplicities (``_pair_entries``); the grouped rows are unchanged.
-
-    Cost: without ``by_vector`` a regular bin of 100 subjects is 93,000
-    pairs; with it, 930 entries. Cross-validation takes the pairs, because
-    its folds split each location's subjects.
+    (s, squared centered value) rows. Cross-validation takes the pairs,
+    because its folds split each location's subjects.
     """
-    times, resid, sizes = _centered(subjects, stream, mean)
-    stream_ = (times, resid, sizes)
-    pairs = _pair_entries(stream_, stream_, True, by_vector)
-    return pairs, np.column_stack([times, resid * resid])
+    stream_ = _centered(subjects, stream, mean)
+    return _stream_pairs(stream_, stream_, True), _diagonal(stream_)
 
 
-def cross_pairs(subjects: list[Subject], mean_x: GridFunction, mean_y: GridFunction | float,
-                by_vector: bool = False):
+def cross_pairs(subjects: list[Subject], mean_x: GridFunction, mean_y: GridFunction | float):
     """Every within-subject (predictor, response) pair of centered
     observations, subject by subject and row-major: ``(x_times, y_times,
-    ia, ib, products)``, with y_times None for a scalar response.
-    ``by_vector`` works as in ``covariance_pairs``, with a subject's vector
-    its pair of x and y time vectors; a scalar response's pairs, one per x
-    observation, all stay as they are."""
-    x, y = _centered(subjects, "x", mean_x), _centered(subjects, "y", mean_y)
-    return _pair_entries(x, y, False, by_vector)
+    ia, ib, products)``, with y_times None for a scalar response."""
+    return _stream_pairs(_centered(subjects, "x", mean_x), _centered(subjects, "y", mean_y),
+                         False)
 
 
 def _smooth_2d(rows, cfg: LocalFitConfig, grid1: Grid, grid2: Grid) -> np.ndarray:
@@ -362,10 +300,9 @@ def _smooth_2d(rows, cfg: LocalFitConfig, grid1: Grid, grid2: Grid) -> np.ndarra
 def smooth_covariance(rows, cfg: LocalFitConfig, grid: Grid) -> GridSurface:
     """Smooth off-diagonal raw covariances onto grid x grid and symmetrize.
 
-    ``rows`` are the grouped (x1, x2, ybar, w) rows of ``group_pairs``.
+    ``rows`` are the grouped (x1, x2, ybar, w) rows of ``pair_rows``.
     Cost: the smoother sees one weighted row per distinct location, grouped
-    once, before any widening retry, from one entry per location of each
-    shared time vector (``covariance_pairs`` with ``by_vector``).
+    once, before any widening retry.
     """
     values = _smooth_2d(rows, cfg, grid, grid)
     return GridSurface(grid, grid, (values + values.T) / 2.0)
@@ -378,13 +315,13 @@ def smooth_cross_covariance(subjects: list[Subject], mean_x: GridFunction,
 
     Functional responses use every (l, j) observation pair (measurement
     errors are independent across streams, so no diagonal is removed),
-    summed once per shared pair of time vectors and grouped once by
-    location, and a 2D smoother; scalar responses reduce to a curve in s,
-    smoothed like a mean curve.
+    grouped once by location (``pair_rows``), and a 2D smoother; scalar
+    responses reduce to a curve in s, smoothed like a mean curve.
     """
     if isinstance(mean_y, GridFunction):
         grid_s, grid_t = grids
-        rows = group_pairs(*cross_pairs(subjects, mean_x, mean_y, by_vector=True))
+        rows = pair_rows(_centered(subjects, "x", mean_x), _centered(subjects, "y", mean_y),
+                         False)
         return GridSurface(grid_s, grid_t, _smooth_2d(rows, cfg, grid_s, grid_t))
     raw = raw_cross_products(subjects, mean_x, mean_y)
     grid_s = grids if isinstance(grids, Grid) else grids[0]
@@ -669,11 +606,13 @@ def _covariance_estimates(subjects: list[Subject], mean: GridFunction, stream: s
                           cov_bw, diag_bw: float, kernel: Kernel1D,
                           grid: Grid, max_components: int, rel_tol: float):
     """One stream's covariance surface, error variance and eigensystem, from
-    its off-diagonal pairs, summed once per shared time vector and grouped
-    once (the entries are dropped there)."""
-    pairs, diag = covariance_pairs(subjects, mean, stream, by_vector=True)
-    rows = group_pairs(*pairs)
-    del pairs
+    its off-diagonal pairs, grouped once by location (``pair_rows``; the
+    centered stream is dropped there, so the smoothers run beside the rows
+    and the diagonal alone)."""
+    stream_ = _centered(subjects, stream, mean)
+    diag = _diagonal(stream_)
+    rows = pair_rows(stream_, stream_, True)
+    del stream_
     cov = smooth_covariance(rows, LocalFitConfig(cov_bw, kernel), grid)
     sigma2 = estimate_sigma2(diag, rows, LocalFitConfig(diag_bw, kernel), grid)
     return cov, sigma2, eigendecompose(cov, grid, max_components, rel_tol=rel_tol)
@@ -691,10 +630,9 @@ def fit_bin(subjects: list[Subject], center: float, s_grid: Grid,
     off-diagonal pairs, and the functional cross pairs, are grouped by
     location once and shared by every smoother and retry that uses them.
 
-    Cost: subjects observed at one time vector enter that grouping as one
-    entry per location (``covariance_pairs`` with ``by_vector``), so a
-    regular bin's grouping scales with its distinct vectors, not with its
-    subjects; a sparse bin's, with its pairs.
+    Cost: a bin whose subjects all share one time vector is grouped by
+    summing each location's products across subjects, without a sort
+    (``pair_rows``); any other bin sorts its pairs.
     """
     scalar = t_grid is None
 

@@ -50,6 +50,12 @@ def _positive(value) -> bool:
         and math.isfinite(value) and value > 0
 
 
+def _count(value, least: int) -> bool:
+    """True for an integer of at least ``least`` (booleans excluded)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) \
+        and value >= least
+
+
 @dataclass
 class FitConfig:
     """Everything `fit` needs beyond the dataset.
@@ -113,8 +119,20 @@ class FitConfig:
         if not self.cv_factors or not all(_positive(f) for f in self.cv_factors):
             raise ValueError(
                 f"cv_factors must be finite positive numbers, got {self.cv_factors!r}")
-        if self.cv_folds < 2:
-            raise ValueError(f"cv_folds must be at least 2, got {self.cv_folds!r}")
+        if not _count(self.cv_folds, 2):
+            raise ValueError(f"cv_folds must be an integer of at least 2, got {self.cv_folds!r}")
+        if self.n_bins is not None and not _count(self.n_bins, 1):
+            raise ValueError(f"n_bins must be a positive integer or None, got {self.n_bins!r}")
+        trunc = self.truncation
+        if trunc is not None and not (
+                isinstance(trunc, (tuple, list)) and len(trunc) == 2 and _count(trunc[0], 1)
+                and (trunc[1] is None or _count(trunc[1], 1))):
+            raise ValueError(f"truncation must be a pair (M, K) of positive integers, "
+                             f"K None for a scalar response; got {trunc!r}")
+        for name in ("bin_candidates", "truncation_candidates"):
+            value = getattr(self, name)
+            if not value or not all(_count(v, 1) for v in value):
+                raise ValueError(f"{name} must be positive integers, got {value!r}")
 
     def kernel1d(self) -> Kernel1D:
         return Kernel1D(self.kernel)
@@ -337,6 +355,10 @@ def fit(ds: LongitudinalDataset, config: FitConfig | None = None) -> FittedModel
         raise ModelFormatError(
             f"bandwidth cross must be a single number for a scalar response, whose "
             f"cross-covariance is a curve; got {cfg.bandwidths['cross']!r}")
+    if not ds.scalar_response and cfg.truncation is not None and cfg.truncation[1] is None:
+        raise ModelFormatError(
+            f"truncation {cfg.truncation!r} needs a number K of response components "
+            f"for a functional response")
     ds = _usable_subjects(ds)
     kernel = cfg.kernel1d()
 

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vcflr
 from vcflr.cli import main
 from vcflr.data import LongitudinalDataset, Subject, save_csv
 from vcflr.serialize import load_model
@@ -135,6 +140,19 @@ class TestFit:
                      "--config", str(cfg), "--out", str(tmp_path / "m")])
         assert code == 4
         assert "refine bandwidths" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("truncation, shown", [
+        ([2], "truncation must"), ([2.5, 2], "truncation must"), ("ab", "truncation must"),
+        ([2, None], "response components"),
+    ])
+    def test_bad_truncation_exit_4(self, sim_dir, tmp_path, capsys, truncation, shown):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"truncation": truncation}))
+        code = main(["fit", "--train", str(sim_dir / "train.csv"),
+                     "--config", str(cfg), "--out", str(tmp_path / "m")])
+        assert code == 4
+        assert shown in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize("pair", ["ab", [0, "10"], [10, 0], [0, 0], [0],
@@ -305,3 +323,12 @@ class TestEvaluate:
             _, rows = read_rows(out / f"beta_z{z:g}.csv")
             got = np.array([float(r[2]) for r in rows]).reshape(values.shape)
             assert np.allclose(got, values, rtol=0, atol=1e-12 * np.max(np.abs(values)))
+
+
+def test_import_leaves_scipy_out():
+    # scipy is a test dependency only: the library and its CLI never load it
+    src = Path(vcflr.__file__).resolve().parents[1]
+    probe = "import sys, vcflr, vcflr.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"

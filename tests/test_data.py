@@ -5,12 +5,11 @@ from hypothesis import given, settings, strategies as st
 from vcflr.data import (
     LongitudinalDataset,
     Subject,
-    explicit_bins,
     load_csv,
     partition,
     save_csv,
 )
-from vcflr.errors import DomainViolation, EmptyBin, ParseError, UncoveredSubject
+from vcflr.errors import DomainViolation, EmptyBin, ParseError
 
 
 def toy_dataset(n=12, seed=0, scalar=False):
@@ -164,42 +163,3 @@ class TestPartition:
         # z = 0.25 and 0.5 sit halfway between two centers: the lower wins
         assert part.nearest_bin(z).tolist() == [0, 0, 0, 1, 1, 3, 3]
         assert [part.nearest_bin(v) for v in z] == part.nearest_bin(z).tolist()
-
-
-class TestExplicitBins:
-    def make_ds(self, zs):
-        subjects = [Subject(f"s{i}", z, np.array([1.0, 2.0]), np.zeros(2),
-                            np.array([1.0]), np.zeros(1))
-                    for i, z in enumerate(zs)]
-        return LongitudinalDataset(subjects, (0, 10), (0, 10), (15, 35))
-
-    def test_half_open_convention(self):
-        ds = self.make_ds([18.0])
-        part = explicit_bins(ds, np.arange(17, 34, 2), 2.0)
-        assigned = [p for p, s in enumerate(part.index_sets) if s.size]
-        assert assigned == [1]          # center 19 owns [18, 20)
-
-    def test_uncovered_subject(self):
-        ds = self.make_ds([34.5])
-        with pytest.raises(UncoveredSubject):
-            explicit_bins(ds, np.arange(17, 34, 2), 2.0)
-
-    def test_counts_match_direct_assignment(self):
-        rng = np.random.default_rng(11)
-        zs = rng.uniform(16, 34, 200)
-        ds = self.make_ds(zs)
-        centers = np.arange(17.0, 34.0, 2.0)
-        part = explicit_bins(ds, centers, 2.0)
-        oracle = np.zeros(len(centers), dtype=int)
-        for z in zs:
-            for p, c in enumerate(centers):
-                last = p == len(centers) - 1
-                if c - 1 <= z < c + 1 or (last and z == c + 1):
-                    oracle[p] += 1
-                    break
-        assert np.array_equal(part.counts, oracle)
-
-    def test_last_bin_right_closed(self):
-        ds = self.make_ds([34.0])
-        part = explicit_bins(ds, np.arange(17, 34, 2), 2.0)
-        assert part.index_sets[-1].size == 1

@@ -189,20 +189,32 @@ class TestGroupPairs:
                           oracle_aggregate_2d(raw[:, 0], raw[:, 1], raw[:, 2]))
 
 
+def count_calls(mp, name, size):
+    """Record ``size(args, result)`` for every call of ``fpca.<name>``."""
+    calls = []
+    real = getattr(fpca, name)
+
+    def counting(*args):
+        out = real(*args)
+        calls.append(size(args, out))
+        return out
+
+    mp.setattr(fpca, name, counting)
+    return calls
+
+
+def count_rows(mp):
+    """Rows returned per ``pair_rows`` call."""
+    return count_calls(mp, "pair_rows", lambda args, out: out[0].size)
+
+
+def count_sorted_pairs(mp):
+    """Pairs passed per ``group_pairs`` call."""
+    return count_calls(mp, "group_pairs", lambda args, out: args[2].size)
+
+
 class TestFitBinGroupsOnce:
     """fit_bin groups each pair set once, however often a smoother widens."""
-
-    @staticmethod
-    def count_grouping(monkeypatch):
-        calls = []
-        real = fpca.group_pairs
-
-        def counting(*args):
-            calls.append(len(args[2]))
-            return real(*args)
-
-        monkeypatch.setattr(fpca, "group_pairs", counting)
-        return calls
 
     @staticmethod
     def count_attempts(monkeypatch):
@@ -229,7 +241,7 @@ class TestFitBinGroupsOnce:
         bw = BinBandwidths(mean_x=2.0, mean_y=2.0, cov_x=surface_bw, cov_y=surface_bw,
                            diag_x=surface_bw, diag_y=surface_bw, cross=surface_bw)
         attempts = self.count_attempts(monkeypatch)
-        calls = self.count_grouping(monkeypatch)
+        calls = count_rows(monkeypatch)
         fit_bin(ds.subjects, 0.5, grid, grid, bw, Kernel1D(), 3, 3)
         assert len(calls) == 3
         # two means, two surfaces, two diagonals and the cross surface
@@ -246,7 +258,7 @@ class TestFitBinGroupsOnce:
         bw = BinBandwidths(mean_x=2.0, mean_y=None, cov_x=0.3, cov_y=None,
                            diag_x=0.3, diag_y=None, cross=2.0)
         attempts = self.count_attempts(monkeypatch)
-        calls = self.count_grouping(monkeypatch)
+        calls = count_rows(monkeypatch)
         fit_bin(subjects, 0.5, grid, None, bw, Kernel1D(), 3, 1)
         assert len(calls) == 1
         assert max(attempts) > 1
@@ -289,36 +301,86 @@ def vector_pool_subjects(draw):
     return subjects, scalar
 
 
-def by_vector_rows_match_pairs(subjects, scalar):
-    """Grouped by-vector entries equal the oracle grouping of the raw rows,
-    element for element, for both covariance streams and the cross surface;
-    a scalar response's cross pairs come through unchanged."""
+@st.composite
+def shared_vector_subjects(draw):
+    """0 to 40 subjects that all share one x and one y time vector, each the
+    full lattice, a thinned or tied subset of it, or 1 or 2 of its times,
+    with values at a scale of 1e-8, 1 or 1e8."""
+    def vector():
+        kind = draw(st.sampled_from(["full", "thinned", "tied", "one", "two"]))
+        if kind == "full":
+            return LATTICE
+        size = {"one": (1, 1), "two": (2, 2)}.get(kind, (2, 8))
+        idx = draw(st.lists(st.integers(0, 20), min_size=size[0], max_size=size[1],
+                            unique=True))
+        times = LATTICE[sorted(idx)]
+        if kind == "tied":
+            times = np.sort(np.append(times, times[draw(st.integers(0, times.size - 1))]))
+        return times
+
+    xt, yt = vector(), vector()
+    scale = draw(st.sampled_from([1e-8, 1.0, 1e8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return [Subject(f"s{i}", 0.5, xt, scale * rng.normal(size=xt.size),
+                    yt, scale * rng.normal(size=yt.size))
+            for i in range(draw(st.integers(0, 40)))], False
+
+
+def pair_rows_of(subjects, scalar):
+    """``pair_rows`` of both covariance streams (the x stream alone for a
+    scalar response) and of the functional cross surface, each with the
+    oracle grouping of its raw rows."""
     mean_x, mean_y = lattice_means()
+    out = []
     for stream, mean in (("x", mean_x), ("y", mean_y))[:1 if scalar else 2]:
+        stream_ = fpca._centered(subjects, stream, mean)
         off, _ = oracle_raw_covariances(subjects, mean, stream)
-        entries, _ = covariance_pairs(subjects, mean, stream, by_vector=True)
-        assert_rows_equal(group_pairs(*entries),
-                          oracle_aggregate_2d(off[:, 0], off[:, 1], off[:, 2]))
-    if scalar:
-        entries = cross_pairs(subjects, mean_x, 0.25, by_vector=True)
-        assert entries[5] is None
-        for got, want in zip(entries[2:5], cross_pairs(subjects, mean_x, 0.25)[2:]):
-            assert np.array_equal(got, want)
-        return
-    raw = oracle_raw_cross_products(subjects, mean_x, mean_y)
-    assert_rows_equal(group_pairs(*cross_pairs(subjects, mean_x, mean_y, by_vector=True)),
-                      oracle_aggregate_2d(raw[:, 0], raw[:, 1], raw[:, 2]))
+        out.append((fpca.pair_rows(stream_, stream_, True),
+                    oracle_aggregate_2d(off[:, 0], off[:, 1], off[:, 2])))
+    if not scalar:
+        raw = oracle_raw_cross_products(subjects, mean_x, mean_y)
+        out.append((fpca.pair_rows(fpca._centered(subjects, "x", mean_x),
+                                   fpca._centered(subjects, "y", mean_y), False),
+                    oracle_aggregate_2d(raw[:, 0], raw[:, 1], raw[:, 2])))
+    return out
+
+
+def shares_one_vector(subjects):
+    """Whether ``pair_rows`` may sum a bin's products without sorting them:
+    two or more subjects, one strictly increasing vector per stream."""
+    def one(times):
+        return len(times) > 1 and all(np.array_equal(t, times[0]) for t in times) \
+            and np.all(np.diff(times[0]) > 0)
+    return one([s.x_times for s in subjects]), one([s.y_times for s in subjects])
 
 
 class TestByVectorEntries:
-    """Summing each shared time vector's products once gives the rows of
-    grouping every pair, bit for bit; a bin's grouping then receives one
-    entry per location of a shared vector and every pair of the rest."""
+    """Summing the products of a bin whose subjects all share one time
+    vector gives the rows of grouping every pair, bit for bit; any other bin
+    groups every pair."""
 
     @given(drawn=vector_pool_subjects())
     @settings(max_examples=150, deadline=None)
     def test_pooled_vectors_match_pairs(self, drawn):
-        by_vector_rows_match_pairs(*drawn)
+        for got, want in pair_rows_of(*drawn):
+            assert_rows_equal(got, want)
+
+    @given(drawn=shared_vector_subjects())
+    @settings(max_examples=150, deadline=None)
+    def test_one_shared_vector_matches_pairs(self, drawn):
+        subjects, _ = drawn
+        with pytest.MonkeyPatch.context() as mp:
+            sorted_pairs = count_sorted_pairs(mp)
+            rows = pair_rows_of(subjects, False)
+        for got, want in rows:
+            assert_rows_equal(got, want)
+        # a stream pair sorts unless it shares one vector with two pairs
+        x, y = shares_one_vector(subjects)
+        n = [s.n_x for s in subjects[:1]] + [s.n_y for s in subjects[:1]]
+        n_x, n_y = n if n else (0, 0)
+        summed = [x and n_x * (n_x - 1) > 1, y and n_y * (n_y - 1) > 1,
+                  x and y and n_x * n_y > 1]
+        assert len(sorted_pairs) == summed.count(False)
 
     @pytest.mark.parametrize("design", ["regular", "mixed", "thinned", "shifted"])
     def test_study_designs_match_pairs(self, design):
@@ -328,8 +390,7 @@ class TestByVectorEntries:
         subjects = {
             "regular": regular,
             "mixed": regular[:20] + sparse[:30] + regular[20:],
-            # every third subject observes half the times: their locations
-            # are the full vector's, so nothing may be pre-summed
+            # every third subject observes half the times
             "thinned": [Subject(s.id, s.z, s.x_times[::2], s.x_values[::2],
                                 s.y_times[::2], s.y_values[::2]) if i % 3 == 0 else s
                         for i, s in enumerate(regular)],
@@ -338,13 +399,15 @@ class TestByVectorEntries:
                                 s.y_times + 0.1 * (i % 2), s.y_values)
                         for i, s in enumerate(regular)],
         }[design]
-        by_vector_rows_match_pairs(subjects, False)
-        x_entries, _ = covariance_pairs(subjects, lattice_means()[0], "x", by_vector=True)
-        n_pairs = sum(s.n_x * (s.n_x - 1) for s in subjects)
-        if design == "thinned":
-            assert x_entries[5] is None and x_entries[2].size == n_pairs
-        else:
-            assert x_entries[2].size < n_pairs
+        with pytest.MonkeyPatch.context() as mp:
+            sorted_pairs = count_sorted_pairs(mp)
+            rows = pair_rows_of(subjects, False)
+        for got, want in rows:
+            assert_rows_equal(got, want)
+        n_x = np.array([s.n_x for s in subjects])
+        n_y = np.array([s.n_y for s in subjects])
+        pairs = [np.sum(n_x * (n_x - 1)), np.sum(n_y * (n_y - 1)), np.sum(n_x * n_y)]
+        assert sorted_pairs == ([] if design == "regular" else pairs)
 
     @staticmethod
     def fit_one_bin(design, n, seed):
@@ -358,17 +421,20 @@ class TestByVectorEntries:
 
     def test_regular_bin_groups_one_entry_per_location(self, monkeypatch):
         from vcflr.simulation import REGULAR
-        calls = TestFitBinGroupsOnce.count_grouping(monkeypatch)
+        rows = count_rows(monkeypatch)
+        sorted_pairs = count_sorted_pairs(monkeypatch)
         self.fit_one_bin(REGULAR, 100, 95)
-        assert calls == [930, 930, 961]
+        assert rows == [930, 930, 961]
+        assert sorted_pairs == []
 
     def test_sparse_bin_groups_every_pair(self, monkeypatch):
         from vcflr.simulation import SPARSE
-        calls = TestFitBinGroupsOnce.count_grouping(monkeypatch)
+        sorted_pairs = count_sorted_pairs(monkeypatch)
         subjects = self.fit_one_bin(SPARSE, 100, 96)
         n_x = np.array([s.n_x for s in subjects])
         n_y = np.array([s.n_y for s in subjects])
-        assert calls == [np.sum(n_x * (n_x - 1)), np.sum(n_y * (n_y - 1)), np.sum(n_x * n_y)]
+        assert sorted_pairs == [np.sum(n_x * (n_x - 1)), np.sum(n_y * (n_y - 1)),
+                                np.sum(n_x * n_y)]
 
 
 class TestEstimateMean:

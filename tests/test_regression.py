@@ -217,6 +217,16 @@ class TestFit:
         (dict(cv_factors=()), "cv_factors"),
         (dict(cv_factors=(1.0, float("nan"))), "cv_factors"),
         (dict(cv_folds=1), "cv_folds"),
+        (dict(cv_folds=2.5), "cv_folds"),
+        (dict(truncation=(2,)), "truncation must"),
+        (dict(truncation=(2.5, 2)), "truncation must"),
+        (dict(truncation=(0, 1)), "truncation must"),
+        (dict(truncation=(2, True)), "truncation must"),
+        (dict(truncation_candidates=(2, 0)), "truncation_candidates"),
+        (dict(truncation_candidates=()), "truncation_candidates"),
+        (dict(n_bins=0), "n_bins"),
+        (dict(bin_candidates=(4, 0)), "bin_candidates"),
+        (dict(bin_candidates=()), "bin_candidates"),
     ])
     def test_bandwidth_settings_validated(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -323,6 +333,14 @@ class TestBandwidthFallback:
             subs = [ds.subjects[i] for i in model.partition.index_sets[p]]
             assert b.bandwidths["cross"] == default_bandwidth(
                 10.0, sum(s.n_x * s.n_y for s in subs))
+
+    def test_functional_response_needs_k(self):
+        ds, _ = generate(REGULAR, 40, seed=45)
+        cfg = FitConfig(n_bins=2, truncation=(2, None), min_bin_count=2)
+        with pytest.raises(ModelFormatError, match="response components"):
+            fit(ds, cfg)
+        with pytest.raises(ModelFormatError, match="response components"):
+            fit_global(ds, cfg)
 
     @pytest.mark.parametrize("pair", [(1.0, 2.0), [1.5, 1.5]])
     def test_scalar_cross_pair_rejected(self, pair):
