@@ -105,8 +105,8 @@ def fit_config_from(cfg: dict, bins_override: int | None = None) -> FitConfig:
         bins = bins_override if bins_override is not None else cfg["bins"]
         refine_bandwidth = cfg["refine_bandwidth"]
         fc = FitConfig(
-            n_bins=None if bins is None else int(bins),
-            grid_size=int(cfg["grid_size"]),
+            n_bins=bins,
+            grid_size=cfg["grid_size"],
             truncation=cfg["truncation"],
             refine_bandwidth=None if refine_bandwidth is None else float(refine_bandwidth),
             criterion=cfg["criterion"],
@@ -116,7 +116,7 @@ def fit_config_from(cfg: dict, bins_override: int | None = None) -> FitConfig:
             bandwidth_policy=cfg["bandwidth_policy"],
             cv_surfaces=bool(cfg["cv_surfaces"]),
             eigen_floor=float(cfg["eigen_floor"]),
-            min_bin_count=int(cfg["min_bin_count"]),
+            min_bin_count=cfg["min_bin_count"],
         )
         fc.kernel1d()   # rejects an unknown kernel family
     except (TypeError, ValueError) as err:

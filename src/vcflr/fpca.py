@@ -187,15 +187,27 @@ def _subject_pairs(n_a, n_b, off_diagonal: bool) -> tuple[np.ndarray, np.ndarray
     return ia, ib
 
 
+def _observations(subjects: list[Subject], stream: str, timed: bool = True):
+    """One stream's observation times (None unless ``timed``) and values,
+    all subjects concatenated, and the per-subject counts."""
+    values = _stacked([s.x_values if stream == "x" else s.y_values for s in subjects])
+    sizes = np.array([s.n_x if stream == "x" else s.n_y for s in subjects], dtype=int)
+    if not timed:
+        return None, values, sizes
+    return _stacked([s.x_times if stream == "x" else s.y_times for s in subjects]), values, sizes
+
+
+def _minus(observations, mean: GridFunction | float):
+    """``_observations`` centered by a mean curve at their times, or by a
+    scalar mean."""
+    times, values, sizes = observations
+    return times, values - (mean.at(times) if isinstance(mean, GridFunction) else mean), sizes
+
+
 def _centered(subjects: list[Subject], stream: str, mean: GridFunction | float):
     """One stream's observation times (None for a scalar response) and
     centered values, all subjects concatenated, and the per-subject counts."""
-    values = _stacked([s.x_values if stream == "x" else s.y_values for s in subjects])
-    sizes = np.array([s.n_x if stream == "x" else s.n_y for s in subjects], dtype=int)
-    if not isinstance(mean, GridFunction):
-        return None, values - mean, sizes
-    times = _stacked([s.x_times if stream == "x" else s.y_times for s in subjects])
-    return times, values - mean.at(times), sizes
+    return _minus(_observations(subjects, stream, isinstance(mean, GridFunction)), mean)
 
 
 def _diagonal(stream_) -> np.ndarray:
@@ -310,22 +322,24 @@ def smooth_covariance(rows, cfg: LocalFitConfig, grid: Grid) -> GridSurface:
 
 def smooth_cross_covariance(subjects: list[Subject], mean_x: GridFunction,
                             mean_y: GridFunction | float, cfg: LocalFitConfig,
-                            grids: tuple[Grid, Grid] | Grid):
+                            grids: tuple[Grid, Grid] | Grid, centered=None):
     """Smooth raw cross-covariances.
 
     Functional responses use every (l, j) observation pair (measurement
     errors are independent across streams, so no diagonal is removed),
     grouped once by location (``pair_rows``), and a 2D smoother; scalar
     responses reduce to a curve in s, smoothed like a mean curve.
+    ``centered`` holds the ``_centered`` predictor and response streams of
+    ``subjects`` when the caller has built them already.
     """
+    x, y = centered or (_centered(subjects, "x", mean_x), _centered(subjects, "y", mean_y))
     if isinstance(mean_y, GridFunction):
         grid_s, grid_t = grids
-        rows = pair_rows(_centered(subjects, "x", mean_x), _centered(subjects, "y", mean_y),
-                         False)
+        rows = pair_rows(x, y, False)
         return GridSurface(grid_s, grid_t, _smooth_2d(rows, cfg, grid_s, grid_t))
-    raw = raw_cross_products(subjects, mean_x, mean_y)
+    x_times, _, ia, _, products = _stream_pairs(x, y, False)
     grid_s = grids if isinstance(grids, Grid) else grids[0]
-    return estimate_mean(raw[:, 0], raw[:, 1], cfg, grid_s)
+    return estimate_mean(x_times[ia], products, cfg, grid_s)
 
 
 def raw_cross_products(subjects: list[Subject], mean_x: GridFunction,
@@ -602,17 +616,13 @@ class BinBandwidths:
         }
 
 
-def _covariance_estimates(subjects: list[Subject], mean: GridFunction, stream: str,
-                          cov_bw, diag_bw: float, kernel: Kernel1D,
+def _covariance_estimates(stream_, cov_bw, diag_bw: float, kernel: Kernel1D,
                           grid: Grid, max_components: int, rel_tol: float):
-    """One stream's covariance surface, error variance and eigensystem, from
-    its off-diagonal pairs, grouped once by location (``pair_rows``; the
-    centered stream is dropped there, so the smoothers run beside the rows
-    and the diagonal alone)."""
-    stream_ = _centered(subjects, stream, mean)
+    """One ``_centered`` stream's covariance surface, error variance and
+    eigensystem, from its off-diagonal pairs, grouped once by location
+    (``pair_rows``)."""
     diag = _diagonal(stream_)
     rows = pair_rows(stream_, stream_, True)
-    del stream_
     cov = smooth_covariance(rows, LocalFitConfig(cov_bw, kernel), grid)
     sigma2 = estimate_sigma2(diag, rows, LocalFitConfig(diag_bw, kernel), grid)
     return cov, sigma2, eigendecompose(cov, grid, max_components, rel_tol=rel_tol)
@@ -630,39 +640,36 @@ def fit_bin(subjects: list[Subject], center: float, s_grid: Grid,
     off-diagonal pairs, and the functional cross pairs, are grouped by
     location once and shared by every smoother and retry that uses them.
 
-    Cost: a bin whose subjects all share one time vector is grouped by
-    summing each location's products across subjects, without a sort
-    (``pair_rows``); any other bin sorts its pairs.
+    Cost: each stream is concatenated and centered once, for its mean, its
+    covariance and the cross surface. A bin whose subjects all share one
+    time vector is grouped by summing each location's products across
+    subjects, without a sort (``pair_rows``); any other bin sorts its pairs.
     """
     scalar = t_grid is None
 
-    x_times = np.concatenate([s.x_times for s in subjects])
-    x_values = np.concatenate([s.x_values for s in subjects])
-    mean_x = estimate_mean(x_times, x_values,
-                           LocalFitConfig(bandwidths.mean_x, kernel), s_grid)
-
+    x = _observations(subjects, "x")
+    mean_x = estimate_mean(x[0], x[1], LocalFitConfig(bandwidths.mean_x, kernel), s_grid)
+    x = _minus(x, mean_x)
     if scalar:
         mean_y = float(np.mean([s.y_scalar for s in subjects]))
+        y = _centered(subjects, "y", mean_y)
     else:
-        y_times = np.concatenate([s.y_times for s in subjects])
-        y_values = np.concatenate([s.y_values for s in subjects])
-        mean_y = estimate_mean(y_times, y_values,
-                               LocalFitConfig(bandwidths.mean_y, kernel), t_grid)
+        y = _observations(subjects, "y")
+        mean_y = estimate_mean(y[0], y[1], LocalFitConfig(bandwidths.mean_y, kernel), t_grid)
+        y = _minus(y, mean_y)
 
     rel_tol = max(1e-10, eigen_floor)
     cov_x, sigma2_x, eig_x = _covariance_estimates(
-        subjects, mean_x, "x", bandwidths.cov_x, bandwidths.diag_x, kernel,
-        s_grid, max_m, rel_tol)
+        x, bandwidths.cov_x, bandwidths.diag_x, kernel, s_grid, max_m, rel_tol)
     if scalar:
         cov_y = sigma2_y = eig_y = None
     else:
         cov_y, sigma2_y, eig_y = _covariance_estimates(
-            subjects, mean_y, "y", bandwidths.cov_y, bandwidths.diag_y, kernel,
-            t_grid, max_k, rel_tol)
+            y, bandwidths.cov_y, bandwidths.diag_y, kernel, t_grid, max_k, rel_tol)
 
     cross = smooth_cross_covariance(
         subjects, mean_x, mean_y, LocalFitConfig(bandwidths.cross, kernel),
-        s_grid if scalar else (s_grid, t_grid))
+        s_grid if scalar else (s_grid, t_grid), centered=(x, y))
 
     m_avail = eig_x.n_components
     if m_avail == 0:

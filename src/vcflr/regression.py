@@ -121,6 +121,11 @@ class FitConfig:
                 f"cv_factors must be finite positive numbers, got {self.cv_factors!r}")
         if not _count(self.cv_folds, 2):
             raise ValueError(f"cv_folds must be an integer of at least 2, got {self.cv_folds!r}")
+        if not _count(self.grid_size, 2):
+            raise ValueError(f"grid_size must be an integer of at least 2, got {self.grid_size!r}")
+        if not _count(self.min_bin_count, 1):
+            raise ValueError(
+                f"min_bin_count must be a positive integer, got {self.min_bin_count!r}")
         if self.n_bins is not None and not _count(self.n_bins, 1):
             raise ValueError(f"n_bins must be a positive integer or None, got {self.n_bins!r}")
         trunc = self.truncation

@@ -182,6 +182,24 @@ class TestFit:
         assert shown in capsys.readouterr().err
         assert not (tmp_path / "m").exists()
 
+    @pytest.mark.parametrize("setting, shown", [
+        ({"bins": 2.7}, "n_bins"),
+        ({"grid_size": 1}, "grid_size"),
+        ({"grid_size": 2.5}, "grid_size"),
+        ({"min_bin_count": 0}, "min_bin_count"),
+        ({"min_bin_count": -3}, "min_bin_count"),
+        ({"min_bin_count": 1.5}, "min_bin_count"),
+    ])
+    def test_bad_count_setting_exit_4(self, sim_dir, tmp_path, capsys, setting, shown):
+        # rejected before fitting, instead of truncated or dying in the fit
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(setting))
+        code = main(["fit", "--train", str(sim_dir / "train.csv"),
+                     "--config", str(cfg), "--out", str(tmp_path / "m")])
+        assert code == 4
+        assert shown in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
+
     def test_scalar_cross_pair_exit_4(self, tmp_path, capsys):
         rng = np.random.default_rng(48)
         subjects = []

@@ -437,6 +437,62 @@ class TestByVectorEntries:
                                 np.sum(n_x * n_y)]
 
 
+def count_moment_paths(mp):
+    """Points per 2D smoother call, by the helper that formed its moments."""
+    paths = {"lattice": [], "tiles": []}
+    for name, path, points in (("_lattice_moments", "lattice", lambda a: a[0][0][1].size),
+                               ("_tiled_moments", "tiles", lambda a: a[0].size)):
+        def counting(*args, real=getattr(smoothing, name), path=path, points=points):
+            paths[path].append(points(args))
+            return real(*args)
+        mp.setattr(smoothing, name, counting)
+    return paths
+
+
+class TestFitBinMomentPaths:
+    """A regular bin's surfaces lie on the 31 x 31 lattice of its times and
+    take the lattice moments; a sparse bin's pairs are scattered and take
+    the support tiles."""
+
+    def test_regular_bin_takes_lattice(self, monkeypatch):
+        from vcflr.simulation import REGULAR
+        paths = count_moment_paths(monkeypatch)
+        TestByVectorEntries.fit_one_bin(REGULAR, 100, 95)
+        assert paths == {"lattice": [930, 930, 961], "tiles": []}
+
+    def test_sparse_bin_takes_tiles(self, monkeypatch):
+        from vcflr.simulation import SPARSE
+        paths = count_moment_paths(monkeypatch)
+        TestByVectorEntries.fit_one_bin(SPARSE, 100, 96)
+        assert paths["lattice"] == [] and len(paths["tiles"]) == 3
+
+
+class TestFitBinCentersOnce:
+    """fit_bin concatenates each stream once and shares the centered stream
+    between its covariance and the cross surface, which are the same bits
+    as building it afresh."""
+
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_one_stream_each(self, monkeypatch, scalar):
+        from vcflr.simulation import REGULAR, SPARSE, generate
+        ds, _ = generate(REGULAR if scalar else SPARSE, 40, seed=99)
+        subjects = ds.subjects
+        if scalar:
+            subjects = [Subject(s.id, s.z, s.x_times, s.x_values, None,
+                                np.array([float(s.y_values.mean())])) for s in subjects]
+        grid = make_grid(0, 10, 21)
+        bw = BinBandwidths(mean_x=2.0, mean_y=None if scalar else 2.0, cov_x=2.0,
+                           cov_y=None if scalar else 2.0, diag_x=2.0,
+                           diag_y=None if scalar else 2.0, cross=2.0)
+        streams = count_calls(monkeypatch, "_observations", lambda args, out: args[1])
+        est = fit_bin(subjects, 0.5, grid, None if scalar else grid, bw, Kernel1D(), 3, 3)
+        assert streams == ["x", "y"]
+        fresh = smooth_cross_covariance(subjects, est.mean_x, est.mean_y,
+                                        LocalFitConfig(2.0, Kernel1D()),
+                                        grid if scalar else (grid, grid))
+        assert np.array_equal(est.cross.values, fresh.values)
+
+
 class TestEstimateMean:
     def test_affine_truth_exact(self):
         rng = np.random.default_rng(20)

@@ -199,15 +199,16 @@ class TestTiledLocalLinear2D:
 
     def data(self, seed, lattice=False):
         rng = np.random.default_rng(seed)
-        if lattice:   # multiples of 0.25: exact distances to a 0.25 grid
-            x1, x2 = rng.integers(0, 41, (2, self.N)) * 0.25
-        else:
-            x1, x2 = rng.uniform(0, 10, (2, self.N))
+        x1, x2 = rng.uniform(0, 10, (2, self.N))
+        if lattice:   # x1 multiples of 0.25: exact distances to a 0.25 grid
+            x1 = rng.integers(0, 41, self.N) * 0.25
         y = np.sin(x1) * np.cos(0.5 * x2) + rng.normal(0, 0.3, self.N)
         return x1, x2, y
 
     def check(self, x1, x2, y, e1, e2, b, kern):
-        # the premise: several tiles per axis, several blocks per tile
+        # the premise: scattered points, several tiles per axis, several
+        # blocks per tile
+        assert smoothing._lattice_codes(x1, x2) is None
         cap = math.isqrt(self.N // smoothing._TILE_POINTS_2D)
         k1, k2 = min(cap, int(np.ptp(x1) / b[0])), min(cap, int(np.ptp(x2) / b[1]))
         assert min(k1, k2) >= 2
@@ -235,7 +236,7 @@ class TestTiledLocalLinear2D:
                                                               Kernel1D("quartic")))
 
     def test_uniform_kernel_closed_support(self):
-        # lattice points sit exactly b = 0.5 from grid points, cell edges
+        # x1 lattice points sit exactly b = 0.5 from grid points, cell edges
         # included, where the uniform kernel still weighs them
         e = make_grid(0, 10, 41).points
         uni = Kernel1D("uniform")
@@ -359,6 +360,127 @@ class TestLocalLinear2DAgainstOracle:
         g = np.array([4.0, 4.5, 5.0])
         with pytest.raises(InsufficientLocalData, match="degenerate"):
             local_linear_2d_at(x1, x2, rng.normal(size=100), g, g, (3.0, 3.0))
+
+
+def lattice_fits(monkeypatch, call):
+    """``call()`` with the moments formed on the lattice and in support
+    tiles: each result, or the message of the InsufficientLocalData it
+    raised."""
+    def codes(x1, x2):
+        return np.unique(x1, return_inverse=True), np.unique(x2, return_inverse=True)
+
+    out = []
+    for force in (codes, lambda x1, x2: None):
+        monkeypatch.setattr(smoothing, "_lattice_codes", force)
+        try:
+            out.append(call())
+        except InsufficientLocalData as err:
+            out.append(str(err))
+    return out
+
+
+@st.composite
+def lattice_points(draw):
+    """Points at integer multiples of a spacing per axis: a thinned k1 x k2
+    lattice, with its diagonal removed or not, some cells repeated, and F
+    columns of integer multiplicities, zero marking an absent point."""
+    k1, k2 = draw(st.integers(3, 16)), draw(st.integers(3, 16))
+    h1, h2 = draw(st.sampled_from([0.1, 0.25, 1 / 3, 0.5, 1.0])), \
+        draw(st.sampled_from([0.1, 0.25, 1 / 3, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    i1, i2 = (a.ravel() for a in np.meshgrid(np.arange(k1), np.arange(k2), indexing="ij"))
+    if draw(st.booleans()):   # a covariance's pairs leave out the diagonal
+        i1, i2 = i1[i1 != i2], i2[i1 != i2]
+    # at least 40% of the lattice: fill over 0.25 with the diagonal gone
+    keep = rng.permutation(i1.size)[:max(3, math.ceil(draw(st.floats(0.4, 1.0)) * i1.size))]
+    keep = np.concatenate([keep, rng.choice(keep, draw(st.integers(0, 20)))])
+    x1, x2 = i1[keep] * h1, i2[keep] * h2
+    n_cols = draw(st.integers(1, 4))
+    w = rng.integers(0 if n_cols > 1 else 1, 4, (keep.size, n_cols)).astype(float)
+    if n_cols > 1 and draw(st.booleans()):
+        w[rng.permutation(keep.size)[:keep.size // 3], 0] = 0.0   # a fold's held-out rows
+    y = np.sin(x1 / (k1 * h1) * 3)[:, None] * np.cos(x2 / (k2 * h2) * 2)[:, None] \
+        + rng.normal(0, 0.3, w.shape)
+    return x1, x2, y, w, (k1 * h1, k2 * h2)
+
+
+class TestLatticeLocalLinear2D:
+    """Points on a lattice of distinct coordinates (a regular design's pairs)
+    get their moments as A_j W B_k^T over that lattice: the same fits, the
+    same support counts and the same failures as the support tiles."""
+
+    @given(drawn=lattice_points(), frac=st.floats(0.1, 1.0),
+           family=st.sampled_from(FAMILIES))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_direct_solve(self, drawn, frac, family):
+        x1, x2, y, w, (l1, l2) = drawn
+        assert smoothing._lattice_codes(x1, x2) is not None
+        b = (l1 * frac, l2 * frac)
+        kern = Kernel2D(Kernel1D(family), Kernel1D(family))
+        e1, e2 = np.linspace(0, l1, 7), np.linspace(0, l2, 6)
+        try:
+            got = local_linear_2d_at(x1, x2, y, e1, e2, b, kernel=kern, weights=w)
+        except InsufficientLocalData:
+            support = [TestLocalLinear2DAgainstOracle.oracle_support(
+                x1, x2, w[:, f], s1, s2, b, kern)
+                for f in range(w.shape[1]) for s1 in e1 for s2 in e2]
+            assert any(count < 3 or cdet <= 2e-13 for count, cdet in support)
+            return
+        for f in range(w.shape[1]):
+            reps = w[:, f].astype(int)
+            r1, r2, ry = np.repeat(x1, reps), np.repeat(x2, reps), np.repeat(y[:, f], reps)
+            want = np.array([[oracle_local_linear_2d(r1, r2, ry, s1, s2, b, kern)
+                              for s2 in e2] for s1 in e1])
+            assert np.allclose(got[..., f], want, rtol=1e-8, atol=1e-8)
+
+    @given(drawn=lattice_points(), frac=st.floats(0.1, 1.0),
+           family=st.sampled_from(FAMILIES))
+    @settings(max_examples=60, deadline=None)
+    def test_moments_match_tiles(self, drawn, frac, family):
+        x1, x2, y, w, (l1, l2) = drawn
+        b = (l1 * frac, l2 * frac)
+        kern = Kernel2D(Kernel1D(family), Kernel1D(family))
+        e1, e2 = np.linspace(-0.1 * l1, l1, 9), np.linspace(0, 1.1 * l2, 8)
+        lat, lat_count = smoothing._lattice_moments(smoothing._lattice_codes(x1, x2), y, w,
+                                                    e1, e2, b, kern)
+        tiled, tiled_count = smoothing._tiled_moments(x1, x2, y, w, e1, e2, b, kern)
+        assert np.array_equal(lat_count, tiled_count)
+        for got, want in zip(lat, tiled):
+            assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1e-300)
+
+    @pytest.mark.parametrize("case", ["single", "collinear", "two", "sparse corner"])
+    def test_raises_alike(self, case, monkeypatch):
+        g = np.array([0.0, 1.0, 2.0])
+        x1, x2 = {
+            "single": (np.ones(5), np.ones(5)),
+            "collinear": (np.arange(8) * 0.25, np.arange(8) * 0.25),
+            "two": (np.repeat([0.5, 1.5], 4), np.repeat([1.0, 2.0], 4)),
+            # a 3 x 3 lattice with two points where the window at (0, 0) reaches
+            "sparse corner": (np.array([0.0, 0.5, 2.0, 2.0, 1.5, 2.0]),
+                              np.array([0.5, 0.0, 2.0, 1.5, 2.0, 0.5])),
+        }[case]
+        y = 1.0 + x1 - x2
+        got = lattice_fits(monkeypatch, lambda: local_linear_2d_at(
+            x1, x2, y, g, g, (0.8, 0.8) if case == "sparse corner" else (5.0, 5.0)))
+        assert isinstance(got[0], str) and got[0] == got[1]
+
+    def test_uniform_kernel_closed_support(self, monkeypatch):
+        # 6000 points on a 41 x 41 lattice of multiples of 0.25 sit exactly
+        # b = 0.5 from grid points, where the uniform kernel still weighs them
+        rng = np.random.default_rng(64)
+        x1, x2 = rng.integers(0, 41, (2, 6000)) * 0.25
+        y = np.sin(x1) * np.cos(0.5 * x2) + rng.normal(0, 0.3, 6000)
+        e = make_grid(0, 10, 41).points
+        uni = Kernel1D("uniform")
+        kern = Kernel2D(uni, uni)
+        assert smoothing._lattice_codes(x1, x2) is not None
+        got = local_linear_2d_at(x1, x2, y, e, e, (0.5, 0.5), kernel=kern)
+        want = np.array([[oracle_local_linear_2d(x1, x2, y, s1, s2, (0.5, 0.5), kern)
+                          for s2 in e] for s1 in e])
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
+        lattice, tiled = lattice_fits(monkeypatch, lambda: local_linear_2d_at(
+            x1, x2, y, e, e, (0.5, 0.5), kernel=kern))
+        assert np.abs(lattice - tiled).max() <= 1e-13 * np.abs(tiled).max()
 
 
 class TestLocalLinear1DColumns:

@@ -227,6 +227,13 @@ class TestFit:
         (dict(n_bins=0), "n_bins"),
         (dict(bin_candidates=(4, 0)), "bin_candidates"),
         (dict(bin_candidates=()), "bin_candidates"),
+        (dict(n_bins=2.7), "n_bins"),
+        (dict(grid_size=1), "grid_size"),
+        (dict(grid_size=2.5), "grid_size"),
+        (dict(grid_size="fifty"), "grid_size"),
+        (dict(min_bin_count=0), "min_bin_count"),
+        (dict(min_bin_count=-3), "min_bin_count"),
+        (dict(min_bin_count=2.0), "min_bin_count"),
     ])
     def test_bandwidth_settings_validated(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
