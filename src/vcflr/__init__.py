@@ -21,7 +21,7 @@ from .fpca import (
     smooth_cross_covariance,
 )
 from .grids import Grid, GridFunction, GridSurface, make_grid
-from .kernels import Kernel1D, Kernel2D, kernel_eval
+from .kernels import Kernel1D, kernel_eval
 from .regression import (
     FitConfig,
     FittedModel,
@@ -47,8 +47,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinEstimate", "BinPartition", "EigenSystem", "FitConfig", "FittedModel",
-    "Grid", "GridFunction", "GridSurface", "Kernel1D", "Kernel2D",
-    "LocalFitConfig", "LongitudinalDataset", "Prediction", "REGULAR", "SPARSE",
+    "Grid", "GridFunction", "GridSurface", "Kernel1D", "LocalFitConfig",
+    "LongitudinalDataset", "Prediction", "REGULAR", "SPARSE",
     "SelectionReport", "SimDesign", "SimTruth", "Subject", "VcflrError",
     "blup_scores", "cv_smoother_bandwidth", "eigendecompose",
     "estimate_mean", "estimate_sigma2",

@@ -84,6 +84,10 @@ def load_config(path: str | None) -> dict:
                         f"{path}: domain {key} must be a pair of finite numbers "
                         f"[lo, hi] with lo < hi, got {pair!r}")
             user = {**user, "domains": {**cfg["domains"], **domains}}
+        scalar = user.get("scalar_response", False)
+        if not isinstance(scalar, bool):
+            raise ModelFormatError(
+                f"{path}: scalar_response must be true or false, got {scalar!r}")
         cfg.update(user)
     return cfg
 
@@ -102,26 +106,22 @@ def fit_config_from(cfg: dict, bins_override: int | None = None) -> FitConfig:
     """FitConfig from a loaded config document; values of the wrong type or
     out of range raise ModelFormatError."""
     try:
-        bins = bins_override if bins_override is not None else cfg["bins"]
-        refine_bandwidth = cfg["refine_bandwidth"]
-        fc = FitConfig(
-            n_bins=bins,
+        return FitConfig(
+            n_bins=bins_override if bins_override is not None else cfg["bins"],
             grid_size=cfg["grid_size"],
             truncation=cfg["truncation"],
-            refine_bandwidth=None if refine_bandwidth is None else float(refine_bandwidth),
+            refine_bandwidth=cfg["refine_bandwidth"],
             criterion=cfg["criterion"],
             binwidth_criterion=cfg["binwidth_criterion"],
             kernel=cfg["kernel"],
-            bandwidths=dict(cfg["bandwidths"]),
+            bandwidths=cfg["bandwidths"],
             bandwidth_policy=cfg["bandwidth_policy"],
-            cv_surfaces=bool(cfg["cv_surfaces"]),
-            eigen_floor=float(cfg["eigen_floor"]),
+            cv_surfaces=cfg["cv_surfaces"],
+            eigen_floor=cfg["eigen_floor"],
             min_bin_count=cfg["min_bin_count"],
         )
-        fc.kernel1d()   # rejects an unknown kernel family
     except (TypeError, ValueError) as err:
         raise ModelFormatError(f"config: invalid value ({err})") from None
-    return fc
 
 
 def _write_rows(path, header, rows):

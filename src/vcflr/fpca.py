@@ -22,7 +22,7 @@ from .errors import (
     TruncationTooLarge,
 )
 from .grids import Grid, GridFunction, GridSurface, make_grid
-from .kernels import Kernel1D, Kernel2D, kernel_eval
+from .kernels import Kernel1D, kernel_eval
 from .smoothing import (
     _RIDGE,
     _SINGULAR_RTOL,
@@ -51,9 +51,6 @@ class EigenSystem:
     @property
     def n_components(self) -> int:
         return self.values.size
-
-    def function(self, k: int) -> GridFunction:
-        return GridFunction(self.grid, self.functions[:, k].copy())
 
     def at(self, times) -> np.ndarray:
         """Every eigenfunction interpolated at times: shape
@@ -154,12 +151,10 @@ def estimate_mean(times, values, cfg: LocalFitConfig, grid: Grid) -> GridFunctio
     if times.size < 2:
         raise InsufficientLocalData("mean estimation needs at least two observations")
     xu, ybar, w = aggregate_1d(times, values)
-    kern = cfg.kernel if isinstance(cfg.kernel, Kernel1D) else cfg.kernel.kx
 
     def attempt(c: LocalFitConfig) -> GridFunction:
-        vals = local_linear_1d_at(xu, ybar, grid.points, float(c.bandwidth),
-                                  kernel=kern, weights=w)
-        return GridFunction(grid, vals)
+        return GridFunction(grid, local_linear_1d_at(xu, ybar, grid.points, c.bandwidth,
+                                                     kernel=c.kernel, weights=w))
 
     return widen_until_fit(attempt, cfg)
 
@@ -292,21 +287,16 @@ def cross_pairs(subjects: list[Subject], mean_x: GridFunction, mean_y: GridFunct
 
 
 def _smooth_2d(rows, cfg: LocalFitConfig, grid1: Grid, grid2: Grid) -> np.ndarray:
-    """Local linear surface of grouped (x1, x2, ybar, w) rows on grid1 x grid2.
-
-    A scalar bandwidth or a 1D kernel is expanded to its symmetric pair or
-    product kernel once; the pair then widens until every grid point has
-    enough local data.
-    """
+    """Local linear surface of grouped (x1, x2, ybar, w) rows on grid1 x grid2,
+    at ``cfg``'s (b1, b2) pair, widened until every grid point has enough
+    local data."""
     x1, x2, ybar, w = rows
-    bw = cfg.bandwidth if isinstance(cfg.bandwidth, tuple) else (cfg.bandwidth, cfg.bandwidth)
-    kern = cfg.kernel if isinstance(cfg.kernel, Kernel2D) else Kernel2D(cfg.kernel, cfg.kernel)
 
     def attempt(c: LocalFitConfig) -> np.ndarray:
         return local_linear_2d_at(x1, x2, ybar, grid1.points, grid2.points, c.bandwidth,
-                                  kernel=kern, weights=w)
+                                  kernel=c.kernel, weights=w)
 
-    return widen_until_fit(attempt, LocalFitConfig(bw, kern))
+    return widen_until_fit(attempt, cfg)
 
 
 def smooth_covariance(rows, cfg: LocalFitConfig, grid: Grid) -> GridSurface:
@@ -320,36 +310,24 @@ def smooth_covariance(rows, cfg: LocalFitConfig, grid: Grid) -> GridSurface:
     return GridSurface(grid, grid, (values + values.T) / 2.0)
 
 
-def smooth_cross_covariance(subjects: list[Subject], mean_x: GridFunction,
-                            mean_y: GridFunction | float, cfg: LocalFitConfig,
-                            grids: tuple[Grid, Grid] | Grid, centered=None):
-    """Smooth raw cross-covariances.
+def smooth_cross_covariance(centered, cfg: LocalFitConfig,
+                            grids: tuple[Grid, Grid | None]):
+    """Smooth raw cross-covariances of the ``_centered`` predictor and
+    response streams ``centered`` onto ``grids`` = (s_grid, t_grid).
 
     Functional responses use every (l, j) observation pair (measurement
     errors are independent across streams, so no diagonal is removed),
-    grouped once by location (``pair_rows``), and a 2D smoother; scalar
-    responses reduce to a curve in s, smoothed like a mean curve.
-    ``centered`` holds the ``_centered`` predictor and response streams of
-    ``subjects`` when the caller has built them already.
+    grouped once by location (``pair_rows``), and a 2D smoother at
+    ``cfg``'s (b1, b2) pair; a scalar response (t_grid None) reduces to a
+    curve in s, smoothed like a mean curve at ``cfg``'s bandwidth b.
     """
-    x, y = centered or (_centered(subjects, "x", mean_x), _centered(subjects, "y", mean_y))
-    if isinstance(mean_y, GridFunction):
-        grid_s, grid_t = grids
+    x, y = centered
+    grid_s, grid_t = grids
+    if grid_t is not None:
         rows = pair_rows(x, y, False)
         return GridSurface(grid_s, grid_t, _smooth_2d(rows, cfg, grid_s, grid_t))
     x_times, _, ia, _, products = _stream_pairs(x, y, False)
-    grid_s = grids if isinstance(grids, Grid) else grids[0]
     return estimate_mean(x_times[ia], products, cfg, grid_s)
-
-
-def raw_cross_products(subjects: list[Subject], mean_x: GridFunction,
-                       mean_y: GridFunction | float) -> np.ndarray:
-    """Raw centered cross products; (s, t, value) rows, or (s, value) rows
-    in scalar-response mode, subject by subject."""
-    x_times, y_times, ia, ib, products = cross_pairs(subjects, mean_x, mean_y)
-    if y_times is None:
-        return np.column_stack([x_times[ia], products])
-    return np.column_stack([x_times[ia], y_times[ib], products])
 
 
 def covariance_diagonal(rows, bandwidth: float, grid: Grid,
@@ -420,13 +398,11 @@ def estimate_sigma2(diag_points: np.ndarray, off_rows, cfg: LocalFitConfig,
     """
     diag_points = np.asarray(diag_points, dtype=float).reshape(-1, 2)
     xu, ybar, w = aggregate_1d(diag_points[:, 0], diag_points[:, 1])
-    kern = cfg.kernel if isinstance(cfg.kernel, Kernel1D) else cfg.kernel.kx
 
     def attempt(c: LocalFitConfig) -> tuple[np.ndarray, np.ndarray]:
-        v_curve = local_linear_1d_at(xu, ybar, grid.points, float(c.bandwidth),
-                                     kernel=kern, weights=w)
-        g_diag = covariance_diagonal(off_rows, float(c.bandwidth), grid, kernel=kern)
-        return v_curve, g_diag
+        v_curve = local_linear_1d_at(xu, ybar, grid.points, c.bandwidth,
+                                     kernel=c.kernel, weights=w)
+        return v_curve, covariance_diagonal(off_rows, c.bandwidth, grid, kernel=c.kernel)
 
     v_curve, g_diag = widen_until_fit(attempt, cfg)
     diff = v_curve - g_diag
@@ -597,23 +573,27 @@ def default_bandwidth(domain_length: float, n_points: int) -> float:
 
 @dataclass(frozen=True)
 class BinBandwidths:
-    """Resolved smoothing bandwidths for one bin."""
+    """Resolved smoothing bandwidths for one bin, as its smoothers take them:
+    a number for the 1D mean and diagonal smoothers and a scalar response's
+    cross curve, a (b1, b2) pair for the covariance and functional cross
+    surfaces. The ``_y`` entries are None for a scalar response."""
 
     mean_x: float
     mean_y: float | None
-    cov_x: float
-    cov_y: float | None
+    cov_x: tuple[float, float]
+    cov_y: tuple[float, float] | None
     diag_x: float
     diag_y: float | None
     cross: tuple[float, float] | float
 
     def as_dict(self) -> dict:
-        return {
-            "mean_x": self.mean_x, "mean_y": self.mean_y,
-            "cov_x": self.cov_x, "cov_y": self.cov_y,
-            "diag_x": self.diag_x, "diag_y": self.diag_y,
-            "cross": list(self.cross) if isinstance(self.cross, tuple) else self.cross,
-        }
+        """The model file's form: a pair is a list, but a covariance pair
+        with equal axes is one number."""
+        doc = {key: list(v) if isinstance(v, tuple) else v for key, v in vars(self).items()}
+        for key in ("cov_x", "cov_y"):
+            if doc[key] is not None and doc[key][0] == doc[key][1]:
+                doc[key] = doc[key][0]
+        return doc
 
 
 def _covariance_estimates(stream_, cov_bw, diag_bw: float, kernel: Kernel1D,
@@ -667,9 +647,8 @@ def fit_bin(subjects: list[Subject], center: float, s_grid: Grid,
         cov_y, sigma2_y, eig_y = _covariance_estimates(
             y, bandwidths.cov_y, bandwidths.diag_y, kernel, t_grid, max_k, rel_tol)
 
-    cross = smooth_cross_covariance(
-        subjects, mean_x, mean_y, LocalFitConfig(bandwidths.cross, kernel),
-        s_grid if scalar else (s_grid, t_grid), centered=(x, y))
+    cross = smooth_cross_covariance((x, y), LocalFitConfig(bandwidths.cross, kernel),
+                                    (s_grid, t_grid))
 
     m_avail = eig_x.n_components
     if m_avail == 0:

@@ -104,11 +104,6 @@ class GridSurface:
         """Bilinear interpolation at paired points (vectorized)."""
         return bilinear(self.row_grid.points, self.col_grid.points, self.values, x_row, x_col)
 
-    def diagonal(self) -> GridFunction:
-        if not self.row_grid.same_as(self.col_grid):
-            raise GridMismatch("diagonal requires identical row and column grids")
-        return GridFunction(self.row_grid, np.diag(self.values).copy())
-
 
 def trapezoid_weights(points: np.ndarray) -> np.ndarray:
     """Trapezoid weights: endpoints get half the adjacent spacing, interior

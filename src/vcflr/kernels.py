@@ -1,8 +1,8 @@
 """Compactly supported smoothing kernels.
 
 All kernels live on [-1, 1] and have order (0, 2): unit mass, vanishing first
-moment, finite nonzero second moment. The bivariate kernel is the product of
-two univariate ones, which is order ((0, 0), 2).
+moment, finite nonzero second moment. The 2D smoother weighs a point by the
+product K(u) K(v) of one kernel on both axes, which is order ((0, 0), 2).
 """
 
 from __future__ import annotations
@@ -39,17 +39,6 @@ class Kernel1D:
     def scaled(self, x, b: float) -> np.ndarray:
         """K_b(x) = K(x / b) / b."""
         return kernel_eval(self, np.asarray(x, dtype=float) / b) / b
-
-
-@dataclass(frozen=True)
-class Kernel2D:
-    """Product of two univariate kernels."""
-
-    kx: Kernel1D = Kernel1D()
-    ky: Kernel1D = Kernel1D()
-
-    def __call__(self, u, v) -> np.ndarray:
-        return kernel_eval(self.kx, u) * kernel_eval(self.ky, v)
 
 
 def kernel_eval(k: Kernel1D, u) -> np.ndarray:

@@ -95,10 +95,19 @@ class FitConfig:
             value = getattr(self, name)
             if value not in ("AIC", "BIC"):
                 raise ValueError(f"{name} must be 'AIC' or 'BIC', got {value!r}")
+        if self.refine_candidates is not None and not self.refine_candidates:
+            raise ValueError("refine_candidates must be None or hold at least one bandwidth")
         fixed = () if self.refine_bandwidth is None else (self.refine_bandwidth,)
         for b in fixed + tuple(self.refine_candidates or ()):
-            if not (np.isfinite(b) and b > 0):
+            if not _positive(b):
                 raise ValueError(f"refine bandwidths must be finite and positive, got {b!r}")
+        Kernel1D(self.kernel)   # raises ValueError for an unknown family
+        if not isinstance(self.cv_surfaces, bool):
+            raise ValueError(f"cv_surfaces must be true or false, got {self.cv_surfaces!r}")
+        floor = self.eigen_floor
+        if not (isinstance(floor, numbers.Real) and not isinstance(floor, bool)
+                and math.isfinite(floor) and 0 <= floor < 1):
+            raise ValueError(f"eigen_floor must be a finite number in [0, 1), got {floor!r}")
         if self.bandwidth_policy not in ("cv", "default"):
             raise ValueError(
                 f"bandwidth_policy must be 'cv' or 'default', got {self.bandwidth_policy!r}")
@@ -274,11 +283,13 @@ def _resolve_bandwidths(subjects, cfg: FitConfig, s_grid: Grid,
                         t_grid: Grid | None) -> BinBandwidths:
     """Per-bin smoother bandwidths: overrides win, then CV, then defaults.
 
-    Only the mean smoothers (and, with ``cv_surfaces``, the 2D surfaces) are
-    cross-validated; the diagonal smoothers and the scalar cross curve keep
-    their default scale. A CV smoother falls back to its default when the bin
-    has too few subjects for two folds or when every CV candidate lacks local
-    data; any other CV error propagates.
+    Surfaces get (b1, b2) pairs, and an override of one number for one
+    means that bandwidth on both axes. Only the mean smoothers (and, with
+    ``cv_surfaces``, the 2D surfaces) are cross-validated; the diagonal
+    smoothers and the scalar cross curve keep their default scale. A CV
+    smoother falls back to its default when the bin has too few subjects for
+    two folds or when every CV candidate lacks local data; any other CV
+    error propagates.
     """
     scalar = t_grid is None
     kernel = cfg.kernel1d()
@@ -328,19 +339,13 @@ def _resolve_bandwidths(subjects, cfg: FitConfig, s_grid: Grid,
         except InsufficientLocalData:
             return (h1, h2)
 
-    cov_x = surface_2d("cov_x", s_len, s_len, pairs_x)
-    cov_y = None if scalar else surface_2d("cov_y", t_len, t_len, pairs_y)
-    if scalar:
-        cross = fixed_1d("cross", s_len, n_cross)
-    else:
-        cross = surface_2d("cross", s_len, t_len, n_cross)
-    # 2D smoothers take a single per-axis bandwidth pair; collapse symmetric ones
     return BinBandwidths(
         mean_x=mean_x, mean_y=mean_y,
-        cov_x=cov_x[0] if isinstance(cov_x, tuple) and cov_x[0] == cov_x[1] else cov_x,
-        cov_y=None if cov_y is None else (
-            cov_y[0] if isinstance(cov_y, tuple) and cov_y[0] == cov_y[1] else cov_y),
-        diag_x=diag_x, diag_y=diag_y, cross=cross,
+        cov_x=surface_2d("cov_x", s_len, s_len, pairs_x),
+        cov_y=None if scalar else surface_2d("cov_y", t_len, t_len, pairs_y),
+        diag_x=diag_x, diag_y=diag_y,
+        cross=fixed_1d("cross", s_len, n_cross) if scalar
+        else surface_2d("cross", s_len, t_len, n_cross),
     )
 
 

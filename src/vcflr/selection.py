@@ -37,7 +37,7 @@ from .fpca import (
     pair_locations,
 )
 from .grids import Grid, GridFunction, GridSurface
-from .kernels import Kernel1D, Kernel2D
+from .kernels import Kernel1D
 from .smoothing import (
     _CV_TIE_RTOL,
     LocalFitConfig,
@@ -293,13 +293,9 @@ def _cv_choice(results, scale: float):
     """The candidate of least held-out error among ``(candidate, error)``
     rows; errors within ``_CV_TIE_RTOL * scale`` of the least count as tied,
     and the largest bandwidth among the tied wins."""
-    def size(c):
-        return c[0] if isinstance(c, (tuple, list)) else float(c)
-
     least = min(err for _, err in results)
     tied = [cand for cand, err in results if err <= least + _CV_TIE_RTOL * scale]
-    best = max(tied, key=size)
-    return best if not isinstance(best, (tuple, list)) else tuple(best)
+    return max(tied, key=lambda cand: np.atleast_1d(cand)[0])
 
 
 def cv_smoother_bandwidth(subjects: list[Subject], kind: str, n_folds: int,
@@ -310,8 +306,9 @@ def cv_smoother_bandwidth(subjects: list[Subject], kind: str, n_folds: int,
 
     ``kind`` is one of mean_x, mean_y, cov_x, cov_y, cross; every kind but
     mean_x and cov_x needs the response grid ``t_grid``, so a scalar
-    response has no cross kind. Covariance and cross kinds center
-    observations with mean curves fitted once on all subjects
+    response has no cross kind. Candidates are numbers for the mean kinds
+    and (b1, b2) pairs for the surface kinds. Covariance and cross kinds
+    center observations with mean curves fitted once on all subjects
     (``mean_bandwidths`` gives their bandwidths). Held-out squared error is
     measured at the held-out raw points against the fitted curve or surface
     interpolated off the grid. Candidates that fail anywhere are skipped.
@@ -323,8 +320,7 @@ def cv_smoother_bandwidth(subjects: list[Subject], kind: str, n_folds: int,
     Cost: every fold is one column of training multiplicities and mean
     values at shared locations, the distinct times or pair locations
     (``fpca.pair_locations``), so a candidate costs one smoother call for
-    all folds and one interpolation per fold. Per-subject error sums are
-    added in subject order.
+    all folds and one interpolation and one dot product per fold.
     """
     results, scale = cv_errors(subjects, kind, n_folds, candidates, s_grid, t_grid,
                                kernel=kernel, mean_bandwidths=mean_bandwidths)
@@ -364,8 +360,7 @@ def cv_errors(subjects: list[Subject], kind: str, n_folds: int, candidates,
         on_grid = partial(GridFunction, grid)
 
         def smooth(bw):
-            return local_linear_1d_at(xu, ybar, grid.points, float(bw), kernel=kernel,
-                                      weights=w)
+            return local_linear_1d_at(xu, ybar, grid.points, bw, kernel=kernel, weights=w)
     else:
         if mean_bandwidths is None:
             raise ValueError(f"{kind} CV needs mean_bandwidths to center observations")
@@ -386,24 +381,21 @@ def cv_errors(subjects: list[Subject], kind: str, n_folds: int, candidates,
         owner = owner[ia]
         x1, x2, order, group = pair_locations(times_a, times_b, ia, ib)
         n_loc, where = x1.size, (times_a[ia], times_b[ib])
-        kern2 = Kernel2D(kernel, kernel)
         on_grid = partial(GridSurface, *grids)
 
         def smooth(bw):
-            bw = tuple(bw) if isinstance(bw, (tuple, list)) else (float(bw), float(bw))
             return local_linear_2d_at(x1, x2, ybar, grids[0].points, grids[1].points, bw,
-                                      kernel=kern2, weights=w)
+                                      kernel=kernel, weights=w)
 
     # One column per fold of training multiplicity and mean value per
     # location. ``group`` codes the rows taken in ``order``, which keeps
     # each location's rows in input order, so every sum adds its values as
-    # aggregate_1d and group_pairs add them. Held-out rows come subject by
-    # subject; equal row counts are summed as one (g, n) block, which adds
-    # each row like np.sum of one subject.
+    # aggregate_1d and group_pairs add them. A fold's held-out error is the
+    # squared norm of its residuals, one dot product.
     ordered = values[order]
     w = np.empty((n_loc, n_folds))
     ybar = np.zeros((n_loc, n_folds))
-    at, observed, groups = [], [], []
+    at, observed = [], []
     for f in range(n_folds):
         test = folds[owner] == f
         train = ~test[order]
@@ -412,8 +404,6 @@ def cv_errors(subjects: list[Subject], kind: str, n_folds: int, candidates,
         np.divide(sums, w[:, f], out=ybar[:, f], where=w[:, f] > 0)
         at.append(tuple(a[test] for a in where))
         observed.append(values[test])
-        counts = np.bincount(owner[test], minlength=len(subjects))[folds == f]
-        groups.append((counts.size, _count_groups(counts)))
 
     results = []
     for cand in candidates:
@@ -422,12 +412,8 @@ def cv_errors(subjects: list[Subject], kind: str, n_folds: int, candidates,
         except InsufficientLocalData:
             continue
         sse = 0.0
-        for f, (obs, (n_test, fold_groups)) in enumerate(zip(observed, groups)):
-            err = (obs - on_grid(fitted[..., f]).at(*at[f])) ** 2
-            per_subject = np.zeros(n_test)
-            for idx, pos in fold_groups:
-                per_subject[idx] = err[pos].sum(axis=1)
-            for value in per_subject.tolist():   # in subject order
-                sse += value
+        for f, obs in enumerate(observed):
+            err = obs - on_grid(fitted[..., f]).at(*at[f])
+            sse += float(err @ err)
         results.append((cand, sse))
     return results, float(values @ values)

@@ -2,9 +2,11 @@
 
 The one- and two-dimensional smoothers return the local intercept of a
 kernel-weighted least-squares fit at each evaluation point; both reproduce
-affine data exactly for any bandwidth. ``local_linear_weights`` builds the
-linear weights that combine per-bin raw estimates across the covariate axis;
-``lp_weights`` is the general local polynomial reference they agree with.
+affine data exactly for any bandwidth. Each takes one ``Kernel1D``, which
+the 2D smoother applies on both axes at a (b1, b2) bandwidth pair.
+``local_linear_weights`` builds the linear weights that combine per-bin raw
+estimates across the covariate axis; ``lp_weights`` is the general local
+polynomial reference they agree with.
 
 Points may carry multiplicity weights: a weighted point (x, y, w) enters the
 normal equations exactly like w copies of (x, y), which lets callers collapse
@@ -28,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InsufficientCenters, InsufficientLocalData
-from .kernels import Kernel1D, Kernel2D, kernel_eval
+from .kernels import Kernel1D, kernel_eval
 
 # Relative determinant below which a 1D or rotated-diagonal local system is
 # near-singular, and the diagonal loading, relative to its mean diagonal
@@ -77,27 +79,30 @@ _LATTICE_CELLS = 4
 _BLOCK = 1_000_000
 
 
+def _check_bandwidths(bandwidth) -> None:
+    """ValueError unless every bandwidth is positive (NaN is not)."""
+    if not np.all(np.asarray(bandwidth, dtype=float) > 0):
+        raise ValueError(f"bandwidths must be strictly positive, got {bandwidth!r}")
+
+
 @dataclass(frozen=True)
 class LocalFitConfig:
-    """Bandwidth(s) and kernel for one local fit.
+    """Bandwidth and kernel for one local fit.
 
-    ``bandwidth`` is a float for 1D smoothers and a (b1, b2) pair for 2D ones.
+    ``bandwidth`` is a float for 1D smoothers and a (b1, b2) pair for 2D
+    ones, which weigh a point by the product of ``kernel`` on both axes.
     """
 
     bandwidth: float | tuple[float, float]
-    kernel: Kernel1D | Kernel2D = Kernel1D()
+    kernel: Kernel1D = Kernel1D()
 
     def __post_init__(self):
-        bw = np.atleast_1d(np.asarray(self.bandwidth, dtype=float))
-        if np.any(bw <= 0):
-            raise ValueError("bandwidths must be strictly positive")
+        _check_bandwidths(self.bandwidth)
 
     def widened(self, factor: float) -> "LocalFitConfig":
-        if isinstance(self.bandwidth, tuple):
-            bw = (self.bandwidth[0] * factor, self.bandwidth[1] * factor)
-        else:
-            bw = self.bandwidth * factor
-        return LocalFitConfig(bw, self.kernel)
+        bw = self.bandwidth
+        return LocalFitConfig(tuple(b * factor for b in bw) if isinstance(bw, (tuple, list))
+                              else bw * factor, self.kernel)
 
 
 def widen_until_fit(fit: Callable[[LocalFitConfig], object], cfg: LocalFitConfig,
@@ -236,6 +241,7 @@ def local_linear_1d_at(
     y = np.asarray(y, dtype=float)
     eval_points = np.asarray(eval_points, dtype=float)
     y_cols, w_cols, stacked = _columns(y, weights, x.size)
+    _check_bandwidths(bandwidth)
     b = float(bandwidth)
 
     counts = np.column_stack([_support_counts(np.unique(x[w > 0]), eval_points, b,
@@ -295,10 +301,10 @@ def _lattice_codes(x1: np.ndarray, x2: np.ndarray):
     return np.unique(x1, return_inverse=True), (u2, c2)
 
 
-def _lattice_moments(codes, y_cols, w_cols, eval1, eval2, bandwidths, kernel: Kernel2D):
+def _lattice_moments(codes, y_cols, w_cols, eval1, eval2, bandwidths, kernel: Kernel1D):
     """``_tiled_moments`` on the lattice of ``_lattice_codes``.
 
-    With A_j[p, u] = K1((u - s_p) / b1) (u - s_p)^j over the U1 distinct
+    With A_j[p, u] = K((u - s_p) / b1) (u - s_p)^j over the U1 distinct
     first coordinates, B_k the same over the U2 second ones, and a column's
     U1 x U2 lattices W of multiplicities and V of value sums (one
     ``bincount`` each), S_jk = A_j W B_k^T and T_jk = A_j V B_k^T. The
@@ -321,15 +327,15 @@ def _lattice_moments(codes, y_cols, w_cols, eval1, eval2, bandwidths, kernel: Ke
         lattice[2, f] = np.bincount(cell, weights=w > 0, minlength=cells)
     lattice = lattice.reshape(3, n_cols, u1.size, u2.size)
 
-    def powers(u, s, b, k):
+    def powers(u, s, b):
         d = u[None, :] - s[:, None]   # d[p, i] = u_i - s_p
         out = np.empty((3,) + d.shape)
-        out[0] = kernel_eval(k, d / b)
+        out[0] = kernel_eval(kernel, d / b)
         np.multiply(out[0], d, out=out[1])
         np.multiply(out[1], d, out=out[2])
         return out
 
-    a, bk = powers(u1, eval1, b1, kernel.kx), powers(u2, eval2, b2, kernel.ky)
+    a, bk = powers(u1, eval1, b1), powers(u2, eval2, b2)
     n1, n2 = eval1.size, eval2.size
     # every A_j [W | V] B_k^T: right products first, then one left product
     right = lattice[:2].reshape(-1, u2.size) @ bk.reshape(-1, u2.size).T
@@ -342,7 +348,7 @@ def _lattice_moments(codes, y_cols, w_cols, eval1, eval2, bandwidths, kernel: Ke
     return moments, count
 
 
-def _tiled_moments(x1, x2, y_cols, w_cols, eval1, eval2, bandwidths, kernel: Kernel2D):
+def _tiled_moments(x1, x2, y_cols, w_cols, eval1, eval2, bandwidths, kernel: Kernel1D):
     """The nine moment surfaces of ``local_linear_2d_at``, (9, F, n1, n2) in
     the order s00, s10, t00, s20, t10, s01, s11, t01, s02, and the support
     count (F, n1, n2), the points of positive multiplicity that the kernel
@@ -371,12 +377,12 @@ def _tiled_moments(x1, x2, y_cols, w_cols, eval1, eval2, bandwidths, kernel: Ker
         (m1, n), m2 = d1.shape, d2.shape[0]
         a = np.empty((5, n_cols, m1, n))
         bk = np.empty((3, m2, n))
-        np.multiply(kernel_eval(kernel.kx, d1 / b1), w_t[:, None, data], out=a[0])
+        np.multiply(kernel_eval(kernel, d1 / b1), w_t[:, None, data], out=a[0])
         np.multiply(a[0], d1, out=a[1])
         np.multiply(a[0], y_t[:, None, data], out=a[2])
         np.multiply(a[1], d1, out=a[3])
         np.multiply(a[1], y_t[:, None, data], out=a[4])
-        bk[0] = kernel_eval(kernel.ky, d2 / b2)
+        bk[0] = kernel_eval(kernel, d2 / b2)
         np.multiply(bk[0], d2, out=bk[1])
         np.multiply(bk[1], d2, out=bk[2])
         tile = moments[:, :, rows, cols]
@@ -394,7 +400,7 @@ def local_linear_2d_at(
     eval1: np.ndarray,
     eval2: np.ndarray,
     bandwidths: tuple[float, float],
-    kernel: Kernel2D = Kernel2D(),
+    kernel: Kernel1D = Kernel1D(),
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Local linear intercept surface on eval1 x eval2, for one data column
@@ -403,12 +409,13 @@ def local_linear_2d_at(
     ``y`` and ``weights`` are (U,) or (U, F), as for ``local_linear_1d_at``;
     the result is (n1, n2) or (n1, n2, F), each column fitted on its own.
 
-    The product-kernel structure makes every entry of the local normal
-    equations a sum of separable terms: with a_j = K1(d1/b1) w d1^j and
-    b_j = K2(d2/b2) d2^j, the moment S_jk is a_j b_k^T and T_jk is
-    (y a_j) b_k^T. The nine moment surfaces of every column therefore come
-    from matrix products, formed one of two ways (``_lattice_moments`` and
-    ``_tiled_moments``, which return the same moments and support count).
+    A point is weighed by the product K(d1/b1) K(d2/b2) of one kernel on
+    both axes, which makes every entry of the local normal equations a sum
+    of separable terms: with a_j = K(d1/b1) w d1^j and b_j = K(d2/b2) d2^j,
+    the moment S_jk is a_j b_k^T and T_jk is (y a_j) b_k^T. The nine moment
+    surfaces of every column therefore come from matrix products, formed one
+    of two ways (``_lattice_moments`` and ``_tiled_moments``, which return
+    the same moments and support count).
 
     The intercept is solved in closed form: with weighted means μ = (s10,
     s01) / s00 and ȳ = t00 / s00, the slopes β solve the centred 2x2 system
@@ -432,6 +439,7 @@ def local_linear_2d_at(
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     y_cols, w_cols, stacked = _columns(np.asarray(y, dtype=float), weights, x1.size)
+    _check_bandwidths(bandwidths)
     b1, b2 = float(bandwidths[0]), float(bandwidths[1])
     # sorted evaluation points make the rows and columns a tile reaches contiguous
     eval1 = np.asarray(eval1, dtype=float)

@@ -6,7 +6,7 @@ fit builds in a cheaper way.
 
 import numpy as np
 
-from vcflr.fpca import covariance_pairs, group_pairs
+from vcflr.fpca import covariance_pairs, cross_pairs, group_pairs
 
 
 def aggregate_2d(x1, x2, y):
@@ -30,3 +30,12 @@ def raw_covariances(subjects, mean, stream="x"):
     """
     (times, _, ia, ib, products), diag = covariance_pairs(subjects, mean, stream)
     return np.column_stack([times[ia], times[ib], products]), diag
+
+
+def raw_cross_products(subjects, mean_x, mean_y):
+    """Raw centered cross products; (s, t, value) rows, or (s, value) rows
+    in scalar-response mode, subject by subject."""
+    x_times, y_times, ia, ib, products = cross_pairs(subjects, mean_x, mean_y)
+    if y_times is None:
+        return np.column_stack([x_times[ia], products])
+    return np.column_stack([x_times[ia], y_times[ib], products])

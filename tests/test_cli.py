@@ -189,9 +189,19 @@ class TestFit:
         ({"min_bin_count": 0}, "min_bin_count"),
         ({"min_bin_count": -3}, "min_bin_count"),
         ({"min_bin_count": 1.5}, "min_bin_count"),
+        ({"cv_surfaces": "false"}, "cv_surfaces"),
+        ({"eigen_floor": float("nan")}, "eigen_floor"),
+        ({"eigen_floor": -0.5}, "eigen_floor"),
+        ({"eigen_floor": 1.5}, "eigen_floor"),
+        ({"eigen_floor": True}, "eigen_floor"),
+        ({"refine_bandwidth": "0.3"}, "refine bandwidths"),
+        ({"kernel": "gauss"}, "kernel family"),
+        ({"scalar_response": "false"}, "scalar_response"),
+        ({"bandwidths": [["mean_x", 1.0]]}, "bandwidths must be a mapping"),
     ])
     def test_bad_count_setting_exit_4(self, sim_dir, tmp_path, capsys, setting, shown):
-        # rejected before fitting, instead of truncated or dying in the fit
+        # rejected before fitting, instead of coerced, truncated or dying in
+        # the fit
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(setting))
         code = main(["fit", "--train", str(sim_dir / "train.csv"),

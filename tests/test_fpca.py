@@ -27,7 +27,6 @@ from vcflr.fpca import (
     fit_bin,
     group_pairs,
     observation_covariance,
-    raw_cross_products,
     sigma_mk,
     smooth_covariance,
     smooth_cross_covariance,
@@ -36,7 +35,7 @@ from vcflr.grids import GridFunction, GridSurface, make_grid
 from vcflr.kernels import Kernel1D, kernel_eval
 from vcflr.smoothing import LocalFitConfig
 
-from reference import aggregate_2d, raw_covariances
+from reference import aggregate_2d, raw_covariances, raw_cross_products
 
 
 def basis(s):
@@ -238,8 +237,9 @@ class TestFitBinGroupsOnce:
         from vcflr.simulation import SPARSE, generate
         ds, _ = generate(SPARSE, 60, seed=93)
         grid = make_grid(0, 10, 21)
-        bw = BinBandwidths(mean_x=2.0, mean_y=2.0, cov_x=surface_bw, cov_y=surface_bw,
-                           diag_x=surface_bw, diag_y=surface_bw, cross=surface_bw)
+        pair = (surface_bw, surface_bw)
+        bw = BinBandwidths(mean_x=2.0, mean_y=2.0, cov_x=pair, cov_y=pair,
+                           diag_x=surface_bw, diag_y=surface_bw, cross=pair)
         attempts = self.count_attempts(monkeypatch)
         calls = count_rows(monkeypatch)
         fit_bin(ds.subjects, 0.5, grid, grid, bw, Kernel1D(), 3, 3)
@@ -255,7 +255,7 @@ class TestFitBinGroupsOnce:
         subjects = [Subject(s.id, s.z, s.x_times, s.x_values, None,
                             np.array([float(s.y_values.mean())])) for s in ds.subjects]
         grid = make_grid(0, 10, 21)
-        bw = BinBandwidths(mean_x=2.0, mean_y=None, cov_x=0.3, cov_y=None,
+        bw = BinBandwidths(mean_x=2.0, mean_y=None, cov_x=(0.3, 0.3), cov_y=None,
                            diag_x=0.3, diag_y=None, cross=2.0)
         attempts = self.count_attempts(monkeypatch)
         calls = count_rows(monkeypatch)
@@ -414,8 +414,8 @@ class TestByVectorEntries:
         from vcflr.simulation import generate
         ds, _ = generate(design, n, seed=seed)
         grid = make_grid(0, 10, 21)
-        bw = BinBandwidths(mean_x=2.0, mean_y=2.0, cov_x=2.0, cov_y=2.0,
-                           diag_x=2.0, diag_y=2.0, cross=2.0)
+        bw = BinBandwidths(mean_x=2.0, mean_y=2.0, cov_x=(2.0, 2.0), cov_y=(2.0, 2.0),
+                           diag_x=2.0, diag_y=2.0, cross=(2.0, 2.0))
         fit_bin(ds.subjects, 0.5, grid, grid, bw, Kernel1D(), 3, 3)
         return ds.subjects
 
@@ -481,15 +481,16 @@ class TestFitBinCentersOnce:
             subjects = [Subject(s.id, s.z, s.x_times, s.x_values, None,
                                 np.array([float(s.y_values.mean())])) for s in subjects]
         grid = make_grid(0, 10, 21)
-        bw = BinBandwidths(mean_x=2.0, mean_y=None if scalar else 2.0, cov_x=2.0,
-                           cov_y=None if scalar else 2.0, diag_x=2.0,
-                           diag_y=None if scalar else 2.0, cross=2.0)
+        cross_bw = 2.0 if scalar else (2.0, 2.0)
+        bw = BinBandwidths(mean_x=2.0, mean_y=None if scalar else 2.0, cov_x=(2.0, 2.0),
+                           cov_y=None if scalar else (2.0, 2.0), diag_x=2.0,
+                           diag_y=None if scalar else 2.0, cross=cross_bw)
         streams = count_calls(monkeypatch, "_observations", lambda args, out: args[1])
         est = fit_bin(subjects, 0.5, grid, None if scalar else grid, bw, Kernel1D(), 3, 3)
         assert streams == ["x", "y"]
-        fresh = smooth_cross_covariance(subjects, est.mean_x, est.mean_y,
-                                        LocalFitConfig(2.0, Kernel1D()),
-                                        grid if scalar else (grid, grid))
+        fresh = smooth_cross_covariance(centered(subjects, est.mean_x, est.mean_y),
+                                        LocalFitConfig(cross_bw, Kernel1D()),
+                                        (grid, None if scalar else grid))
         assert np.array_equal(est.cross.values, fresh.values)
 
 
@@ -883,6 +884,11 @@ class TestEigendecompose:
             assert np.max(np.abs(gram - np.eye(eig.n_components))) < 1e-8, case
 
 
+def centered(subjects, mean_x, mean_y):
+    """The centered predictor and response streams that fit_bin builds."""
+    return fpca._centered(subjects, "x", mean_x), fpca._centered(subjects, "y", mean_y)
+
+
 class TestCrossCovariance:
     def test_affine_raw_pairs_exact(self):
         rng = np.random.default_rng(28)
@@ -898,9 +904,8 @@ class TestCrossCovariance:
                                     np.ones(4)))
         zero_s = GridFunction(grid_s, np.zeros(15))
         zero_t = GridFunction(grid_t, np.zeros(13))
-        surf = smooth_cross_covariance(subjects, zero_s, zero_t,
-                                       LocalFitConfig((4.0, 4.0)),
-                                       (grid_s, grid_t))
+        surf = smooth_cross_covariance(centered(subjects, zero_s, zero_t),
+                                       LocalFitConfig((4.0, 4.0)), (grid_s, grid_t))
         want = (grid_s.points + 1.0)[:, None] * np.ones((1, 13))
         assert np.allclose(surf.values, want, atol=1e-8)
 
@@ -914,7 +919,7 @@ class TestCrossCovariance:
             subjects.append(Subject(f"s{i}", 0.5, st_, rng.normal(size=6),
                                     tt, rng.normal(size=6)))
         zero = GridFunction(grid, np.zeros(31))
-        surf = smooth_cross_covariance(subjects, zero, zero,
+        surf = smooth_cross_covariance(centered(subjects, zero, zero),
                                        LocalFitConfig((2.0, 2.0)), (grid, grid))
         rms = np.sqrt(np.mean(surf.values ** 2))
         assert rms < 0.2
@@ -928,8 +933,8 @@ class TestCrossCovariance:
             subjects.append(Subject(f"s{i}", 0.5, st_, st_ * 0.5, None,
                                     np.array([2.0])))
         zero = GridFunction(grid, np.zeros(21))
-        curve = smooth_cross_covariance(subjects, zero, 0.0,
-                                        LocalFitConfig(3.0), grid)
+        curve = smooth_cross_covariance(centered(subjects, zero, 0.0),
+                                        LocalFitConfig(3.0), (grid, None))
         assert isinstance(curve, GridFunction)
         # residual product is (0.5 s) * 2 = s exactly
         assert np.allclose(curve.values, grid.points, atol=1e-8)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from vcflr import smoothing
 from vcflr.errors import InsufficientCenters, InsufficientLocalData
 from vcflr.grids import make_grid
-from vcflr.kernels import Kernel1D, Kernel2D, kernel_eval
+from vcflr.kernels import Kernel1D, kernel_eval
 from vcflr.smoothing import (
     LocalFitConfig,
     local_linear_1d_at,
@@ -50,10 +50,9 @@ class TestKernels:
         assert np.all(kernel_eval(k, u) == 0.0)
 
     def test_product_kernel_mass(self):
-        k2 = Kernel2D(Kernel1D("epanechnikov"), Kernel1D("quartic"))
         u = np.linspace(-1, 1, 2001)
         uu, vv = np.meshgrid(u, u, indexing="ij")
-        vals = k2(uu, vv)
+        vals = kernel_eval(Kernel1D("epanechnikov"), uu) * kernel_eval(Kernel1D("quartic"), vv)
         mass = np.trapezoid(np.trapezoid(vals, u, axis=1), u)
         assert mass == pytest.approx(1.0, abs=1e-5)
         mixed = np.trapezoid(np.trapezoid(uu * vv * vals, u, axis=1), u)
@@ -62,6 +61,33 @@ class TestKernels:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             Kernel1D("gaussian")
+
+
+class TestBandwidthChecks:
+    """Every local fit rejects a non-positive or NaN bandwidth alike."""
+
+    @pytest.mark.parametrize("b", [0.0, -1.0, float("nan"), (1.0, float("nan")), (-1.0, 1.0)])
+    def test_local_fit_config(self, b):
+        with pytest.raises(ValueError, match="strictly positive"):
+            LocalFitConfig(b)
+
+    @pytest.mark.parametrize("b", [(1.0, 2.0), [1.0, 2.0]])
+    def test_pair_widens_on_both_axes(self, b):
+        assert LocalFitConfig(b).widened(1.5).bandwidth == (1.5, 3.0)
+
+    @pytest.mark.parametrize("b", [0.0, -1.0, float("nan")])
+    def test_1d_smoother(self, b):
+        x = np.linspace(0, 1, 20)
+        with pytest.raises(ValueError, match="strictly positive"):
+            local_linear_1d_at(x, x, x, b)
+
+    @pytest.mark.parametrize("b", [(-1.0, 1.0), (1.0, 0.0), (float("nan"), 1.0)])
+    def test_2d_smoother(self, b):
+        rng = np.random.default_rng(5)
+        x1, x2 = rng.uniform(0, 1, (2, 50))
+        g = make_grid(0, 1, 5).points
+        with pytest.raises(ValueError, match="strictly positive"):
+            local_linear_2d_at(x1, x2, x1 + x2, g, g, b)
 
 
 def oracle_local_linear_1d(x, y, s, b, kernel):
@@ -124,8 +150,9 @@ class TestLocalLinear1D:
         assert np.allclose(curve, 1 + 2 * grid.points, atol=1e-9)
 
 
-def oracle_local_linear_2d(x1, x2, y, s1, s2, b, kernel2):
-    w = kernel2(np.asarray(x1 - s1) / b[0], np.asarray(x2 - s2) / b[1])
+def oracle_local_linear_2d(x1, x2, y, s1, s2, b, kernel):
+    w = kernel_eval(kernel, np.asarray(x1 - s1) / b[0]) \
+        * kernel_eval(kernel, np.asarray(x2 - s2) / b[1])
     X = np.column_stack([np.ones_like(x1), x1 - s1, x2 - s2])
     A = (X * w[:, None]).T @ X
     c = (X * w[:, None]).T @ y
@@ -164,7 +191,7 @@ class TestLocalLinear2D:
         y = np.cos(x1) * np.cos(x2) + rng.normal(0, 0.2, n)
         g1 = make_grid(0, 3, 7)
         g2 = make_grid(0, 3, 6)
-        kern = Kernel2D()
+        kern = Kernel1D()
         got = local_linear_2d_at(x1, x2, y, g1.points, g2.points, (0.8, 0.8),
                                  kernel=kern)
         for i, s1 in enumerate(g1.points):
@@ -224,23 +251,22 @@ class TestTiledLocalLinear2D:
         rng = np.random.default_rng(61)
         e1 = rng.permutation(make_grid(0, 10, 13).points)
         e2 = rng.permutation(make_grid(0, 10, 9).points)
-        self.check(*self.data(61), e1, e2, (1.5, 2.0), Kernel2D())
+        self.check(*self.data(61), e1, e2, (1.5, 2.0), Kernel1D())
 
     def test_eval_points_outside_data_range(self):
         e = np.array([-1.0, -0.3, 4.9, 10.4, 11.0])
-        self.check(*self.data(62), e, e[::-1], (1.5, 1.5), Kernel2D())
+        self.check(*self.data(62), e, e[::-1], (1.5, 1.5), Kernel1D())
 
     def test_bandwidth_below_grid_spacing(self):
         e = make_grid(0, 10, 11).points   # spacing 1.0
-        self.check(*self.data(63), e, e, (0.6, 0.7), Kernel2D(Kernel1D("quartic"),
-                                                              Kernel1D("quartic")))
+        self.check(*self.data(63), e, e, (0.6, 0.7), Kernel1D("quartic"))
 
     def test_uniform_kernel_closed_support(self):
         # x1 lattice points sit exactly b = 0.5 from grid points, cell edges
         # included, where the uniform kernel still weighs them
         e = make_grid(0, 10, 41).points
         uni = Kernel1D("uniform")
-        self.check(*self.data(64, lattice=True), e, e, (0.5, 0.5), Kernel2D(uni, uni))
+        self.check(*self.data(64, lattice=True), e, e, (0.5, 0.5), uni)
 
     def test_gap_in_data_insufficient(self):
         x1, x2, y = self.data(65)
@@ -266,7 +292,8 @@ class TestLocalLinear2DAgainstOracle:
     def oracle_support(x1, x2, w, s1, s2, b, kern):
         """Weighted points in the window and their centred determinant
         relative to b1² b2² at (s1, s2)."""
-        k = kern(np.asarray(x1 - s1) / b[0], np.asarray(x2 - s2) / b[1]) * w
+        k = kernel_eval(kern, np.asarray(x1 - s1) / b[0]) \
+            * kernel_eval(kern, np.asarray(x2 - s2) / b[1]) * w
         on = k > 0
         if k.sum() == 0:
             return 0, 0.0
@@ -286,7 +313,7 @@ class TestLocalLinear2DAgainstOracle:
         y = np.sin(x1) * np.cos(0.5 * x2) + rng.normal(0, 0.3, n)
         w = rng.integers(1, 4, n).astype(float) if weighted else np.ones(n)
         b = (10.0 * frac, 10.0 * frac * aspect)
-        kern = Kernel2D(Kernel1D(family), Kernel1D(family))
+        kern = Kernel1D(family)
         e1, e2 = make_grid(0, 10, 7).points, make_grid(0, 10, 6).points
         try:
             got = local_linear_2d_at(x1, x2, y, e1, e2, b, kernel=kern,
@@ -416,7 +443,7 @@ class TestLatticeLocalLinear2D:
         x1, x2, y, w, (l1, l2) = drawn
         assert smoothing._lattice_codes(x1, x2) is not None
         b = (l1 * frac, l2 * frac)
-        kern = Kernel2D(Kernel1D(family), Kernel1D(family))
+        kern = Kernel1D(family)
         e1, e2 = np.linspace(0, l1, 7), np.linspace(0, l2, 6)
         try:
             got = local_linear_2d_at(x1, x2, y, e1, e2, b, kernel=kern, weights=w)
@@ -439,7 +466,7 @@ class TestLatticeLocalLinear2D:
     def test_moments_match_tiles(self, drawn, frac, family):
         x1, x2, y, w, (l1, l2) = drawn
         b = (l1 * frac, l2 * frac)
-        kern = Kernel2D(Kernel1D(family), Kernel1D(family))
+        kern = Kernel1D(family)
         e1, e2 = np.linspace(-0.1 * l1, l1, 9), np.linspace(0, 1.1 * l2, 8)
         lat, lat_count = smoothing._lattice_moments(smoothing._lattice_codes(x1, x2), y, w,
                                                     e1, e2, b, kern)
@@ -471,8 +498,7 @@ class TestLatticeLocalLinear2D:
         x1, x2 = rng.integers(0, 41, (2, 6000)) * 0.25
         y = np.sin(x1) * np.cos(0.5 * x2) + rng.normal(0, 0.3, 6000)
         e = make_grid(0, 10, 41).points
-        uni = Kernel1D("uniform")
-        kern = Kernel2D(uni, uni)
+        kern = Kernel1D("uniform")
         assert smoothing._lattice_codes(x1, x2) is not None
         got = local_linear_2d_at(x1, x2, y, e, e, (0.5, 0.5), kernel=kern)
         want = np.array([[oracle_local_linear_2d(x1, x2, y, s1, s2, (0.5, 0.5), kern)
@@ -822,7 +848,7 @@ class TestPropertySuites:
             s2 = rng.uniform(0.2, 0.8, 2)
             try:
                 got = local_linear_2d_at(x1, x2, y, s1, s2, (bw, bw),
-                                         kernel=Kernel2D(fam, fam))
+                                         kernel=fam)
             except InsufficientLocalData:
                 continue   # tiny windows on degenerate draws are legal failures
             want = a + b * s1[:, None] + c * s2[None, :]

@@ -234,6 +234,19 @@ class TestFit:
         (dict(min_bin_count=0), "min_bin_count"),
         (dict(min_bin_count=-3), "min_bin_count"),
         (dict(min_bin_count=2.0), "min_bin_count"),
+        (dict(cv_surfaces="false"), "cv_surfaces"),
+        (dict(cv_surfaces=1), "cv_surfaces"),
+        (dict(eigen_floor=float("nan")), "eigen_floor"),
+        (dict(eigen_floor=-0.1), "eigen_floor"),
+        (dict(eigen_floor=1.5), "eigen_floor"),
+        (dict(eigen_floor=1.0), "eigen_floor"),
+        (dict(eigen_floor=float("inf")), "eigen_floor"),
+        (dict(eigen_floor=True), "eigen_floor"),
+        (dict(eigen_floor="0.03"), "eigen_floor"),
+        (dict(refine_candidates=()), "refine_candidates"),
+        (dict(refine_bandwidth=True), "refine bandwidths"),
+        (dict(refine_bandwidth="0.3"), "refine bandwidths"),
+        (dict(kernel="gauss"), "kernel family"),
     ])
     def test_bandwidth_settings_validated(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -245,6 +258,7 @@ class TestFit:
                               "cov_y": 2.0, "diag_x": 0.5, "diag_y": 0.5,
                               "cross": (1.0, 2.0)},
                   cv_factors=(1e-6,), cv_folds=2)
+        FitConfig(eigen_floor=0, cv_surfaces=True, kernel="quartic", refine_candidates=(0.3,))
 
     def test_sigma2_is_bin_average(self, small_fit):
         assert small_fit.sigma2_x == pytest.approx(
@@ -365,6 +379,17 @@ class TestBandwidthFallback:
             fit(ds, cfg)
         with pytest.raises(ModelFormatError, match="cross must be a single number"):
             fit_global(ds, cfg)
+
+    def test_surfaces_resolve_to_pairs(self):
+        # a number for a surface means that bandwidth on both axes
+        from vcflr.regression import _resolve_bandwidths
+        ds, _ = generate(REGULAR, 40, seed=45)
+        grid = make_grid(0, 10, 21)
+        cfg = FitConfig(bandwidth_policy="default",
+                        bandwidths={"cov_x": 1.0, "cross": [1.0, 2.0]})
+        bw = _resolve_bandwidths(ds.subjects, cfg, grid, grid)
+        h = default_bandwidth(10.0, sum(s.n_y * (s.n_y - 1) for s in ds.subjects))
+        assert (bw.cov_x, bw.cov_y, bw.cross) == ((1.0, 1.0), (h, h), (1.0, 2.0))
 
 
 class TestPredict:

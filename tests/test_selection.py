@@ -14,10 +14,9 @@ from vcflr.fpca import (
     aggregate_1d,
     estimate_mean,
     observation_covariance,
-    raw_cross_products,
 )
 from vcflr.grids import GridSurface, make_grid
-from vcflr.kernels import Kernel1D, Kernel2D
+from vcflr.kernels import Kernel1D
 from vcflr.regression import FitConfig, fit, predict
 from vcflr.selection import (
     _RefinementResiduals,
@@ -37,7 +36,7 @@ from vcflr.smoothing import (
     smoothing_matrix,
 )
 
-from reference import aggregate_2d, raw_covariances
+from reference import aggregate_2d, raw_covariances, raw_cross_products
 
 
 @pytest.fixture(scope="module")
@@ -551,7 +550,7 @@ def oracle_cv_errors(subjects, kind, n_folds, candidates, s_grid, t_grid,
                     x1, x2, ybar, w = aggregate_2d(tr[:, 0], tr[:, 1], tr[:, 2])
                     surf = GridSurface(grids[0], grids[1], local_linear_2d_at(
                         x1, x2, ybar, grids[0].points, grids[1].points, tuple(cand),
-                        kernel=Kernel2D(kernel, kernel), weights=w))
+                        kernel=kernel, weights=w))
                     for i in test:
                         r = per_subject_raw[i]
                         sse += float(np.sum((r[:, 2] - surf.at(r[:, 0], r[:, 1])) ** 2))

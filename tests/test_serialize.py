@@ -5,6 +5,7 @@ import pytest
 
 from vcflr.data import Subject, LongitudinalDataset
 from vcflr.errors import ModelFormatError
+from vcflr.fpca import BinBandwidths
 from vcflr.regression import FitConfig, fit, predict, refine
 from vcflr.serialize import load_model, save_model
 from vcflr.simulation import REGULAR, generate
@@ -125,6 +126,21 @@ class TestBinBandwidths:
         assert back.selection.chosen == model.selection.chosen
         save_model(back, tmp_path / "again.json")
         assert "bandwidths" not in json.loads((tmp_path / "again.json").read_text())["selection"]
+
+
+class TestBandwidthFileForm:
+    def test_symmetric_covariance_pair_is_one_number(self):
+        bw = BinBandwidths(mean_x=1.0, mean_y=2.0, cov_x=(1.5, 1.5), cov_y=(1.0, 2.5),
+                           diag_x=0.5, diag_y=0.7, cross=(2.0, 2.0))
+        assert bw.as_dict() == {"mean_x": 1.0, "mean_y": 2.0, "cov_x": 1.5,
+                                "cov_y": [1.0, 2.5], "diag_x": 0.5, "diag_y": 0.7,
+                                "cross": [2.0, 2.0]}
+
+    def test_scalar_response(self):
+        bw = BinBandwidths(mean_x=1.0, mean_y=None, cov_x=(1.0, 2.0), cov_y=None,
+                           diag_x=0.5, diag_y=None, cross=3.0)
+        assert bw.as_dict() == {"mean_x": 1.0, "mean_y": None, "cov_x": [1.0, 2.0],
+                                "cov_y": None, "diag_x": 0.5, "diag_y": None, "cross": 3.0}
 
 
 class TestFormatErrors:
