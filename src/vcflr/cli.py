@@ -56,7 +56,6 @@ DEFAULT_CONFIG = {
     "cv_surfaces": False,
     "eigen_floor": 0.03,
     "min_bin_count": 5,
-    "seed": 0,
 }
 
 

@@ -164,21 +164,24 @@ def _stacked(arrays) -> np.ndarray:
     return np.concatenate(arrays) if arrays else np.empty(0)
 
 
-def _subject_pairs(n_a, n_b, off_diagonal: bool) -> tuple[np.ndarray, np.ndarray]:
+def _subject_pairs(n_a, n_b, half: bool) -> tuple[np.ndarray, np.ndarray]:
     """Every within-subject pair (j, l) of a subject's j-th observation in
     one stream and l-th in another, subject by subject and row-major: the
     positions of both in the concatenations of all subjects' observations
-    (``n_a``/``n_b`` the per-subject counts, in order), without the j == l
-    pairs when ``off_diagonal`` (a stream paired with itself)."""
+    (``n_a``/``n_b`` the per-subject counts, in order). With ``half`` (a
+    stream paired with itself, ``n_b`` equal to ``n_a``) only the pairs
+    j < l: each stands for itself and its mirror (l, j)."""
     n_a = np.asarray(n_a, dtype=int)
     n_b = np.asarray(n_b, dtype=int)
-    reps = np.repeat(n_b, n_a)   # per a-observation: its subject's b-count
-    ia = np.repeat(np.arange(reps.size), reps)
-    shift = np.repeat(np.cumsum(n_b) - n_b, n_a) - (np.cumsum(reps) - reps)
-    ib = np.arange(reps.sum()) + np.repeat(shift, reps)
-    if off_diagonal:
-        off = ia != ib
-        ia, ib = ia[off], ib[off]
+    positions = np.arange(n_a.sum())
+    if half:   # observation j of n pairs with its n - 1 - j successors
+        reps = np.repeat(n_a - 1, n_a) - (positions - np.repeat(np.cumsum(n_a) - n_a, n_a))
+        first = positions + 1
+    else:      # and otherwise with all its subject's b-observations
+        reps = np.repeat(n_b, n_a)
+        first = np.repeat(np.cumsum(n_b) - n_b, n_a)
+    ia = np.repeat(positions, reps)
+    ib = np.arange(reps.sum()) + np.repeat(first - (np.cumsum(reps) - reps), reps)
     return ia, ib
 
 
@@ -211,13 +214,13 @@ def _diagonal(stream_) -> np.ndarray:
     return np.column_stack([times, resid * resid])
 
 
-def _stream_pairs(a, b, off_diagonal: bool):
+def _stream_pairs(a, b, half: bool):
     """Every within-subject pair of ``_centered`` streams ``a`` and ``b``
-    (``b`` is ``a`` for a covariance, whose j == l pairs ``off_diagonal``
-    drops), subject by subject and row-major, as ``group_pairs`` takes
+    (``b`` is ``a`` for a covariance, whose j < l pairs alone ``half``
+    keeps), subject by subject and row-major, as ``group_pairs`` takes
     them: ``(times_a, times_b, ia, ib, products)``."""
     (times_a, ra, n_a), (times_b, rb, n_b) = a, b
-    ia, ib = _subject_pairs(n_a, n_b, off_diagonal)
+    ia, ib = _subject_pairs(n_a, n_b, half)
     return times_a, times_b, ia, ib, ra[ia] * rb[ib]
 
 
@@ -234,7 +237,7 @@ def _shared_vector(times, sizes):
     return None
 
 
-def pair_rows(a, b, off_diagonal: bool):
+def pair_rows(a, b, half: bool):
     """Grouped (x1, x2, ybar, w) rows of the pairs of ``_stream_pairs``:
     ``group_pairs`` of those pairs, unless all c subjects share one time
     vector per stream and it has at least two pairs. Then each location is
@@ -245,22 +248,25 @@ def pair_rows(a, b, off_diagonal: bool):
     ``group_pairs`` adds them, so the rows are the same bits. numpy sums a
     C-ordered (c, n_a, n_b) stack row by row only when a row holds two or
     more products (it sums a single column pairwise), so a vector of one
-    pair is left to ``group_pairs``.
+    pair is left to ``group_pairs``. With ``half`` (a covariance), the rows
+    are the j < l entries of that sum, and each stands for itself and its
+    mirror, which a smoother adds.
 
-    Cost: a regular bin of 100 subjects sums 100 rows of 930 products and
-    sorts nothing; ``group_pairs`` would sort its 93,000 pairs.
+    Cost: a regular bin of 100 subjects sums 100 rows of 961 products per
+    stream, keeps 465 covariance rows and sorts nothing; ``group_pairs``
+    would sort 46,500 pairs.
     """
     (times_a, ra, n_a), (times_b, rb, n_b) = a, b
     va = _shared_vector(times_a, n_a)
     vb = va if b is a or va is None else _shared_vector(times_b, n_b)
     if vb is not None:
-        ja, jb = _subject_pairs(n_a[:1], n_b[:1], off_diagonal)
+        ja, jb = _subject_pairs(n_a[:1], n_b[:1], half)
         if ja.size > 1:
             c = n_a.size
             products = ra.reshape(c, -1, 1) * rb.reshape(c, 1, -1)
             w = np.full(ja.size, float(c))
             return va[ja], vb[jb], products.sum(axis=0)[ja, jb] / w, w
-    pairs = _stream_pairs(a, b, off_diagonal)
+    pairs = _stream_pairs(a, b, half)
     del a, b, ra, rb   # the centered values are spent once multiplied
     return group_pairs(*pairs)
 
@@ -269,9 +275,11 @@ def covariance_pairs(subjects: list[Subject], mean: GridFunction, stream: str):
     """One stream's centered observations paired with themselves.
 
     Returns ``(pairs, diag)``: pairs is ``(times, times, ia, ib, products)``
-    for every within-subject pair with j != l, subject by subject and
+    for every within-subject pair with j < l, subject by subject and
     row-major, as ``group_pairs`` takes it; diag is the (m, 2) array of
-    (s, squared centered value) rows. Cross-validation takes the pairs,
+    (s, squared centered value) rows. The products are symmetric, so each
+    pair stands for itself and its mirror (l, j), and sorted times give
+    every pair times[ia] <= times[ib]. Cross-validation takes the pairs,
     because its folds split each location's subjects.
     """
     stream_ = _centered(subjects, stream, mean)
@@ -286,15 +294,16 @@ def cross_pairs(subjects: list[Subject], mean_x: GridFunction, mean_y: GridFunct
                          False)
 
 
-def _smooth_2d(rows, cfg: LocalFitConfig, grid1: Grid, grid2: Grid) -> np.ndarray:
+def _smooth_2d(rows, cfg: LocalFitConfig, grid1: Grid, grid2: Grid,
+               mirror: bool = False) -> np.ndarray:
     """Local linear surface of grouped (x1, x2, ybar, w) rows on grid1 x grid2,
     at ``cfg``'s (b1, b2) pair, widened until every grid point has enough
-    local data."""
+    local data; with ``mirror``, each row also stands for its mirror."""
     x1, x2, ybar, w = rows
 
     def attempt(c: LocalFitConfig) -> np.ndarray:
         return local_linear_2d_at(x1, x2, ybar, grid1.points, grid2.points, c.bandwidth,
-                                  kernel=c.kernel, weights=w)
+                                  kernel=c.kernel, weights=w, mirror=mirror)
 
     return widen_until_fit(attempt, cfg)
 
@@ -302,11 +311,13 @@ def _smooth_2d(rows, cfg: LocalFitConfig, grid1: Grid, grid2: Grid) -> np.ndarra
 def smooth_covariance(rows, cfg: LocalFitConfig, grid: Grid) -> GridSurface:
     """Smooth off-diagonal raw covariances onto grid x grid and symmetrize.
 
-    ``rows`` are the grouped (x1, x2, ybar, w) rows of ``pair_rows``.
-    Cost: the smoother sees one weighted row per distinct location, grouped
-    once, before any widening retry.
+    ``rows`` are the grouped (x1, x2, ybar, w) rows of ``pair_rows`` of the
+    j < l pairs, x1 <= x2: each row stands for itself and its mirror
+    (x2, x1), which the smoother adds.
+    Cost: the smoother sees one weighted row per distinct location of the
+    half, grouped once, before any widening retry.
     """
-    values = _smooth_2d(rows, cfg, grid, grid)
+    values = _smooth_2d(rows, cfg, grid, grid, mirror=True)
     return GridSurface(grid, grid, (values + values.T) / 2.0)
 
 
@@ -342,9 +353,12 @@ def covariance_diagonal(rows, bandwidth: float, grid: Grid,
     values (and cancels in their difference). A numerically singular local
     system gets its diagonal loaded with ``_RIDGE``.
 
-    ``rows`` are grouped (x1, x2, ybar, w) rows, as ``smooth_covariance``
-    takes them, so the raw pairs are grouped once per stream and not once
-    per widening retry.
+    ``rows`` are grouped (x1, x2, ybar, w) rows of the j < l pairs, as
+    ``smooth_covariance`` takes them, so the raw pairs are grouped once per
+    stream and not once per widening retry. Each row stands for itself and
+    its mirror, which has the same v = (x1 + x2) / 2 and u², so the sums of
+    all the pairs are the half's at weight 2w; a weight common to every row
+    leaves the fit as it is, so the half is fitted at weight w.
 
     Cost: points with zero across-diagonal weight are dropped. The rest
     enter ``smoothing.local_moments_1d`` along the diagonal, so every grid
@@ -393,8 +407,9 @@ def estimate_sigma2(diag_points: np.ndarray, off_rows, cfg: LocalFitConfig,
     (the ends are dropped for stability) and scaled by 2 / |domain|, recovers
     sigma^2, clamped at zero. Both curves use the same bandwidth so their
     smoothing biases cancel. ``diag_points`` are raw (s, value) rows;
-    ``off_rows`` the grouped off-diagonal rows of ``smooth_covariance``.
-    Both are aggregated once, outside the widening retries.
+    ``off_rows`` the grouped off-diagonal rows of ``smooth_covariance``,
+    each standing for itself and its mirror. Both are aggregated once,
+    outside the widening retries.
     """
     diag_points = np.asarray(diag_points, dtype=float).reshape(-1, 2)
     xu, ybar, w = aggregate_1d(diag_points[:, 0], diag_points[:, 1])
@@ -599,7 +614,7 @@ class BinBandwidths:
 def _covariance_estimates(stream_, cov_bw, diag_bw: float, kernel: Kernel1D,
                           grid: Grid, max_components: int, rel_tol: float):
     """One ``_centered`` stream's covariance surface, error variance and
-    eigensystem, from its off-diagonal pairs, grouped once by location
+    eigensystem, from its j < l pairs, grouped once by location
     (``pair_rows``)."""
     diag = _diagonal(stream_)
     rows = pair_rows(stream_, stream_, True)
@@ -617,7 +632,7 @@ def fit_bin(subjects: list[Subject], center: float, s_grid: Grid,
     spectra may hold fewer, and ``eigen_floor`` drops eigenvalues below that
     fraction of the leading one); ``sigma_mk`` is built at those bounds so
     that truncation selection can slice it without refitting. Each stream's
-    off-diagonal pairs, and the functional cross pairs, are grouped by
+    j < l pairs, and the functional cross pairs, are grouped by
     location once and shared by every smoother and retry that uses them.
 
     Cost: each stream is concatenated and centered once, for its mean, its

@@ -264,7 +264,7 @@ def refine(model: FittedModel, z: float):
 
 def _usable_subjects(ds: LongitudinalDataset) -> LongitudinalDataset:
     """Drop subjects that cannot enter the fit (fewer than two predictor
-    observations, or no response information)."""
+    observations, or no response information); EmptyBin when none is left."""
     keep = []
     dropped = []
     for sub in ds.subjects:
@@ -272,6 +272,10 @@ def _usable_subjects(ds: LongitudinalDataset) -> LongitudinalDataset:
         (keep if ok else dropped).append(sub)
     if not dropped:
         return ds   # already validated; a copy would check every subject again
+    if not keep:
+        raise EmptyBin(
+            f"all {len(dropped)} subject(s) lack 2 or more predictor observations "
+            f"or a response (e.g. {dropped[0].id})")
     warnings.warn(
         f"excluding {len(dropped)} subject(s) with fewer than 2 predictor "
         f"observations or no response (e.g. {dropped[0].id})")

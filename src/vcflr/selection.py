@@ -356,7 +356,7 @@ def cv_errors(subjects: list[Subject], kind: str, n_folds: int, candidates,
         values = np.concatenate([s.x_values if kind == "mean_x" else s.y_values
                                  for s in subjects])
         xu, group = np.unique(times, return_inverse=True)
-        order, n_loc, where = slice(None), xu.size, (times,)
+        order, n_loc, where, mirror = slice(None), xu.size, (times,), False
         on_grid = partial(GridFunction, grid)
 
         def smooth(bw):
@@ -372,11 +372,13 @@ def cv_errors(subjects: list[Subject], kind: str, n_folds: int, candidates,
                 np.concatenate([getattr(s, f"{stream}_values") for s in subjects]),
                 LocalFitConfig(mean_bandwidths[i], kernel), (s_grid, t_grid)[i])
 
-        if kind == "cross":
-            grids, pairs = (s_grid, t_grid), cross_pairs(subjects, mean("x"), mean("y"))
-        else:
+        # a covariance's j < l pairs each stand for their mirror too
+        mirror = kind != "cross"
+        if mirror:
             grid = s_grid if kind == "cov_x" else t_grid
             grids, (pairs, _) = (grid, grid), covariance_pairs(subjects, mean(kind[-1]), kind[-1])
+        else:
+            grids, pairs = (s_grid, t_grid), cross_pairs(subjects, mean("x"), mean("y"))
         times_a, times_b, ia, ib, values = pairs
         owner = owner[ia]
         x1, x2, order, group = pair_locations(times_a, times_b, ia, ib)
@@ -385,13 +387,14 @@ def cv_errors(subjects: list[Subject], kind: str, n_folds: int, candidates,
 
         def smooth(bw):
             return local_linear_2d_at(x1, x2, ybar, grids[0].points, grids[1].points, bw,
-                                      kernel=kernel, weights=w)
+                                      kernel=kernel, weights=w, mirror=mirror)
 
     # One column per fold of training multiplicity and mean value per
     # location. ``group`` codes the rows taken in ``order``, which keeps
     # each location's rows in input order, so every sum adds its values as
     # aggregate_1d and group_pairs add them. A fold's held-out error is the
-    # squared norm of its residuals, one dot product.
+    # squared norm of its residuals, one dot product; a mirrored pair is
+    # held out at (s, t) and at (t, s).
     ordered = values[order]
     w = np.empty((n_loc, n_folds))
     ybar = np.zeros((n_loc, n_folds))
@@ -402,8 +405,11 @@ def cv_errors(subjects: list[Subject], kind: str, n_folds: int, candidates,
         w[:, f] = np.bincount(group[train], minlength=n_loc)
         sums = np.bincount(group[train], weights=ordered[train], minlength=n_loc)
         np.divide(sums, w[:, f], out=ybar[:, f], where=w[:, f] > 0)
-        at.append(tuple(a[test] for a in where))
-        observed.append(values[test])
+        held = tuple(a[test] for a in where)
+        if mirror:
+            held = (np.concatenate(held), np.concatenate(held[::-1]))
+        at.append(held)
+        observed.append(np.tile(values[test], 2) if mirror else values[test])
 
     results = []
     for cand in candidates:
@@ -416,4 +422,4 @@ def cv_errors(subjects: list[Subject], kind: str, n_folds: int, candidates,
             err = obs - on_grid(fitted[..., f]).at(*at[f])
             sse += float(err @ err)
         results.append((cand, sse))
-    return results, float(values @ values)
+    return results, float(values @ values) * (2.0 if mirror else 1.0)

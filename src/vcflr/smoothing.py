@@ -393,6 +393,51 @@ def _tiled_moments(x1, x2, y_cols, w_cols, eval1, eval2, bandwidths, kernel: Ker
     return moments, count
 
 
+# The moment that each of the nine (s00, s10, t00, s20, t10, s01, s11, t01,
+# s02) becomes at its mirror, (j, k) -> (k, j).
+_MIRROR = [0, 5, 2, 8, 7, 1, 6, 4, 3]
+
+
+def _diagonal_count(x1, x2, w_cols, eval1, eval2, bandwidths, kernel: Kernel1D):
+    """The points on the diagonal x1 == x2 of positive multiplicity that
+    the kernel weighs at each evaluation point, (F, n1, n2): the ones that
+    a support count and its mirror both hold."""
+    on = x1 == x2
+    if not np.any(on):
+        return 0.0
+    x, (b1, b2) = x1[on], bandwidths
+    present = (w_cols[on] > 0).T   # (F, D)
+    e1 = kernel_eval(kernel, (x[None, :] - eval1[:, None]) / b1) > 0
+    e2 = kernel_eval(kernel, (x[None, :] - eval2[:, None]) / b2) > 0
+    return (e1 & present[:, None, :]).astype(float) @ e2.T.astype(float)
+
+
+def _moments(x1, x2, y_cols, w_cols, eval1, eval2, bandwidths, kernel: Kernel1D,
+             mirror: bool):
+    """The nine moment surfaces and the support count of
+    ``local_linear_2d_at`` at sorted evaluation points, from the lattice or
+    the support tiles. With ``mirror`` each moment S_jk gains its mirror's,
+    which is S_kj at the evaluation axes and bandwidths swapped, transposed
+    (the same surfaces when the axes are alike), and the count gains its
+    transpose less the diagonal points that both hold."""
+    codes = _lattice_codes(x1, x2)
+
+    def form(e1, e2, bw):
+        if codes is None:
+            return _tiled_moments(x1, x2, y_cols, w_cols, e1, e2, bw, kernel)
+        return _lattice_moments(codes, y_cols, w_cols, e1, e2, bw, kernel)
+
+    moments, count = form(eval1, eval2, bandwidths)
+    if mirror:
+        b1, b2 = bandwidths
+        alike = b1 == b2 and np.array_equal(eval1, eval2)
+        swapped, swapped_count = (moments, count) if alike else form(eval2, eval1, (b2, b1))
+        moments += swapped[_MIRROR].swapaxes(-1, -2)   # indexing copies: no aliasing
+        count = count + swapped_count.swapaxes(-1, -2) \
+            - _diagonal_count(x1, x2, w_cols, eval1, eval2, bandwidths, kernel)
+    return moments, count
+
+
 def local_linear_2d_at(
     x1: np.ndarray,
     x2: np.ndarray,
@@ -402,12 +447,18 @@ def local_linear_2d_at(
     bandwidths: tuple[float, float],
     kernel: Kernel1D = Kernel1D(),
     weights: np.ndarray | None = None,
+    mirror: bool = False,
 ) -> np.ndarray:
     """Local linear intercept surface on eval1 x eval2, for one data column
     or a stack of columns sharing the locations (x1, x2).
 
     ``y`` and ``weights`` are (U,) or (U, F), as for ``local_linear_1d_at``;
     the result is (n1, n2) or (n1, n2, F), each column fitted on its own.
+    With ``mirror``, every point (x1, x2) with x1 < x2 also stands for its
+    mirror (x2, x1), with the same value and multiplicity, and a point with
+    x1 == x2 for itself twice: the half j < l of a covariance's raw pairs
+    gives the fit of all of them. Points with x1 > x2 raise ValueError. No
+    points raise InsufficientLocalData.
 
     A point is weighed by the product K(d1/b1) K(d2/b2) of one kernel on
     both axes, which makes every entry of the local normal equations a sum
@@ -429,17 +480,27 @@ def local_linear_2d_at(
     cdet <= 1e-14 b1² b2² and has already been rejected as degenerate.
 
     Cost: points on a lattice of at most ``_LATTICE_CELLS`` cells per point
-    (a regular design's pairs: 930 or 961 of them on 31 x 31 distinct times)
+    (a regular design's pairs: 465 covariance or 961 cross rows on 30 x 30
+    or 31 x 31 distinct times)
     get their moments as A_j W B_k^T over the distinct coordinates, one
     ``bincount`` per column and two small matrix products per column and
     power. Scattered points (a sparse design's pairs, a few percent of their
     lattice or less) are summed in support tiles, whose work follows the
     kernel's support. Either way the kernel weights serve all F columns.
+    With ``mirror``, a covariance row stands for itself and its mirror, so
+    the moments are formed from half the rows and their mirrors added as
+    transposes (``_moments``): a regular bin's covariance is 465 rows per
+    stream, not 930. Unless eval1 == eval2 and b1 == b2, the mirrors need a
+    second moment pass.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    y_cols, w_cols, stacked = _columns(np.asarray(y, dtype=float), weights, x1.size)
     _check_bandwidths(bandwidths)
+    if x1.size == 0:
+        raise InsufficientLocalData("no data points to smooth")
+    if mirror and np.any(x1 > x2):
+        raise ValueError("mirrored points need x1 <= x2")
+    y_cols, w_cols, stacked = _columns(np.asarray(y, dtype=float), weights, x1.size)
     b1, b2 = float(bandwidths[0]), float(bandwidths[1])
     # sorted evaluation points make the rows and columns a tile reaches contiguous
     eval1 = np.asarray(eval1, dtype=float)
@@ -448,13 +509,8 @@ def local_linear_2d_at(
     eval1, eval2 = eval1[order1], eval2[order2]
     n1, n2, n_cols = eval1.size, eval2.size, w_cols.shape[1]
 
-    codes = _lattice_codes(x1, x2)
-    if codes is None:
-        moments, count = _tiled_moments(x1, x2, y_cols, w_cols, eval1, eval2, (b1, b2),
-                                        kernel)
-    else:
-        moments, count = _lattice_moments(codes, y_cols, w_cols, eval1, eval2, (b1, b2),
-                                          kernel)
+    moments, count = _moments(x1, x2, y_cols, w_cols, eval1, eval2, (b1, b2), kernel,
+                              mirror)
 
     def first(bad: np.ndarray) -> tuple[tuple, str]:
         """The first failing (column, row, col) entry, column by column,

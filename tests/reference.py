@@ -25,10 +25,14 @@ def raw_covariances(subjects, mean, stream="x"):
     Returns ``(off_diag, diag)`` where off_diag is an (n, 3) array of
     (s1, s2, value) with the j = l products excluded, and diag is an (m, 2)
     array of (s, value). Subjects with a single observation contribute only
-    diagonal entries. Rows come subject by subject, built for all subjects
-    at once from the pairs of ``covariance_pairs``.
+    diagonal entries. Rows come subject by subject and row-major, unfolded
+    from the j < l pairs of ``covariance_pairs``: each pair (j, l) and its
+    mirror (l, j), sorted by the observations' positions.
     """
     (times, _, ia, ib, products), diag = covariance_pairs(subjects, mean, stream)
+    ia, ib = np.concatenate([ia, ib]), np.concatenate([ib, ia])
+    order = np.lexsort((ib, ia))
+    ia, ib, products = ia[order], ib[order], np.tile(products, 2)[order]
     return np.column_stack([times[ia], times[ib], products]), diag
 
 

@@ -241,6 +241,30 @@ class TestFit:
                      "--config", str(cfg), "--out", str(tmp_path / "m")])
         assert code == 4
 
+    def test_seed_is_not_a_config_key(self, sim_dir, tmp_path, capsys):
+        # no command reads a seed from the config document
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": "x"}))
+        code = main(["fit", "--train", str(sim_dir / "train.csv"),
+                     "--config", str(cfg), "--out", str(tmp_path / "m")])
+        assert code == 4
+        assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stream, code", [("y", 5), ("x", 3)])
+    def test_one_observation_streams_exit_typed(self, tmp_path, capsys, stream, code):
+        # responses: no pairs to smooth (numerical); predictors: no usable subject
+        from vcflr.simulation import SPARSE, generate
+        ds, _ = generate(SPARSE, 200, seed=7)
+        cut = [Subject(s.id, s.z, s.x_times[:1] if stream == "x" else s.x_times,
+                       s.x_values[:1] if stream == "x" else s.x_values,
+                       s.y_times[:1] if stream == "y" else s.y_times,
+                       s.y_values[:1] if stream == "y" else s.y_values) for s in ds.subjects]
+        save_csv(LongitudinalDataset(cut, ds.s_domain, ds.t_domain, ds.z_domain),
+                 tmp_path / "train.csv")
+        assert main(["fit", "--train", str(tmp_path / "train.csv"),
+                     "--out", str(tmp_path / "m")]) == code
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestPredict:
     def test_output_shape(self, sim_dir, model_dir, tmp_path):

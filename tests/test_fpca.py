@@ -94,6 +94,17 @@ def grouped(pairs):
     return aggregate_2d(pairs[:, 0], pairs[:, 1], pairs[:, 2])
 
 
+def halved(s1, s2, values):
+    """Raw (x1, x2, value) rows of symmetric pairs, each once with
+    x1 <= x2, as a covariance's j < l pairs come."""
+    return np.column_stack([np.minimum(s1, s2), np.maximum(s1, s2), values])
+
+
+def half_rows(subjects, mean, stream):
+    """The grouped rows of a stream's j < l pairs."""
+    return group_pairs(*covariance_pairs(subjects, mean, stream)[0])
+
+
 def assert_rows_equal(got, want):
     assert len(got) == 4
     for g, w in zip(got, want):
@@ -132,7 +143,7 @@ class TestGroupPairs:
         pairs, _ = covariance_pairs(subjects, mean, stream)
         times = pairs[0]
         assert np.unique(times).size < times.size   # ties within and across subjects
-        off, _ = raw_covariances(subjects, mean, stream)
+        off, _ = oracle_raw_covariances(subjects, mean, stream, half=True)
         got = group_pairs(*pairs)
         assert np.any(got[3] > 1)
         assert_rows_equal(got, oracle_aggregate_2d(off[:, 0], off[:, 1], off[:, 2]))
@@ -180,7 +191,7 @@ class TestGroupPairs:
         subjects = lattice_subjects(counts, seed, step=step)
         mean_x, mean_y = lattice_means()
         for stream, mean in (("x", mean_x), ("y", mean_y)):
-            off, _ = raw_covariances(subjects, mean, stream)
+            off, _ = oracle_raw_covariances(subjects, mean, stream, half=True)
             assert_rows_equal(group_pairs(*covariance_pairs(subjects, mean, stream)[0]),
                               oracle_aggregate_2d(off[:, 0], off[:, 1], off[:, 2]))
         raw = raw_cross_products(subjects, mean_x, mean_y)
@@ -334,7 +345,7 @@ def pair_rows_of(subjects, scalar):
     out = []
     for stream, mean in (("x", mean_x), ("y", mean_y))[:1 if scalar else 2]:
         stream_ = fpca._centered(subjects, stream, mean)
-        off, _ = oracle_raw_covariances(subjects, mean, stream)
+        off, _ = oracle_raw_covariances(subjects, mean, stream, half=True)
         out.append((fpca.pair_rows(stream_, stream_, True),
                     oracle_aggregate_2d(off[:, 0], off[:, 1], off[:, 2])))
     if not scalar:
@@ -378,7 +389,7 @@ class TestByVectorEntries:
         x, y = shares_one_vector(subjects)
         n = [s.n_x for s in subjects[:1]] + [s.n_y for s in subjects[:1]]
         n_x, n_y = n if n else (0, 0)
-        summed = [x and n_x * (n_x - 1) > 1, y and n_y * (n_y - 1) > 1,
+        summed = [x and n_x * (n_x - 1) // 2 > 1, y and n_y * (n_y - 1) // 2 > 1,
                   x and y and n_x * n_y > 1]
         assert len(sorted_pairs) == summed.count(False)
 
@@ -406,7 +417,7 @@ class TestByVectorEntries:
             assert_rows_equal(got, want)
         n_x = np.array([s.n_x for s in subjects])
         n_y = np.array([s.n_y for s in subjects])
-        pairs = [np.sum(n_x * (n_x - 1)), np.sum(n_y * (n_y - 1)), np.sum(n_x * n_y)]
+        pairs = [np.sum(n_x * (n_x - 1) // 2), np.sum(n_y * (n_y - 1) // 2), np.sum(n_x * n_y)]
         assert sorted_pairs == ([] if design == "regular" else pairs)
 
     @staticmethod
@@ -424,7 +435,7 @@ class TestByVectorEntries:
         rows = count_rows(monkeypatch)
         sorted_pairs = count_sorted_pairs(monkeypatch)
         self.fit_one_bin(REGULAR, 100, 95)
-        assert rows == [930, 930, 961]
+        assert rows == [465, 465, 961]
         assert sorted_pairs == []
 
     def test_sparse_bin_groups_every_pair(self, monkeypatch):
@@ -433,7 +444,7 @@ class TestByVectorEntries:
         subjects = self.fit_one_bin(SPARSE, 100, 96)
         n_x = np.array([s.n_x for s in subjects])
         n_y = np.array([s.n_y for s in subjects])
-        assert sorted_pairs == [np.sum(n_x * (n_x - 1)), np.sum(n_y * (n_y - 1)),
+        assert sorted_pairs == [np.sum(n_x * (n_x - 1) // 2), np.sum(n_y * (n_y - 1) // 2),
                                 np.sum(n_x * n_y)]
 
 
@@ -458,7 +469,7 @@ class TestFitBinMomentPaths:
         from vcflr.simulation import REGULAR
         paths = count_moment_paths(monkeypatch)
         TestByVectorEntries.fit_one_bin(REGULAR, 100, 95)
-        assert paths == {"lattice": [930, 930, 961], "tiles": []}
+        assert paths == {"lattice": [465, 465, 961], "tiles": []}
 
     def test_sparse_bin_takes_tiles(self, monkeypatch):
         from vcflr.simulation import SPARSE
@@ -544,8 +555,9 @@ class TestRawCovariances:
         assert diag.shape[0] == 1
 
 
-def oracle_raw_covariances(subjects, mean, stream):
-    """The per-subject definition: centered products, j != l off the diagonal."""
+def oracle_raw_covariances(subjects, mean, stream, half=False):
+    """The per-subject definition: centered products, j != l off the
+    diagonal (j < l with ``half``), row-major."""
     off, diag = [np.empty((0, 3))], [np.empty((0, 2))]
     for sub in subjects:
         times = sub.x_times if stream == "x" else sub.y_times
@@ -553,7 +565,8 @@ def oracle_raw_covariances(subjects, mean, stream):
         resid = values - mean.at(times)
         prod = np.outer(resid, resid)
         diag.append(np.column_stack([times, resid * resid]))
-        ii, jj = np.where(~np.eye(times.size, dtype=bool))
+        ii, jj = np.triu_indices(times.size, 1) if half \
+            else np.where(~np.eye(times.size, dtype=bool))
         off.append(np.column_stack([times[ii], times[jj], prod[ii, jj]]))
     return np.vstack(off), np.vstack(diag)
 
@@ -639,10 +652,8 @@ class TestSmoothCovariance:
         s1 = rng.uniform(0, 10, 200)
         s2 = rng.uniform(0, 10, 200)
         vals = 1.0 + 0.2 * s1 + 0.2 * s2
-        pairs = np.column_stack([s1, s2, vals])
-        pairs = np.vstack([pairs, pairs[:, [1, 0, 2]]])
         grid = make_grid(0, 10, 21)
-        surf = smooth_covariance(grouped(pairs), LocalFitConfig((3.0, 3.0)), grid)
+        surf = smooth_covariance(grouped(halved(s1, s2, vals)), LocalFitConfig((3.0, 3.0)), grid)
         want = 1.0 + 0.2 * grid.points[:, None] + 0.2 * grid.points[None, :]
         assert np.allclose(surf.values, want, atol=1e-9)
         assert np.max(np.abs(surf.values - surf.values.T)) < 1e-12
@@ -656,8 +667,8 @@ class TestSmoothCovariance:
         times = np.concatenate([s.x_times for s in ds.subjects])
         values = np.concatenate([s.x_values for s in ds.subjects])
         mean = estimate_mean(times, values, LocalFitConfig(1.0), grid)
-        off, _ = raw_covariances(ds.subjects, mean, "x")
-        surf = smooth_covariance(grouped(off), LocalFitConfig((1.5, 1.5)), grid)
+        surf = smooth_covariance(half_rows(ds.subjects, mean, "x"), LocalFitConfig((1.5, 1.5)),
+                                 grid)
         psi = basis(grid.points)
         truth = (psi * RHO) @ psi.T
         rms = np.sqrt(np.mean((surf.values - truth) ** 2))
@@ -671,19 +682,17 @@ class TestEstimateSigma2:
         s1 = rng.uniform(0, 10, 400)
         s2 = rng.uniform(0, 10, 400)
         cov_vals = 0.5 + 0.1 * s1 + 0.1 * s2
-        pairs = np.column_stack([s1, s2, cov_vals])
-        pairs = np.vstack([pairs, pairs[:, [1, 0, 2]]])
         sd = rng.uniform(0, 10, 150)
         diag = np.column_stack([sd, 0.5 + 0.2 * sd + 0.7])
         grid = make_grid(0, 10, 41)
-        got = estimate_sigma2(diag, grouped(pairs), LocalFitConfig(2.0), grid)
+        got = estimate_sigma2(diag, grouped(halved(s1, s2, cov_vals)), LocalFitConfig(2.0), grid)
         assert got == pytest.approx(0.7, abs=1e-9)
 
     def test_clamped_at_zero(self):
         rng = np.random.default_rng(25)
         s1 = rng.uniform(0, 10, 400)
         s2 = rng.uniform(0, 10, 400)
-        pairs = np.column_stack([s1, s2, np.full(400, 2.0)])
+        pairs = halved(s1, s2, np.full(400, 2.0))
         sd = rng.uniform(0, 10, 100)
         diag = np.column_stack([sd, np.full(100, 1.0)])   # below the surface
         grid = make_grid(0, 10, 41)
@@ -698,8 +707,9 @@ class TestEstimateSigma2:
             times = np.concatenate([s.x_times for s in ds.subjects])
             values = np.concatenate([s.x_values for s in ds.subjects])
             mean = estimate_mean(times, values, LocalFitConfig(1.0), grid)
-            off, diag = raw_covariances(ds.subjects, mean, "x")
-            estimates.append(estimate_sigma2(diag, grouped(off), LocalFitConfig(2.0), grid))
+            _, diag = covariance_pairs(ds.subjects, mean, "x")
+            estimates.append(estimate_sigma2(diag, half_rows(ds.subjects, mean, "x"),
+                                             LocalFitConfig(2.0), grid))
         assert all(0.7 <= v <= 1.3 for v in estimates)
 
 
@@ -709,11 +719,8 @@ class TestCovarianceDiagonal:
         s1 = rng.uniform(0, 10, 300)
         s2 = rng.uniform(0, 10, 300)
         vals = 2.0 + 0.3 * (s1 + s2)
-        pairs = np.column_stack([np.concatenate([s1, s2]),
-                                 np.concatenate([s2, s1]),
-                                 np.concatenate([vals, vals])])
         grid = make_grid(0, 10, 21)
-        got = covariance_diagonal(grouped(pairs), 3.0, grid)
+        got = covariance_diagonal(grouped(halved(s1, s2, vals)), 3.0, grid)
         assert np.allclose(got, 2.0 + 0.6 * grid.points, atol=1e-8)
 
 

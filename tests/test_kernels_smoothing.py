@@ -509,6 +509,118 @@ class TestLatticeLocalLinear2D:
         assert np.abs(lattice - tiled).max() <= 1e-13 * np.abs(tiled).max()
 
 
+def unfold(x1, x2, y, w):
+    """Full rows of mirrored half rows: each x1 < x2 row and its mirror,
+    and each x1 == x2 row at twice its multiplicity."""
+    off = x1 != x2
+    factor = np.where(off, 1.0, 2.0).reshape((-1,) + (1,) * (w.ndim - 1))
+    return (np.concatenate([x1, x2[off]]), np.concatenate([x2, x1[off]]),
+            np.concatenate([y, y[off]]), np.concatenate([w * factor, w[off]]))
+
+
+class TestMirroredRows:
+    """A covariance's j < l rows with ``mirror`` fit the surface of all its
+    rows: the same support counts, the same failures at every widening
+    step and the same surfaces to rounding, on either moment path."""
+
+    @staticmethod
+    def rows(case):
+        """Grouped half rows (x1 <= x2), folds of multiplicities with held-out
+        zeros, and the evaluation grids."""
+        rng = np.random.default_rng(150)
+        if case == "lattice":   # every j < l of one 31-point vector
+            x1, x2 = np.triu_indices(31, 1)
+            x1, x2 = x1 / 3.0, x2 / 3.0
+        else:   # scattered times, times rounded to 0.5, or a mixture
+            t = rng.uniform(0, 10, (2, 1000))
+            if case == "rounded":
+                t = np.round(t * 2) / 2
+            elif case == "uniform":
+                t[:, :300] = np.round(t[:, :300] * 2) / 2
+            x1, x2 = np.unique(np.column_stack([t.min(axis=0), t.max(axis=0)]), axis=0).T
+        y = (np.cos(0.3 * x1) * np.cos(0.3 * x2))[:, None] + rng.normal(0, 0.2, (x1.size, 3))
+        w = rng.integers(1, 4, (x1.size, 3)).astype(float)
+        w[rng.permutation(x1.size)[:x1.size // 3], 1] = 0.0
+        e = make_grid(0, 10, 21).points
+        return x1, x2, y, w, e
+
+    @staticmethod
+    def fit_and_count(monkeypatch, call):
+        """``call()``'s surface, or the message it raised, and the moments
+        and support count it formed."""
+        formed = []
+        real = smoothing._moments
+
+        def recording(*args):
+            formed.append(real(*args))
+            return formed[-1]
+
+        monkeypatch.setattr(smoothing, "_moments", recording)
+        try:
+            got = call()
+        except InsufficientLocalData as err:
+            got = str(err)
+        monkeypatch.setattr(smoothing, "_moments", real)
+        return got, formed[-1]
+
+    @pytest.mark.parametrize("case, family, axes", [
+        ("scattered", "epanechnikov", 1.0), ("lattice", "epanechnikov", 1.0),
+        ("rounded", "quartic", 1.0), ("uniform", "uniform", 1.0),
+        ("scattered", "quartic", 1.5), ("rounded", "epanechnikov", 0.75)])
+    def test_matches_unfolded_rows(self, monkeypatch, case, family, axes):
+        x1, x2, y, w, e = self.rows(case)
+        lattice = smoothing._lattice_codes(x1, x2) is not None
+        assert lattice == (case in ("lattice", "rounded"))
+        assert np.any(x1 == x2) == (case in ("rounded", "uniform"))
+        kern = Kernel1D(family)
+        e2 = e if axes == 1.0 else e[::2]
+        full = unfold(x1, x2, y, w)
+        raised = []
+        b = 0.5   # on the uniform kernel's closed support, rounded times lie b from e
+        for _ in range(smoothing._WIDEN_ATTEMPTS + 1):   # the widening steps
+            bw = (b, b * axes)
+            half, (half_moments, half_count) = self.fit_and_count(
+                monkeypatch, lambda: local_linear_2d_at(x1, x2, y, e, e2, bw, kernel=kern,
+                                                        weights=w, mirror=True))
+            want, (moments, count) = self.fit_and_count(
+                monkeypatch, lambda: local_linear_2d_at(*full[:3], e, e2, bw, kernel=kern,
+                                                        weights=full[3]))
+            assert np.array_equal(half_count, count)
+            for got_m, want_m in zip(half_moments, moments):
+                assert np.abs(got_m - want_m).max() <= 1e-13 * np.abs(want_m).max()
+            raised.append(isinstance(want, str))
+            if raised[-1]:
+                assert half == want
+            elif axes == 1.0:
+                # unequal axes put a corner of the scattered rows' surface on
+                # three points (centred determinant 1.2e-6 b1² b2²), which
+                # turns one-ulp moment differences into 2.5e-12 of the fit
+                assert np.abs(half - want).max() <= 1e-13 * np.abs(want).max()
+            b *= smoothing._WIDEN_FACTOR
+        assert raised[0] and not raised[-1]   # some steps fail, the widest fits
+
+    def test_one_point_column_names_its_count(self):
+        # a single row off the diagonal is two points, on it one
+        e = np.array([1.0, 2.0])
+        for x, count in ((2.0, 2), (1.0, 1)):
+            with pytest.raises(InsufficientLocalData, match=f"only {count} point"):
+                local_linear_2d_at(np.array([1.0]), np.array([x]), np.array([0.5]), e, e,
+                                   (5.0, 5.0), mirror=True)
+
+    def test_rows_below_the_diagonal_rejected(self):
+        e = np.array([0.0, 1.0])
+        with pytest.raises(ValueError, match="x1 <= x2"):
+            local_linear_2d_at(np.array([0.0, 1.0, 0.5]), np.array([1.0, 0.0, 0.7]),
+                               np.ones(3), e, e, (2.0, 2.0), mirror=True)
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_no_points_insufficient(self, mirror):
+        e = np.array([0.0, 1.0])
+        with pytest.raises(InsufficientLocalData, match="no data"):
+            local_linear_2d_at(np.empty(0), np.empty(0), np.empty(0), e, e, (1.0, 1.0),
+                               weights=np.empty((0, 3)), mirror=mirror)
+
+
 class TestLocalLinear1DColumns:
     """A (U, F) stack of columns is F independent fits at shared locations."""
 

@@ -8,6 +8,7 @@ from vcflr.data import BinPartition, LongitudinalDataset, Subject
 from vcflr.errors import (
     CovariateOutOfDomain,
     DomainViolation,
+    EmptyBin,
     InsufficientLocalData,
     ModelFormatError,
     TruncationTooLarge,
@@ -25,7 +26,7 @@ from vcflr.regression import (
     refine,
 )
 from vcflr.serialize import load_model, save_model
-from vcflr.simulation import REGULAR, generate
+from vcflr.simulation import REGULAR, SPARSE, generate
 from vcflr.smoothing import local_linear_weights
 
 
@@ -185,7 +186,26 @@ def small_fit():
     return fit(ds, cfg)
 
 
+def cut_streams(ds, stream, n):
+    """``ds`` with each subject's ``stream`` cut to its first n observations."""
+    return LongitudinalDataset(
+        [replace(s, **{f"{stream}_times": getattr(s, f"{stream}_times")[:n],
+                       f"{stream}_values": getattr(s, f"{stream}_values")[:n]})
+         for s in ds.subjects], ds.s_domain, ds.t_domain, ds.z_domain)
+
+
 class TestFit:
+    def test_one_observation_responses_end_typed(self):
+        # no bin holds a within-subject response pair to smooth
+        ds = cut_streams(generate(SPARSE, 200, seed=7)[0], "y", 1)
+        with pytest.raises(InsufficientLocalData, match="no data points"):
+            fit(ds, FitConfig(n_bins=None))
+
+    def test_no_usable_subject_is_empty_bin(self):
+        ds = cut_streams(generate(REGULAR, 30, seed=3)[0], "x", 1)
+        with pytest.raises(EmptyBin, match="all 30 subject.*2 or more predictor"):
+            fit(ds, FitConfig(n_bins=None))
+
     @pytest.mark.parametrize("field", ["criterion", "binwidth_criterion"])
     @pytest.mark.parametrize("value", ["aic", "bic", "AICc", ""])
     def test_criterion_must_be_aic_or_bic(self, field, value):
