@@ -178,7 +178,7 @@ def cmd_predict(args) -> int:
     for sub in ds.subjects:
         try:
             pred = predict(model, np.column_stack([sub.x_times, sub.x_values]), sub.z)
-        except CovariateOutOfDomain as err:
+        except (CovariateOutOfDomain, DomainViolation) as err:
             skipped.append((sub.id, str(err)))
             continue
         if model.scalar_response:
@@ -190,8 +190,7 @@ def cmd_predict(args) -> int:
         else ["subject_id", "time", "y_hat"]
     _write_rows(args.out, header, rows)
     if skipped:
-        print(f"skipped {len(skipped)} subject(s) with covariate out of domain:",
-              file=sys.stderr)
+        print(f"skipped {len(skipped)} subject(s) that cannot be predicted:", file=sys.stderr)
         for sid, msg in skipped:
             print(f"  {sid}: {msg}", file=sys.stderr)
     print(f"wrote {args.out} ({len(ds.subjects) - len(skipped)} subjects predicted, "

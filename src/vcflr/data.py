@@ -62,7 +62,9 @@ class Subject:
 
 @dataclass
 class LongitudinalDataset:
-    """Immutable collection of subjects with declared domains."""
+    """Immutable collection of subjects with declared domains; every
+    observation's time and value is finite, and every time and covariate
+    lies in its domain."""
 
     subjects: list[Subject]
     s_domain: tuple[float, float]
@@ -82,18 +84,16 @@ class LongitudinalDataset:
         lo, hi = self.z_domain
         if not (lo <= sub.z <= hi):
             raise DomainViolation(f"subject {sub.id}: z={sub.z} outside [{lo}, {hi}]")
-        slo, shi = self.s_domain
-        if sub.n_x and (sub.x_times.min() < slo or sub.x_times.max() > shi):
-            raise DomainViolation(f"subject {sub.id}: X time outside [{slo}, {shi}]")
+        _check_times(sub.id, "X", sub.x_times, self.s_domain)
         if self.scalar_response:
             if sub.y_times is not None or sub.y_values.size != 1:
                 raise DomainViolation(f"subject {sub.id}: expected a single scalar response")
         else:
             if sub.y_times is None:
                 raise DomainViolation(f"subject {sub.id}: expected a functional response")
-            tlo, thi = self.t_domain
-            if sub.n_y and (sub.y_times.min() < tlo or sub.y_times.max() > thi):
-                raise DomainViolation(f"subject {sub.id}: Y time outside [{tlo}, {thi}]")
+            _check_times(sub.id, "Y", sub.y_times, self.t_domain)
+        if not (np.isfinite(sub.x_values).all() and np.isfinite(sub.y_values).all()):
+            raise DomainViolation(f"subject {sub.id}: non-finite observed value")
 
     @property
     def n(self) -> int:
@@ -101,6 +101,17 @@ class LongitudinalDataset:
 
     def z_values(self) -> np.ndarray:
         return np.array([s.z for s in self.subjects])
+
+
+def _check_times(sid: str, stream: str, times: np.ndarray, domain) -> None:
+    """DomainViolation unless every one of a subject's sorted times is
+    finite and inside the domain. Sorting puts NaN last, and every
+    comparison with NaN is false, so comparing the two ends with the domain
+    rejects NaN and infinite times too."""
+    lo, hi = domain
+    if times.size and not (lo <= times[0] and times[-1] <= hi):
+        what = "non-finite" if not np.isfinite(times).all() else f"outside [{lo}, {hi}]"
+        raise DomainViolation(f"subject {sid}: {stream} time {what}")
 
 
 @dataclass
@@ -134,7 +145,8 @@ def load_csv(path, s_domain: tuple[float, float], z_domain: tuple[float, float],
     """Read a dataset from CSV, grouping rows by subject id.
 
     Raises ParseError with the offending 1-based line number on malformed
-    rows and DomainViolation when observations escape the declared domains.
+    rows and DomainViolation when observations escape the declared domains
+    or are not finite (``float`` reads "nan" and "inf").
     """
     per_subject: dict[str, dict] = {}
     order: list[str] = []

@@ -34,9 +34,11 @@ from .smoothing import (
     widen_until_fit,
 )
 
-# Lower bound applied to estimated error variances wherever they enter a
-# logarithm or a covariance diagonal; the clamp-at-zero rule can otherwise
-# produce exact zeros.
+# Lower bound on estimated error variances wherever they enter a logarithm
+# or a covariance diagonal, relative to the leading eigenvalue of the same
+# stream's covariance (``floored_variance``); the clamp-at-zero rule can
+# otherwise produce exact zeros. Relative, so that a fit does not depend on
+# the units of the data.
 VARIANCE_FLOOR = 1e-8
 
 
@@ -60,6 +62,12 @@ class EigenSystem:
         for k in range(self.n_components):
             out[..., k] = np.interp(times, self.grid.points, self.functions[:, k])
         return out
+
+
+def floored_variance(sigma2: float, eig: EigenSystem) -> float:
+    """``sigma2``, at least ``VARIANCE_FLOOR`` times the leading eigenvalue
+    of ``eig``, the stream's covariance that it is the noise of."""
+    return max(sigma2, VARIANCE_FLOOR * float(eig.values[0]))
 
 
 @dataclass
@@ -497,13 +505,13 @@ def sigma_mk(eig_x: EigenSystem, eig_y: EigenSystem | None,
 def observation_covariance(times, eig: EigenSystem, sigma2: float) -> np.ndarray:
     """Dense covariance Psi Lambda Psi^T + sigma2 I of noisy observations at
     one time vector (n, n) or at each of a (g, n) stack of them (g, n, n),
-    over every component of ``eig``, with sigma2 floored at
-    ``VARIANCE_FLOOR`` as in ``_blup_operator``. The BLUP never builds it;
+    over every component of ``eig``, with sigma2 floored
+    (``floored_variance``) as in ``_blup_operator``. The BLUP never builds it;
     it is the reference that operator is checked against."""
     psi = eig.at(times)
     sigma = (psi * eig.values) @ psi.swapaxes(-1, -2)
     diag = np.arange(psi.shape[-2])
-    sigma[..., diag, diag] += max(sigma2, VARIANCE_FLOOR)
+    sigma[..., diag, diag] += floored_variance(sigma2, eig)
     return sigma
 
 
@@ -546,7 +554,7 @@ def _blup_operator(times: np.ndarray, eig: EigenSystem,
     is positive definite by construction, so by Woodbury
     A = Lambda psi^T Sigma^{-1} = (Lambda^{-1} + psi^T psi / sigma2)^{-1} psi^T / sigma2,
     solved as (sigma2 Lambda^{-1} + psi^T psi)^{-1} psi^T: one K x K system
-    per distinct time vector, with sigma2 floored at ``VARIANCE_FLOOR``. The
+    per distinct time vector, with sigma2 floored (``floored_variance``). The
     retained spectrum (after ``eigen_floor``) is the bin's covariance
     estimate, while a truncation order regularises the slope, so Sigma
     uses every retained component whatever order is scored: one operator
@@ -559,7 +567,7 @@ def _blup_operator(times: np.ndarray, eig: EigenSystem,
     psi_t = psi.swapaxes(1, 2)
     gram = psi_t @ psi
     diag = np.arange(eig.n_components)
-    gram[:, diag, diag] += max(sigma2, VARIANCE_FLOOR) / eig.values
+    gram[:, diag, diag] += floored_variance(sigma2, eig) / eig.values
     return psi[rows], np.linalg.solve(gram, psi_t)[rows]
 
 

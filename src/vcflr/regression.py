@@ -469,9 +469,9 @@ def predict(model: FittedModel, x_obs, z_star: float) -> Prediction:
     nearest bin's (``BinPartition.nearest_bin``) eigensystem around the
     refined mean. Bandwidth selection scores this same rule
     (``selection._RefinementResiduals``). The centered reconstruction is then
-    pushed through the refined slope surface by quadrature. Observations with
-    a non-finite time or value, or a time outside the model's s domain, raise
-    DomainViolation.
+    pushed through the refined slope surface by quadrature. No predictor
+    observations, observations with a non-finite time or value, or a time
+    outside the model's s domain raise DomainViolation.
 
     Cost: one ``refine`` plus, on the sparse path, one K x K solve for
     the n observations (K the nearest bin's retained components);
@@ -482,7 +482,7 @@ def predict(model: FittedModel, x_obs, z_star: float) -> Prediction:
         raise CovariateOutOfDomain(f"z*={z_star:g} outside covariate domain [{lo:g}, {hi:g}]")
     pts = np.asarray(x_obs, dtype=float).reshape(-1, 2)
     if pts.shape[0] == 0:
-        raise ValueError("prediction needs at least one predictor observation")
+        raise DomainViolation("prediction needs at least one predictor observation")
     if not np.isfinite(pts).all():
         raise DomainViolation("predictor observations must have finite times and values")
     times, values = pts[np.argsort(pts[:, 0], kind="stable")].T

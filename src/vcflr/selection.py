@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -34,14 +33,17 @@ from .fpca import (
     covariance_pairs,
     cross_pairs,
     estimate_mean,
+    floored_variance,
     pair_locations,
 )
-from .grids import Grid, GridFunction, GridSurface
+from .grids import Grid, GridSurface
 from .kernels import Kernel1D
 from .smoothing import (
     _CV_TIE_RTOL,
     LocalFitConfig,
-    local_linear_1d_at,
+    _check_bandwidths,
+    _column_support,
+    _local_linear_fit,
     local_linear_2d_at,
     local_linear_weights,
     smoothing_matrix,
@@ -111,7 +113,7 @@ def _truncation_table(bins: list[BinEstimate], subjects_by_bin: list[list[Subjec
     for b, subjects in zip(bins, subjects_by_bin):
         if not subjects:
             continue
-        sigma2 = max(getattr(b, f"sigma2_{stream}"), VARIANCE_FLOOR)
+        sigma2 = floored_variance(getattr(b, f"sigma2_{stream}"), getattr(b, f"eig_{stream}"))
         times = [getattr(sub, f"{stream}_times") for sub in subjects]
         flat = np.concatenate(times)
         resid = np.concatenate([getattr(sub, f"{stream}_values") for sub in subjects]) \
@@ -205,11 +207,18 @@ class _RefinementResiduals:
         self.beta = stack.reshape((-1,) + stack.shape[2:])        # (P G, T) or (P G,)
         self.y = np.concatenate([sub.y_values for sub in subjects])
         if model.scalar_response:
-            self.sigma2_y = max(float(np.var(self.y)), VARIANCE_FLOOR)
+            # the floor scales with the responses' second moment; responses
+            # that are all zero are predicted exactly at every bandwidth, so
+            # any positive variance ranks the candidates alike
+            self.sigma2_y = max(float(np.var(self.y)),
+                                VARIANCE_FLOOR * float(self.y @ self.y) / self.y.size) or 1.0
             self.lo = self.hi = np.arange(ds.n)
             self.frac = np.zeros(ds.n)
         else:
-            self.sigma2_y = max(model.sigma2_y, VARIANCE_FLOOR)
+            # the bins' mean noise variance, floored at their mean leading
+            # eigenvalue's scale
+            lead = float(np.mean([b.eig_y.values[0] for b in model.bins]))
+            self.sigma2_y = max(model.sigma2_y, VARIANCE_FLOOR * lead)
             t = model.t_grid.points
             y_times = np.concatenate([sub.y_times for sub in subjects])
             # the t cell of each response time, as grids.bilinear finds it
@@ -319,7 +328,12 @@ def cv_smoother_bandwidth(subjects: list[Subject], kind: str, n_folds: int,
 
     Cost: every fold is one column of training multiplicities and mean
     values at shared locations, the distinct times or pair locations
-    (``fpca.pair_locations``), so a candidate costs one smoother call for
+    (``fpca.pair_locations``). A mean kind counts the support of every
+    candidate, grid point and fold once, and skips a candidate that fails
+    in some fold before forming its moments; a surviving candidate costs
+    one ``smoothing.local_moments_1d`` call for all folds and, per fold, one
+    interpolation at the distinct times and one dot product
+    (``_mean_cv_errors``). A surface candidate costs one smoother call for
     all folds and one interpolation and one dot product per fold.
     """
     results, scale = cv_errors(subjects, kind, n_folds, candidates, s_grid, t_grid,
@@ -335,7 +349,14 @@ def cv_errors(subjects: list[Subject], kind: str, n_folds: int, candidates,
               mean_bandwidths: tuple | None = None):
     """(candidate, held-out squared error) rows of ``cv_smoother_bandwidth``,
     in candidate order, without the candidates that failed in some fold, and
-    the sum of squared held-out values, which scales the tie tolerance."""
+    the sum of squared held-out values, which scales the tie tolerance.
+
+    Cost: the fold columns are built once for all candidates. A mean
+    candidate then costs one moment pass for all folds and one
+    interpolation at the distinct times per fold, or nothing more when the
+    shared support count fails it; a surface candidate costs one smoother
+    call and one interpolation per fold.
+    """
     if kind not in ("mean_x", "mean_y", "cov_x", "cov_y", "cross"):
         raise ValueError(f"unknown smoother kind {kind!r}")
     if t_grid is None and kind not in ("mean_x", "cov_x"):
@@ -350,17 +371,13 @@ def cv_errors(subjects: list[Subject], kind: str, n_folds: int, candidates,
     owner = np.repeat(np.arange(len(subjects)),
                       [s.n_y if kind in ("mean_y", "cov_y") else s.n_x for s in subjects])
 
-    if kind in ("mean_x", "mean_y"):
-        grid = s_grid if kind == "mean_x" else t_grid
+    mean_kind = kind in ("mean_x", "mean_y")
+    if mean_kind:
         times = np.concatenate([s.x_times if kind == "mean_x" else s.y_times for s in subjects])
         values = np.concatenate([s.x_values if kind == "mean_x" else s.y_values
                                  for s in subjects])
         xu, group = np.unique(times, return_inverse=True)
-        order, n_loc, where, mirror = slice(None), xu.size, (times,), False
-        on_grid = partial(GridFunction, grid)
-
-        def smooth(bw):
-            return local_linear_1d_at(xu, ybar, grid.points, bw, kernel=kernel, weights=w)
+        order, n_loc, mirror = slice(None), xu.size, False
     else:
         if mean_bandwidths is None:
             raise ValueError(f"{kind} CV needs mean_bandwidths to center observations")
@@ -383,43 +400,82 @@ def cv_errors(subjects: list[Subject], kind: str, n_folds: int, candidates,
         owner = owner[ia]
         x1, x2, order, group = pair_locations(times_a, times_b, ia, ib)
         n_loc, where = x1.size, (times_a[ia], times_b[ib])
-        on_grid = partial(GridSurface, *grids)
-
-        def smooth(bw):
-            return local_linear_2d_at(x1, x2, ybar, grids[0].points, grids[1].points, bw,
-                                      kernel=kernel, weights=w, mirror=mirror)
 
     # One column per fold of training multiplicity and mean value per
     # location. ``group`` codes the rows taken in ``order``, which keeps
     # each location's rows in input order, so every sum adds its values as
-    # aggregate_1d and group_pairs add them. A fold's held-out error is the
-    # squared norm of its residuals, one dot product; a mirrored pair is
-    # held out at (s, t) and at (t, s).
+    # aggregate_1d and group_pairs add them.
     ordered = values[order]
     w = np.empty((n_loc, n_folds))
     ybar = np.zeros((n_loc, n_folds))
-    at, observed = [], []
+    fold_of = folds[owner]
+    tests = []
     for f in range(n_folds):
-        test = folds[owner] == f
+        test = fold_of == f
         train = ~test[order]
         w[:, f] = np.bincount(group[train], minlength=n_loc)
         sums = np.bincount(group[train], weights=ordered[train], minlength=n_loc)
         np.divide(sums, w[:, f], out=ybar[:, f], where=w[:, f] > 0)
+        tests.append(test)
+    scale = float(values @ values) * (2.0 if mirror else 1.0)
+    if mean_kind:
+        grid = s_grid if kind == "mean_x" else t_grid
+        return _mean_cv_errors(xu, group, values, w, ybar, tests, grid, candidates,
+                               kernel), scale
+
+    # A fold's held-out error is the squared norm of its residuals, one dot
+    # product; a mirrored pair is held out at (s, t) and at (t, s).
+    at, observed = [], []
+    for test in tests:
         held = tuple(a[test] for a in where)
         if mirror:
             held = (np.concatenate(held), np.concatenate(held[::-1]))
         at.append(held)
         observed.append(np.tile(values[test], 2) if mirror else values[test])
-
     results = []
     for cand in candidates:
         try:
-            fitted = smooth(cand)
+            fitted = local_linear_2d_at(x1, x2, ybar, grids[0].points, grids[1].points, cand,
+                                        kernel=kernel, weights=w, mirror=mirror)
         except InsufficientLocalData:
             continue
         sse = 0.0
         for f, obs in enumerate(observed):
-            err = obs - on_grid(fitted[..., f]).at(*at[f])
+            err = obs - GridSurface(*grids, fitted[..., f]).at(*at[f])
             sse += float(err @ err)
         results.append((cand, sse))
-    return results, float(values @ values) * (2.0 if mirror else 1.0)
+    return results, scale
+
+
+def _mean_cv_errors(xu, group, values, w, ybar, tests, grid: Grid, candidates,
+                    kernel: Kernel1D):
+    """``cv_errors`` rows of a mean kind from its fold columns: ``w`` and
+    ``ybar`` (U, F) at the distinct times ``xu``, ``group`` each
+    observation's index among them, and ``tests`` each fold's held-out
+    observations.
+
+    Each candidate's fit is ``local_linear_1d_at``'s on the fold columns,
+    and each fold is scored at the distinct times and gathered to its
+    held-out observations; ``np.interp`` gives equal values at equal times,
+    so every error equals that of interpolating at every observation.
+
+    Cost: the support of every candidate, grid point and fold comes from
+    one count (``smoothing._column_support``), which skips a candidate that
+    fails in some fold before its moments are formed; a surviving candidate
+    costs one ``local_moments_1d`` call for all folds, and a fold one
+    interpolation at the U distinct times.
+    """
+    _check_bandwidths(candidates)
+    counts = _column_support(xu, w, grid.points, candidates, kernel.closed_support)
+    held = [(values[test], group[test]) for test in tests]
+    results = []
+    for cand, support in zip(candidates, counts):
+        if np.any(support < 2):
+            continue
+        fitted = _local_linear_fit(xu, ybar, w, grid.points, float(cand), kernel)
+        sse = 0.0
+        for f, (obs, codes) in enumerate(held):
+            err = obs - np.interp(xu, grid.points, fitted[:, f])[codes]
+            sse += float(err @ err)
+        results.append((cand, sse))
+    return results

@@ -122,13 +122,39 @@ def widen_until_fit(fit: Callable[[LocalFitConfig], object], cfg: LocalFitConfig
     raise last
 
 
-def _support_counts(x_sorted_unique: np.ndarray, centers: np.ndarray, b: float,
-                    closed: bool) -> np.ndarray:
-    """Number of distinct x values with positive kernel weight per center."""
+def _support_counts(x_sorted_unique: np.ndarray, centers: np.ndarray, b, closed: bool,
+                    prefix: np.ndarray | None = None) -> np.ndarray:
+    """Number of distinct x values with positive kernel weight per center.
+
+    ``b`` broadcasts against ``centers``, so a (C, 1) column of bandwidths
+    counts every bandwidth's windows at once. With ``prefix``, the running
+    count (U + 1, F) of the values present in each of F columns, each
+    column's present values are counted, along a trailing axis of size F.
+    """
     side_lo, side_hi = ("left", "right") if closed else ("right", "left")
     lo = np.searchsorted(x_sorted_unique, centers - b, side=side_lo)
     hi = np.searchsorted(x_sorted_unique, centers + b, side=side_hi)
-    return hi - lo
+    return hi - lo if prefix is None else prefix[hi] - prefix[lo]
+
+
+def _column_support(x: np.ndarray, w_cols: np.ndarray, centers: np.ndarray, bandwidths,
+                    closed: bool) -> np.ndarray:
+    """The distinct x values of positive multiplicity in each of the F
+    columns of ``w_cols`` that the kernel weighs at each center, for each
+    of C bandwidths: (C, n_centers, F).
+
+    Cost: one sort of x for all columns and bandwidths; each column's
+    presence is a prefix count over the distinct values, and one
+    ``searchsorted`` per side finds every window's ends.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    first = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))[:xs.size]
+    present = np.logical_or.reduceat(w_cols[order] > 0, first, axis=0)
+    prefix = np.zeros((first.size + 1, w_cols.shape[1]), dtype=np.intp)
+    np.cumsum(present, axis=0, out=prefix[1:])
+    b = np.asarray(bandwidths, dtype=float).reshape(-1, 1)
+    return _support_counts(xs[first], centers, b, closed, prefix)
 
 
 def _support_tiles(points, evals, bandwidths, floor: int, width: int = 1):
@@ -234,8 +260,11 @@ def local_linear_1d_at(
     window, and loads the diagonal of a column's numerically singular local
     system with ``_RIDGE``.
 
-    Cost: the moments come from ``local_moments_1d``, three matrix products
-    per support tile for all F columns, and the systems are solved once.
+    Cost: one sort of x counts every column's support
+    (``_column_support``); the moments come from one ``local_moments_1d``
+    call, three matrix products per support tile for all F columns, and the
+    systems are solved once (``_local_linear_fit``, which cross-validation
+    shares).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -244,8 +273,7 @@ def local_linear_1d_at(
     _check_bandwidths(bandwidth)
     b = float(bandwidth)
 
-    counts = np.column_stack([_support_counts(np.unique(x[w > 0]), eval_points, b,
-                                              kernel.closed_support) for w in w_cols.T])
+    counts = _column_support(x, w_cols, eval_points, b, kernel.closed_support)[0]
     if np.any(counts < 2):
         f = int(np.argmax(np.any(counts < 2, axis=0)))
         p = int(np.argmax(counts[:, f] < 2))
@@ -255,10 +283,24 @@ def local_linear_1d_at(
             + (f" in column {f}" if stacked else "")
         )
 
+    order = np.argsort(eval_points, kind="stable")
+    out = np.empty((eval_points.size, w_cols.shape[1]))
+    out[order] = _local_linear_fit(x, y_cols, w_cols, eval_points[order], b, kernel)
+    return out if stacked else out[:, 0]
+
+
+def _local_linear_fit(x: np.ndarray, y_cols: np.ndarray, w_cols: np.ndarray,
+                      sorted_evals: np.ndarray, b: float, kernel: Kernel1D) -> np.ndarray:
+    """Local linear intercepts (n_eval, F) of every column of values
+    ``y_cols`` and multiplicities ``w_cols`` (U, F) at sorted evaluation
+    points: the moments of one ``local_moments_1d`` call, solved in closed
+    form. A numerically singular system (determinant at most
+    ``_SINGULAR_RTOL`` s0 s2) has its diagonal loaded with ``_RIDGE`` times
+    its mean diagonal entry. Support is the caller's to check.
+    """
     # [multiplicities | value sums]: K against it gives s0 | t0, K dx s1 | t1
     wy = np.concatenate([w_cols, w_cols * y_cols], axis=1)
-    order = np.argsort(eval_points, kind="stable")
-    m0, m1, s2 = local_moments_1d(x, eval_points[order], b, kernel, [wy, wy, w_cols])
+    m0, m1, s2 = local_moments_1d(x, sorted_evals, b, kernel, [wy, wy, w_cols])
     n_cols = w_cols.shape[1]
     s0, t0, s1, t1 = m0[:, :n_cols], m0[:, n_cols:], m1[:, :n_cols], m1[:, n_cols:]
     det = s0 * s2 - s1 * s1
@@ -268,9 +310,7 @@ def local_linear_1d_at(
         s0[bad] += lam
         s2[bad] += lam
         det = s0 * s2 - s1 * s1
-    out = np.empty_like(det)
-    out[order] = (s2 * t0 - s1 * t1) / det
-    return out if stacked else out[:, 0]
+    return (s2 * t0 - s1 * t1) / det
 
 
 def _lattice_codes(x1: np.ndarray, x2: np.ndarray):

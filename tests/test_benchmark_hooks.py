@@ -6,6 +6,7 @@ rename or deletion of any of them would break only the benchmark's own
 suite. These tests catch it here; they skip where ``perfbench/`` is absent.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -15,7 +16,8 @@ import pytest
 from vcflr.errors import InsufficientLocalData
 from vcflr.smoothing import LocalFitConfig, widen_until_fit
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -46,3 +48,32 @@ def test_widening_hands_attempts_a_bandwidth(traced):
     got = widen_until_fit(attempt, LocalFitConfig(1.0))
     assert seen == [1.0, 1.5, 2.25]
     assert got.bandwidth == 2.25
+
+
+def _placed_bindings() -> set:
+    """``EXPECTED`` and ``UNUSED`` of ``perfbench/test_benchmark.py``: the
+    bindings its coverage tests place. Only the assignments that build those
+    sets are run, so nothing of the benchmark is imported."""
+    names = {"STUDY", "SELECTION_ONLY", "EXPECTED", "UNUSED"}
+    tree = ast.parse((PERFBENCH / "test_benchmark.py").read_text(encoding="utf-8"))
+    body = [node for node in tree.body if isinstance(node, ast.Assign)
+            and {t.id for t in node.targets if isinstance(t, ast.Name)} & names]
+    scope = {}
+    exec(compile(ast.Module(body=body, type_ignores=[]), "test_benchmark.py", "exec"), scope)
+    return set().union(*scope["EXPECTED"].values()) | scope["UNUSED"]
+
+
+def test_every_traced_binding_is_placed(traced):
+    """Each module-level name bound to a traced function in the modules the
+    tracer wraps is one the benchmark's coverage test expects, so a new
+    ``from .x import f`` shows up here and not only under ``pytest perfbench``.
+    The package's own re-exports (``vcflr.*``) are left out, as there."""
+    modules = sorted({mod for mod, _, _ in traced})
+    found = set()
+    for mod, name, _ in traced:
+        original = getattr(importlib.import_module(f"vcflr.{mod}"), name)
+        for owner in modules:
+            for attr, value in vars(importlib.import_module(f"vcflr.{owner}")).items():
+                if value is original:
+                    found.add(f"{owner}.{attr}")
+    assert sorted(found - _placed_bindings()) == []

@@ -265,6 +265,22 @@ class TestFit:
                      "--out", str(tmp_path / "m")]) == code
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_non_finite_value_exit_3(self, tmp_path, capsys):
+        # a NaN value used to reach the bandwidth CV and exit 1 with a
+        # traceback
+        from vcflr.simulation import SPARSE, generate
+        ds, _ = generate(SPARSE, 120, seed=3)
+        save_csv(ds, tmp_path / "train.csv")
+        lines = (tmp_path / "train.csv").read_text().splitlines()
+        first_x = next(i for i, line in enumerate(lines) if ",X," in line)
+        lines[first_x] = lines[first_x].rsplit(",", 1)[0] + ",nan"
+        (tmp_path / "train.csv").write_text("\n".join(lines) + "\n")
+        # the default configuration selects the bin count, as FitConfig(n_bins=None)
+        assert main(["fit", "--train", str(tmp_path / "train.csv"),
+                     "--out", str(tmp_path / "m")]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "Traceback" not in err
+
 
 class TestPredict:
     def test_output_shape(self, sim_dir, model_dir, tmp_path):
@@ -310,6 +326,25 @@ class TestPredict:
         assert code == 0
         _, rows = read_rows(out)
         assert {r[0] for r in rows} == {"ok", "far"}
+
+    def test_subject_without_predictor_rows_skipped(self, model_dir, tmp_path, capsys):
+        # "bare" has only response rows; it used to end predict with a
+        # traceback and exit 1
+        test = tmp_path / "test.csv"
+        test.write_text(
+            "subject_id,z,stream,time,value\n"
+            "ok,0.5,X,1.0,1.0\nok,0.5,X,2.0,1.5\nok,0.5,Y,1.0,0.0\n"
+            "bare,0.5,Y,1.0,0.0\nbare,0.5,Y,2.0,0.5\n"
+        )
+        out = tmp_path / "preds.csv"
+        code = main(["predict", "--model", str(model_dir / "model.json"), "--test", str(test),
+                     "--out", str(out)])
+        assert code == 0
+        _, rows = read_rows(out)
+        assert {r[0] for r in rows} == {"ok"}
+        captured = capsys.readouterr()
+        assert "bare: prediction needs at least one predictor observation" in captured.err
+        assert "1 subjects predicted, 1 skipped" in captured.out
 
 
 class TestEvaluate:

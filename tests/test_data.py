@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,6 +84,51 @@ class TestCsvRoundTrip:
         back = load_csv(path, (0, 10), (0, 1), (0, 10))
         assert back.n == 50
         assert all(s.n_x == 31 and s.n_y == 31 for s in back.subjects)
+
+
+class TestNonFiniteObservations:
+    """NaN and inf fail typed where the data enter, in times and in values
+    of both streams: every comparison with NaN is false, so the domain
+    checks alone would let a NaN time through."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["x_times", "x_values", "y_times", "y_values"])
+    def test_dataset_rejects(self, field, bad):
+        ds = toy_dataset(seed=5)
+        arr = getattr(ds.subjects[3], field).copy()
+        arr[1] = bad
+        subjects = list(ds.subjects)
+        subjects[3] = replace(subjects[3], **{field: arr})
+        with pytest.raises(DomainViolation, match="subject s3"):
+            LongitudinalDataset(subjects, ds.s_domain, ds.t_domain, ds.z_domain)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_scalar_response_value(self, bad, tmp_path):
+        path = tmp_path / "scalar.csv"
+        path.write_text("subject_id,z,stream,time,value\n"
+                        f"a,0.5,X,1.0,2.0\na,0.5,X,2.0,2.5\na,0.5,Y,,{bad}\n")
+        with pytest.raises(DomainViolation, match="non-finite"):
+            load_csv(path, (0, 10), (0, 1), None, scalar_response=True)
+
+    @pytest.mark.parametrize("row", ["a,0.5,X,nan,2.0", "a,0.5,X,1.5,nan",
+                                     "a,0.5,Y,inf,0.0", "a,0.5,Y,2.0,-inf"])
+    def test_csv_rows(self, row, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("subject_id,z,stream,time,value\n"
+                        f"a,0.5,X,1.0,2.0\na,0.5,Y,1.0,0.0\n{row}\n")
+        with pytest.raises(DomainViolation, match="non-finite"):
+            load_csv(path, (0, 10), (0, 1), (0, 10))
+
+    def test_sparse_study_data(self):
+        # the fit of these data used to end in an untyped error from CV
+        from vcflr.simulation import SPARSE, generate
+        ds, _ = generate(SPARSE, 120, seed=3)
+        first = ds.subjects[0]
+        values = first.x_values.copy()
+        values[0] = np.nan
+        subjects = [replace(first, x_values=values)] + ds.subjects[1:]
+        with pytest.raises(DomainViolation, match="non-finite"):
+            LongitudinalDataset(subjects, ds.s_domain, ds.t_domain, ds.z_domain)
 
 
 class TestPartition:

@@ -692,6 +692,26 @@ class TestLocalLinear1DColumns:
             local_linear_1d_at(x, y, s, b, kernel=kern, weights=w)
         local_linear_1d_at(x, y[:, [0, 2]], s, b, kernel=kern, weights=w[:, [0, 2]])
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_support_counts_match_per_column_unique(self, family):
+        """One prefix count for every bandwidth and column gives the
+        integers of counting each column's distinct present x on its own."""
+        rng = np.random.default_rng(76)
+        # unsorted, repeated multiples of 0.125: some exactly b from a grid point
+        x = rng.integers(0, 81, 400) * 0.125
+        w = rng.integers(0, 3, (400, 3)).astype(float)
+        s = make_grid(0, 10, 41).points
+        bands = (0.25, 1.0, 2.0)
+        closed = Kernel1D(family).closed_support
+        got = smoothing._column_support(x, w, s, bands, closed)
+        assert got.shape == (3, 41, 3)
+        for c, b in enumerate(bands):
+            for f in range(3):
+                want = smoothing._support_counts(np.unique(x[w[:, f] > 0]), s, b, closed)
+                assert np.array_equal(got[c, :, f], want)
+        assert not smoothing._column_support(np.empty(0), np.empty((0, 2)), s, (1.0,),
+                                             closed).any()
+
 
 def oracle_lp_weights(q, r, centers, z, b, kernel):
     """Direct matrix-formula evaluation."""

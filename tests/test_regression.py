@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -489,6 +490,11 @@ class TestPredictRejectsUnusableObservations:
         with pytest.raises(DomainViolation, match="outside the s domain"):
             predict(small_fit, np.array(bad), 0.5)
 
+    @pytest.mark.parametrize("empty", [np.empty((0, 2)), []])
+    def test_no_predictor_observation_rejected(self, small_fit, empty):
+        with pytest.raises(DomainViolation, match="at least one predictor observation"):
+            predict(small_fit, empty, 0.5)
+
     def test_times_at_domain_ends_accepted(self, small_fit):
         pred = predict(small_fit, np.array([[10.0, 7.0], [0.0, 2.0]]), 0.5)
         assert np.all(np.isfinite(pred.y_hat.values))
@@ -638,3 +644,51 @@ class TestGlobalEquivalence:
         m_vc = mispe(truth, predict_dataset(vc, test))
         m_gl = mispe(truth, predict_dataset(gl, test))
         assert m_vc < 2 * m_gl and m_gl < 2 * m_vc
+
+
+def _scaled(ds, c: float):
+    """The dataset with both streams' values multiplied by c."""
+    return replace(ds, subjects=[replace(s, x_values=c * s.x_values, y_values=c * s.y_values)
+                                 for s in ds.subjects])
+
+
+class TestUnitFree:
+    """A change of the data's units changes no choice: values scaled by a
+    power of two, which scales floating-point arithmetic exactly barring
+    underflow, give the same (P, M, K, b), covariance and cross surfaces
+    scaled by c² and predictions by c. An absolute floor on the noise
+    variances used to pick P=4, (1, 1), b=0.5 at c = 2^-40."""
+
+    @pytest.fixture(scope="class", params=["regular", "sparse"])
+    def fits(self, request):
+        design = REGULAR if request.param == "regular" else SPARSE
+        ds, _ = generate(design, 200, seed=7)
+        test, _ = generate(design, 10, seed=107)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return {k: (fit(_scaled(ds, 2.0 ** k), FitConfig(n_bins=None)), 2.0 ** k)
+                    for k in (0, -40, 40)}, test
+
+    @staticmethod
+    def chosen(model):
+        return model.n_bins, model.truncation, model.refine_bandwidth
+
+    @pytest.mark.parametrize("k", [-40, 40])
+    def test_same_choices_and_scaled_outputs(self, fits, k):
+        models, test = fits
+        base, _ = models[0]
+        model, c = models[k]
+        assert self.chosen(model) == self.chosen(base)
+
+        def close(got, want, scale):
+            want = scale * np.asarray(want)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+        for got, want in zip(model.bins, base.bins):
+            for name in ("cov_x", "cov_y", "cross"):
+                close(getattr(got, name).values, getattr(want, name).values, c * c)
+            close(got.eig_x.values, want.eig_x.values, c * c)
+        for sub in test.subjects:
+            got = predict(model, np.column_stack([sub.x_times, c * sub.x_values]), sub.z)
+            want = predict(base, np.column_stack([sub.x_times, sub.x_values]), sub.z)
+            close(got.y_hat.values, want.y_hat.values, c)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vcflr import regression
+from vcflr import regression, smoothing
 from vcflr.data import LongitudinalDataset, Subject
 from vcflr.errors import InsufficientLocalData
 from vcflr.fpca import (
@@ -117,7 +117,8 @@ def recompute_truncation_table(bins, subjects_by_bin, candidates, stream, criter
         for bb, subjects in zip(bins, subjects_by_bin):
             eig = bb.eig_x if stream == "x" else bb.eig_y
             mean = bb.mean_x if stream == "x" else bb.mean_y
-            sigma2 = max(bb.sigma2_x if stream == "x" else bb.sigma2_y, VARIANCE_FLOOR)
+            sigma2 = max(bb.sigma2_x if stream == "x" else bb.sigma2_y,
+                         VARIANCE_FLOOR * eig.values[0])
             for sub in subjects:
                 times = sub.x_times if stream == "x" else sub.y_times
                 values = sub.x_values if stream == "x" else sub.y_values
@@ -141,9 +142,11 @@ def predicted_residual_term(model, ds, b):
     N log(2 pi sigma2)."""
     at_b = replace(model, refine_bandwidth=b)
     if model.scalar_response:
-        sigma2 = max(float(np.var([sub.y_scalar for sub in ds.subjects])), VARIANCE_FLOOR)
+        y = np.array([sub.y_scalar for sub in ds.subjects])
+        sigma2 = max(float(np.var(y)), VARIANCE_FLOOR * float(np.mean(y * y)))
     else:
-        sigma2 = max(model.sigma2_y, VARIANCE_FLOOR)
+        lead = np.mean([bb.eig_y.values[0] for bb in model.bins])
+        sigma2 = max(model.sigma2_y, VARIANCE_FLOOR * lead)
     total = 0.0
     n_obs = 0
     for sub in ds.subjects:
@@ -684,3 +687,119 @@ class TestCvAgainstPerCandidateLoop:
         assert got[0][1] == got[1][1]
         assert cv_smoother_bandwidth(subjects, kind, 3, cands, grid, grid, kernel=uni,
                                      mean_bandwidths=means) == cands[1]
+
+
+def fold_column_cv_errors(subjects, kind, n_folds, candidates, grid, kernel=Kernel1D()):
+    """Mean-kind CV as one ``local_linear_1d_at`` call per candidate over
+    the fold columns, each fold interpolated at every held-out observation."""
+    x = kind == "mean_x"
+    times = np.concatenate([s.x_times if x else s.y_times for s in subjects])
+    values = np.concatenate([s.x_values if x else s.y_values for s in subjects])
+    owner = np.repeat(np.arange(len(subjects)), [s.n_x if x else s.n_y for s in subjects])
+    folds = (np.arange(len(subjects)) % n_folds)[owner]
+    xu, group = np.unique(times, return_inverse=True)
+    w = np.empty((xu.size, n_folds))
+    ybar = np.zeros((xu.size, n_folds))
+    for f in range(n_folds):
+        train = folds != f
+        w[:, f] = np.bincount(group[train], minlength=xu.size)
+        sums = np.bincount(group[train], weights=values[train], minlength=xu.size)
+        np.divide(sums, w[:, f], out=ybar[:, f], where=w[:, f] > 0)
+    rows = []
+    for cand in candidates:
+        try:
+            fitted = local_linear_1d_at(xu, ybar, grid.points, cand, kernel=kernel, weights=w)
+        except InsufficientLocalData:
+            continue
+        sse = 0.0
+        for f in range(n_folds):
+            test = folds == f
+            err = values[test] - np.interp(times[test], grid.points, fitted[:, f])
+            sse += float(err @ err)
+        rows.append((cand, sse))
+    return rows
+
+
+class TestMeanCvIsTheFoldColumnFit:
+    """Mean-kind CV, counted once and scored at the distinct times, gives
+    every row of fitting each candidate on the fold columns and
+    interpolating at every held-out observation, bit for bit."""
+
+    @staticmethod
+    def tiled_subjects():
+        # 4000 distinct times: several support tiles at the narrower widths
+        rng = np.random.default_rng(143)
+        out = []
+        for i in range(400):
+            st_, tt = np.sort(rng.uniform(0, 10, 10)), np.sort(rng.uniform(0, 10, 7))
+            out.append(Subject(f"s{i}", 0.5, st_, np.sin(st_) + rng.normal(0, 0.4, 10),
+                               tt, np.cos(tt) + rng.normal(0, 0.4, 7)))
+        return out
+
+    @pytest.mark.parametrize("kind", ["mean_x", "mean_y"])
+    def test_several_tiles(self, kind):
+        subjects = self.tiled_subjects()
+        grid, cands = make_grid(0, 10, 51), (0.3, 0.6, 1.2, 2.4)
+        n = sum(s.n_x if kind == "mean_x" else s.n_y for s in subjects)
+        assert min(n // smoothing._TILE_POINTS_1D, int(10 / cands[1])) >= 2
+        got, _ = cv_errors(subjects, kind, 5, cands, grid, grid)
+        assert got == fold_column_cv_errors(subjects, kind, 5, cands, grid)
+        assert len(got) == len(cands)
+
+    @pytest.mark.parametrize("family, kept", [("uniform", [0.5, 1.0, 1.5, 3.0]),
+                                              ("epanechnikov", [1.0, 1.5, 3.0])])
+    @pytest.mark.parametrize("kind", ["mean_x", "mean_y"])
+    def test_times_exactly_one_bandwidth_from_grid_points(self, kind, family, kept):
+        # times on a 0.5 lattice, integer grid points: many times lie exactly
+        # b from a grid point. At b = 0.5 a window holds its grid point and
+        # those two ends, which only the uniform kernel's closed support weighs
+        rng = np.random.default_rng(144)
+        subjects = []
+        for i in range(30):
+            st_ = np.sort(rng.integers(0, 21, 6) * 0.5)
+            tt = np.sort(rng.integers(0, 21, 5) * 0.5)
+            subjects.append(Subject(f"s{i}", 0.5, st_, rng.normal(size=6), tt,
+                                    rng.normal(size=5)))
+        grid, kern, cands = make_grid(0, 10, 11), Kernel1D(family), (0.5, 1.0, 1.5, 3.0)
+        got, _ = cv_errors(subjects, kind, 5, cands, grid, grid, kernel=kern)
+        assert got == fold_column_cv_errors(subjects, kind, 5, cands, grid, kernel=kern)
+        assert [c for c, _ in got] == kept
+
+    @pytest.mark.parametrize("kind", ["mean_x", "mean_y"])
+    def test_candidate_failing_in_one_fold(self, kind):
+        # only subject 0 (fold 0) observes either stream beyond 8.5
+        rng = np.random.default_rng(145)
+        subjects = []
+        for i in range(12):
+            extra = [9.0, 9.4, 9.8] if i == 0 else []
+            st_ = np.concatenate([np.sort(rng.uniform(0, 8, 8)), extra])
+            tt = np.concatenate([np.sort(rng.uniform(0, 8, 6)), extra])
+            subjects.append(Subject(f"s{i}", 0.5, st_, np.sin(st_) + rng.normal(0, 0.3, st_.size),
+                                    tt, np.cos(tt) + rng.normal(0, 0.3, tt.size)))
+        grid, cands = make_grid(0, 10, 21), (1.0, 3.0)
+        got, _ = cv_errors(subjects, kind, 3, cands, grid, grid)
+        assert [c for c, _ in got] == [3.0]
+        assert got == fold_column_cv_errors(subjects, kind, 3, cands, grid)
+        # with a copy of subject 0 in fold 1 every fold keeps data near 10
+        copied = subjects[:1] + [replace(subjects[0], id="copy")] + subjects[1:]
+        got, _ = cv_errors(copied, kind, 3, cands, grid, grid)
+        assert [c for c, _ in got] == [1.0, 3.0]
+        assert got == fold_column_cv_errors(copied, kind, 3, cands, grid)
+
+    @pytest.mark.parametrize("kind", ["mean_x", "mean_y"])
+    def test_one_moment_pass_per_surviving_candidate(self, kind, monkeypatch):
+        calls = []
+        real = smoothing.local_moments_1d
+
+        def counting(x, eval_points, bandwidth, *args, **kwargs):
+            calls.append(bandwidth)
+            return real(x, eval_points, bandwidth, *args, **kwargs)
+
+        monkeypatch.setattr(smoothing, "local_moments_1d", counting)
+        subjects = TestCvAgainstPerCandidateLoop.subjects(30, 146)
+        grid = make_grid(0, 10, 21)
+        # 0.01 fails everywhere and 0.2 in some fold; neither forms moments
+        cands = (0.01, 0.2, 1.5, 3.0)
+        got, _ = cv_errors(subjects, kind, 5, cands, grid, grid)
+        assert [c for c, _ in got] == [1.5, 3.0]
+        assert calls == [1.5, 3.0]
