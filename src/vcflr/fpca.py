@@ -194,8 +194,10 @@ def _subject_pairs(n_a, n_b, half: bool) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _observations(subjects: list[Subject], stream: str, timed: bool = True):
-    """One stream's observation times (None unless ``timed``) and values,
-    all subjects concatenated, and the per-subject counts."""
+    """One stream of a bin, the layout every per-bin step reads: the
+    observation times (None unless ``timed``; a scalar response has none)
+    and values, all subjects concatenated in order, and the per-subject
+    counts. ``regression.fit`` gathers each bin's two streams once."""
     values = _stacked([s.x_values if stream == "x" else s.y_values for s in subjects])
     sizes = np.array([s.n_x if stream == "x" else s.n_y for s in subjects], dtype=int)
     if not timed:
@@ -204,26 +206,21 @@ def _observations(subjects: list[Subject], stream: str, timed: bool = True):
 
 
 def _minus(observations, mean: GridFunction | float):
-    """``_observations`` centered by a mean curve at their times, or by a
-    scalar mean."""
+    """An ``_observations`` stream centered by a mean curve at its times, or
+    by a scalar mean: what the bin's smoothers, surface CV and truncation
+    criterion read."""
     times, values, sizes = observations
     return times, values - (mean.at(times) if isinstance(mean, GridFunction) else mean), sizes
 
 
-def _centered(subjects: list[Subject], stream: str, mean: GridFunction | float):
-    """One stream's observation times (None for a scalar response) and
-    centered values, all subjects concatenated, and the per-subject counts."""
-    return _minus(_observations(subjects, stream, isinstance(mean, GridFunction)), mean)
-
-
 def _diagonal(stream_) -> np.ndarray:
-    """The (s, squared centered value) rows of a ``_centered`` stream."""
+    """The (s, squared centered value) rows of a ``_minus`` stream."""
     times, resid, _ = stream_
     return np.column_stack([times, resid * resid])
 
 
 def _stream_pairs(a, b, half: bool):
-    """Every within-subject pair of ``_centered`` streams ``a`` and ``b``
+    """Every within-subject pair of ``_minus`` streams ``a`` and ``b``
     (``b`` is ``a`` for a covariance, whose j < l pairs alone ``half``
     keeps), subject by subject and row-major, as ``group_pairs`` takes
     them: ``(times_a, times_b, ia, ib, products)``."""
@@ -274,32 +271,7 @@ def pair_rows(a, b, half: bool):
             products = ra.reshape(c, -1, 1) * rb.reshape(c, 1, -1)
             w = np.full(ja.size, float(c))
             return va[ja], vb[jb], products.sum(axis=0)[ja, jb] / w, w
-    pairs = _stream_pairs(a, b, half)
-    del a, b, ra, rb   # the centered values are spent once multiplied
-    return group_pairs(*pairs)
-
-
-def covariance_pairs(subjects: list[Subject], mean: GridFunction, stream: str):
-    """One stream's centered observations paired with themselves.
-
-    Returns ``(pairs, diag)``: pairs is ``(times, times, ia, ib, products)``
-    for every within-subject pair with j < l, subject by subject and
-    row-major, as ``group_pairs`` takes it; diag is the (m, 2) array of
-    (s, squared centered value) rows. The products are symmetric, so each
-    pair stands for itself and its mirror (l, j), and sorted times give
-    every pair times[ia] <= times[ib]. Cross-validation takes the pairs,
-    because its folds split each location's subjects.
-    """
-    stream_ = _centered(subjects, stream, mean)
-    return _stream_pairs(stream_, stream_, True), _diagonal(stream_)
-
-
-def cross_pairs(subjects: list[Subject], mean_x: GridFunction, mean_y: GridFunction | float):
-    """Every within-subject (predictor, response) pair of centered
-    observations, subject by subject and row-major: ``(x_times, y_times,
-    ia, ib, products)``, with y_times None for a scalar response."""
-    return _stream_pairs(_centered(subjects, "x", mean_x), _centered(subjects, "y", mean_y),
-                         False)
+    return group_pairs(*_stream_pairs(a, b, half))
 
 
 def _smooth_2d(rows, cfg: LocalFitConfig, grid1: Grid, grid2: Grid,
@@ -331,7 +303,7 @@ def smooth_covariance(rows, cfg: LocalFitConfig, grid: Grid) -> GridSurface:
 
 def smooth_cross_covariance(centered, cfg: LocalFitConfig,
                             grids: tuple[Grid, Grid | None]):
-    """Smooth raw cross-covariances of the ``_centered`` predictor and
+    """Smooth raw cross-covariances of the ``_minus`` predictor and
     response streams ``centered`` onto ``grids`` = (s_grid, t_grid).
 
     Functional responses use every (l, j) observation pair (measurement
@@ -621,7 +593,7 @@ class BinBandwidths:
 
 def _covariance_estimates(stream_, cov_bw, diag_bw: float, kernel: Kernel1D,
                           grid: Grid, max_components: int, rel_tol: float):
-    """One ``_centered`` stream's covariance surface, error variance and
+    """One ``_minus`` stream's covariance surface, error variance and
     eigensystem, from its j < l pairs, grouped once by location
     (``pair_rows``)."""
     diag = _diagonal(stream_)
@@ -631,10 +603,13 @@ def _covariance_estimates(stream_, cov_bw, diag_bw: float, kernel: Kernel1D,
     return cov, sigma2, eigendecompose(cov, grid, max_components, rel_tol=rel_tol)
 
 
-def fit_bin(subjects: list[Subject], center: float, s_grid: Grid,
+def fit_bin(means, centered, center: float, s_grid: Grid,
             t_grid: Grid | None, bandwidths: BinBandwidths, kernel: Kernel1D,
             max_m: int, max_k: int, eigen_floor: float = 1e-10) -> BinEstimate:
-    """All raw estimates for one bin.
+    """All raw estimates for one bin, from its mean curves ``means`` =
+    (mean_x, mean_y), mean_y a number for a scalar response, and its
+    predictor and response streams centered by them, ``centered`` = (x, y)
+    (``_minus`` of ``_observations``), as ``regression.fit`` builds them.
 
     ``max_m``/``max_k`` bound how many eigencomponents are retained (the
     spectra may hold fewer, and ``eigen_floor`` drops eigenvalues below that
@@ -643,23 +618,13 @@ def fit_bin(subjects: list[Subject], center: float, s_grid: Grid,
     j < l pairs, and the functional cross pairs, are grouped by
     location once and shared by every smoother and retry that uses them.
 
-    Cost: each stream is concatenated and centered once, for its mean, its
-    covariance and the cross surface. A bin whose subjects all share one
-    time vector is grouped by summing each location's products across
-    subjects, without a sort (``pair_rows``); any other bin sorts its pairs.
+    Cost: a bin whose subjects all share one time vector is grouped by
+    summing each location's products across subjects, without a sort
+    (``pair_rows``); any other bin sorts its pairs.
     """
     scalar = t_grid is None
-
-    x = _observations(subjects, "x")
-    mean_x = estimate_mean(x[0], x[1], LocalFitConfig(bandwidths.mean_x, kernel), s_grid)
-    x = _minus(x, mean_x)
-    if scalar:
-        mean_y = float(np.mean([s.y_scalar for s in subjects]))
-        y = _centered(subjects, "y", mean_y)
-    else:
-        y = _observations(subjects, "y")
-        mean_y = estimate_mean(y[0], y[1], LocalFitConfig(bandwidths.mean_y, kernel), t_grid)
-        y = _minus(y, mean_y)
+    mean_x, mean_y = means
+    x, y = centered
 
     rel_tol = max(1e-10, eigen_floor)
     cov_x, sigma2_x, eig_x = _covariance_estimates(
@@ -687,7 +652,7 @@ def fit_bin(subjects: list[Subject], center: float, s_grid: Grid,
         moments = sigma_mk(eig_x, eig_y, cross, m_avail, k_avail)
 
     return BinEstimate(
-        center=float(center), n_subjects=len(subjects),
+        center=float(center), n_subjects=x[2].size,
         mean_x=mean_x, mean_y=mean_y, cov_x=cov_x, cov_y=cov_y, cross=cross,
         eig_x=eig_x, eig_y=eig_y, sigma_mk=moments,
         sigma2_x=sigma2_x, sigma2_y=sigma2_y,

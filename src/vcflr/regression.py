@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import selection
+from . import fpca, selection
 from .data import BinPartition, LongitudinalDataset, partition as make_partition
 from .errors import (
     CovariateOutOfDomain,
@@ -38,7 +38,7 @@ from .fpca import (
     default_bandwidth,
     fit_bin,
 )
-from .smoothing import local_linear_weights
+from .smoothing import LocalFitConfig, local_linear_weights
 
 
 _BANDWIDTH_KEYS = tuple(f.name for f in fields(BinBandwidths))
@@ -283,28 +283,33 @@ def _usable_subjects(ds: LongitudinalDataset) -> LongitudinalDataset:
                                scalar_response=ds.scalar_response)
 
 
-def _resolve_bandwidths(subjects, cfg: FitConfig, s_grid: Grid,
-                        t_grid: Grid | None) -> BinBandwidths:
-    """Per-bin smoother bandwidths: overrides win, then CV, then defaults.
+def _resolve_bandwidths(streams, cfg: FitConfig, s_grid: Grid, t_grid: Grid | None):
+    """One bin's smoother bandwidths, its mean curves and its streams
+    centered by them: ``(BinBandwidths, (mean_x, mean_y), (x, y))``, from
+    its predictor and response ``streams`` as ``fpca._observations`` gathers
+    them. A scalar response's mean is the average response.
 
-    Surfaces get (b1, b2) pairs, and an override of one number for one
-    means that bandwidth on both axes. Only the mean smoothers (and, with
+    Bandwidths: overrides win, then CV, then defaults. Surfaces get
+    (b1, b2) pairs, and an override of one number for one means that
+    bandwidth on both axes. Only the mean smoothers (and, with
     ``cv_surfaces``, the 2D surfaces) are cross-validated; the diagonal
     smoothers and the scalar cross curve keep their default scale. A CV
     smoother falls back to its default when the bin has too few subjects for
     two folds or when every CV candidate lacks local data; any other CV
-    error propagates.
+    error propagates. Mean CV reads the streams as gathered; the mean
+    curves are then fitted once, and surface CV, ``fit_bin`` and truncation
+    selection all read the streams they center.
     """
     scalar = t_grid is None
     kernel = cfg.kernel1d()
     s_len = s_grid.length
     t_len = t_grid.length if t_grid is not None else None
-    n_x = sum(s.n_x for s in subjects)
-    n_y = sum(s.n_y for s in subjects)
-    pairs_x = sum(s.n_x * (s.n_x - 1) for s in subjects)
-    pairs_y = sum(s.n_y * (s.n_y - 1) for s in subjects)
-    n_cross = sum(s.n_x * s.n_y for s in subjects)
-    folds = min(cfg.cv_folds, len(subjects))
+    (_, _, sizes_x), (_, _, sizes_y) = streams
+    n_x, n_y = int(sizes_x.sum()), int(sizes_y.sum())
+    pairs_x = int(sizes_x @ (sizes_x - 1))
+    pairs_y = int(sizes_y @ (sizes_y - 1))
+    n_cross = int(sizes_x @ sizes_y)
+    folds = min(cfg.cv_folds, sizes_x.size)
 
     def fixed_1d(key: str, length: float, n: int) -> float:
         if key in cfg.bandwidths:
@@ -318,7 +323,7 @@ def _resolve_bandwidths(subjects, cfg: FitConfig, s_grid: Grid,
         cands = tuple(h0 * f for f in cfg.cv_factors)
         try:
             return selection.cv_smoother_bandwidth(
-                subjects, key, folds, cands, s_grid, t_grid, kernel=kernel)
+                streams, key, folds, cands, s_grid, t_grid, kernel=kernel)
         except InsufficientLocalData:
             return h0
 
@@ -326,6 +331,12 @@ def _resolve_bandwidths(subjects, cfg: FitConfig, s_grid: Grid,
     mean_y = None if scalar else mean_1d("mean_y", t_len, n_y)
     diag_x = fixed_1d("diag_x", s_len, n_x)
     diag_y = None if scalar else fixed_1d("diag_y", t_len, n_y)
+
+    x, y = streams
+    means = (fpca.estimate_mean(x[0], x[1], LocalFitConfig(mean_x, kernel), s_grid),
+             float(np.mean(y[1])) if scalar
+             else fpca.estimate_mean(y[0], y[1], LocalFitConfig(mean_y, kernel), t_grid))
+    centered = (fpca._minus(x, means[0]), fpca._minus(y, means[1]))
 
     def surface_2d(key: str, length1: float, length2: float, n: int):
         if key in cfg.bandwidths:
@@ -338,12 +349,11 @@ def _resolve_bandwidths(subjects, cfg: FitConfig, s_grid: Grid,
         cands = tuple((h1 * f, h2 * f) for f in cfg.cv_factors)
         try:
             return selection.cv_smoother_bandwidth(
-                subjects, key, folds, cands, s_grid, t_grid,
-                kernel=kernel, mean_bandwidths=(mean_x, mean_y))
+                centered, key, folds, cands, s_grid, t_grid, kernel=kernel)
         except InsufficientLocalData:
             return (h1, h2)
 
-    return BinBandwidths(
+    bandwidths = BinBandwidths(
         mean_x=mean_x, mean_y=mean_y,
         cov_x=surface_2d("cov_x", s_len, s_len, pairs_x),
         cov_y=None if scalar else surface_2d("cov_y", t_len, t_len, pairs_y),
@@ -351,6 +361,7 @@ def _resolve_bandwidths(subjects, cfg: FitConfig, s_grid: Grid,
         cross=fixed_1d("cross", s_len, n_cross) if scalar
         else surface_2d("cross", s_len, t_len, n_cross),
     )
+    return bandwidths, means, centered
 
 
 def fit(ds: LongitudinalDataset, config: FitConfig | None = None) -> FittedModel:
@@ -400,12 +411,16 @@ def fit(ds: LongitudinalDataset, config: FitConfig | None = None) -> FittedModel
     else:
         max_m = max_k = max(cfg.truncation_candidates)
 
-    bins = []
+    # each bin's streams are gathered once, and centered once by its means
+    bins, centered = [], []
     for p in range(part.n_bins):
         subjects = [ds.subjects[i] for i in part.index_sets[p]]
-        bw = _resolve_bandwidths(subjects, cfg, s_grid, t_grid)
-        bins.append(fit_bin(subjects, part.centers[p], s_grid, t_grid, bw, kernel,
+        bw, means, streams = _resolve_bandwidths(
+            (fpca._observations(subjects, "x"),
+             fpca._observations(subjects, "y", not ds.scalar_response)), cfg, s_grid, t_grid)
+        bins.append(fit_bin(means, streams, part.centers[p], s_grid, t_grid, bw, kernel,
                             max_m, max_k, eigen_floor=cfg.eigen_floor))
+        centered.append(streams)
 
     sigma2_x = float(np.mean([b.sigma2_x for b in bins]))
     sigma2_y = None if ds.scalar_response else float(np.mean([b.sigma2_y for b in bins]))
@@ -415,11 +430,8 @@ def fit(ds: LongitudinalDataset, config: FitConfig | None = None) -> FittedModel
     if cfg.truncation is not None:
         m, k = cfg.truncation
     else:
-        subjects_by_bin = [[ds.subjects[i] for i in part.index_sets[p]]
-                           for p in range(part.n_bins)]
         m, k, tables = selection.select_truncation(
-            bins, subjects_by_bin, cfg.truncation_candidates, cfg.criterion,
-            n_total=ds.n)
+            bins, centered, cfg.truncation_candidates, cfg.criterion, n_total=ds.n)
         report.tables.update(tables)
     if ds.scalar_response:
         k = None

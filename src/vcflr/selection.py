@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import LongitudinalDataset, Subject
+from .data import LongitudinalDataset
 from .errors import (
     InsufficientCenters,
     InsufficientLocalData,
@@ -30,9 +30,7 @@ from .fpca import (
     BinEstimate,
     _blup_operator,
     _count_groups,
-    covariance_pairs,
-    cross_pairs,
-    estimate_mean,
+    _stream_pairs,
     floored_variance,
     pair_locations,
 )
@@ -40,7 +38,6 @@ from .grids import Grid, GridSurface
 from .kernels import Kernel1D
 from .smoothing import (
     _CV_TIE_RTOL,
-    LocalFitConfig,
     _check_bandwidths,
     _column_support,
     _local_linear_fit,
@@ -87,12 +84,13 @@ def _penalty_scale(criterion: str, n: int) -> float:
     raise ValueError(f"unknown criterion {criterion!r}; choose AIC or BIC")
 
 
-def _truncation_table(bins: list[BinEstimate], subjects_by_bin: list[list[Subject]],
-                      candidates, stream: str, criterion: str, n_total: int):
+def _truncation_table(bins: list[BinEstimate], centered, candidates, stream: str,
+                      criterion: str, n_total: int):
     """Penalized pseudo-deviance of BLUP reconstructions per candidate order.
 
-    Each bin scores its subjects in groups of equal observation count, with
-    one stacked BLUP operator per group.
+    ``centered`` holds each bin's (x, y) streams centered by its mean curves,
+    as ``fpca.fit_bin`` takes them. Each bin scores its subjects in groups of
+    equal observation count, with one stacked BLUP operator per group.
     """
     pen_scale = _penalty_scale(criterion, n_total)
     cap = min(getattr(b, f"eig_{stream}").n_components for b in bins)
@@ -110,23 +108,18 @@ def _truncation_table(bins: list[BinEstimate], subjects_by_bin: list[list[Subjec
 
     sse = dict.fromkeys(feasible, 0.0)
     base = 0.0
-    for b, subjects in zip(bins, subjects_by_bin):
-        if not subjects:
-            continue
+    for b, streams in zip(bins, centered):
+        times, resid, sizes = streams["xy".index(stream)]
         sigma2 = floored_variance(getattr(b, f"sigma2_{stream}"), getattr(b, f"eig_{stream}"))
-        times = [getattr(sub, f"{stream}_times") for sub in subjects]
-        flat = np.concatenate(times)
-        resid = np.concatenate([getattr(sub, f"{stream}_values") for sub in subjects]) \
-            - getattr(b, f"mean_{stream}").at(flat)
-        for _, pos in _count_groups([t.size for t in times]):
-            phi, ops = _blup_operator(flat[pos], getattr(b, f"eig_{stream}"), sigma2)
+        for _, pos in _count_groups(sizes):
+            phi, ops = _blup_operator(times[pos], getattr(b, f"eig_{stream}"), sigma2)
             eps = resid[pos]
             scores = np.einsum("gkn,gn->gk", ops, eps)
             for k in range(1, kmax + 1):
                 eps = eps - scores[:, k - 1, None] * phi[:, :, k - 1]
                 if k in sse:
                     sse[k] += float(np.sum(eps * eps)) / sigma2
-        base += flat.size * (_LOG_2PI + math.log(sigma2))
+        base += times.size * (_LOG_2PI + math.log(sigma2))
     return [(c, sse[c] + base + pen_scale * len(bins) * c) for c in feasible]
 
 
@@ -140,22 +133,26 @@ def _argmin_with_ties(table, prefer_last: bool = False):
     return best[0]
 
 
-def select_truncation(bins: list[BinEstimate], subjects_by_bin: list[list[Subject]],
-                      candidates, criterion: str = "BIC", n_total: int | None = None):
+def select_truncation(bins: list[BinEstimate], centered, candidates,
+                      criterion: str = "BIC", n_total: int | None = None):
     """Truncation orders (M, K) minimizing the penalized pseudo-deviance.
 
-    M comes from the predictor-side criterion, K from the response side
-    (None for scalar responses). Ties break toward smaller orders.
+    ``centered`` holds each bin's predictor and response streams centered
+    by its mean curves, ``(x, y)`` per bin in the layout of ``fpca.fit_bin``
+    (``fpca._minus`` of ``fpca._observations``); ``n_total`` defaults to
+    their subject count. M comes from the predictor-side criterion, K from
+    the response side (None for scalar responses). Ties break toward
+    smaller orders.
     """
     if n_total is None:
-        n_total = sum(len(s) for s in subjects_by_bin)
+        n_total = sum(x[2].size for x, _ in centered)
     tables = {}
-    m_table = _truncation_table(bins, subjects_by_bin, candidates, "x", criterion, n_total)
+    m_table = _truncation_table(bins, centered, candidates, "x", criterion, n_total)
     tables["M"] = m_table
     m = _argmin_with_ties(m_table)
     if bins[0].eig_y is None:
         return m, None, tables
-    k_table = _truncation_table(bins, subjects_by_bin, candidates, "y", criterion, n_total)
+    k_table = _truncation_table(bins, centered, candidates, "y", criterion, n_total)
     tables["K"] = k_table
     k = _argmin_with_ties(k_table)
     return m, k, tables
@@ -307,24 +304,23 @@ def _cv_choice(results, scale: float):
     return max(tied, key=lambda cand: np.atleast_1d(cand)[0])
 
 
-def cv_smoother_bandwidth(subjects: list[Subject], kind: str, n_folds: int,
-                          candidates, s_grid: Grid, t_grid: Grid | None = None,
-                          kernel: Kernel1D = Kernel1D(),
-                          mean_bandwidths: tuple | None = None):
+def cv_smoother_bandwidth(streams, kind: str, n_folds: int, candidates, s_grid: Grid,
+                          t_grid: Grid | None = None, kernel: Kernel1D = Kernel1D()):
     """K-fold-by-subject CV for one smoother's bandwidth.
 
-    ``kind`` is one of mean_x, mean_y, cov_x, cov_y, cross; every kind but
-    mean_x and cov_x needs the response grid ``t_grid``, so a scalar
-    response has no cross kind. Candidates are numbers for the mean kinds
-    and (b1, b2) pairs for the surface kinds. Covariance and cross kinds
-    center observations with mean curves fitted once on all subjects
-    (``mean_bandwidths`` gives their bandwidths). Held-out squared error is
-    measured at the held-out raw points against the fitted curve or surface
-    interpolated off the grid. Candidates that fail anywhere are skipped.
-    Errors within ``_CV_TIE_RTOL`` times the held-out sum of squared values
-    of the least error are ties, which go to the larger bandwidth: the
-    errors of fits that reproduce the data exactly are rounding noise, and
-    their order is arbitrary.
+    ``streams`` are a bin's predictor and response streams, (x, y) in the
+    layout of ``fpca._observations``: as gathered for the mean kinds
+    (mean_x, mean_y), and centered by the bin's mean curves
+    (``fpca._minus``) for the surface kinds (cov_x, cov_y, cross). Every
+    kind but mean_x and cov_x needs the response grid ``t_grid``, so a
+    scalar response has no cross kind. Candidates are numbers for the mean
+    kinds and (b1, b2) pairs for the surface kinds. Held-out squared error
+    is measured at the held-out raw points against the fitted curve or
+    surface interpolated off the grid. Candidates that fail anywhere are
+    skipped. Errors within ``_CV_TIE_RTOL`` times the held-out sum of
+    squared values of the least error are ties, which go to the larger
+    bandwidth: the errors of fits that reproduce the data exactly are
+    rounding noise, and their order is arbitrary.
 
     Cost: every fold is one column of training multiplicities and mean
     values at shared locations, the distinct times or pair locations
@@ -336,23 +332,24 @@ def cv_smoother_bandwidth(subjects: list[Subject], kind: str, n_folds: int,
     (``_mean_cv_errors``). A surface candidate costs one smoother call for
     all folds and one interpolation and one dot product per fold.
     """
-    results, scale = cv_errors(subjects, kind, n_folds, candidates, s_grid, t_grid,
-                               kernel=kernel, mean_bandwidths=mean_bandwidths)
+    results, scale = cv_errors(streams, kind, n_folds, candidates, s_grid, t_grid,
+                               kernel=kernel)
     if not results:
         raise InsufficientLocalData(
             f"every candidate bandwidth failed {kind} cross-validation")
     return _cv_choice(results, scale)
 
 
-def cv_errors(subjects: list[Subject], kind: str, n_folds: int, candidates,
-              s_grid: Grid, t_grid: Grid | None = None, kernel: Kernel1D = Kernel1D(),
-              mean_bandwidths: tuple | None = None):
+def cv_errors(streams, kind: str, n_folds: int, candidates, s_grid: Grid,
+              t_grid: Grid | None = None, kernel: Kernel1D = Kernel1D()):
     """(candidate, held-out squared error) rows of ``cv_smoother_bandwidth``,
     in candidate order, without the candidates that failed in some fold, and
     the sum of squared held-out values, which scales the tie tolerance.
+    ``streams`` are as ``cv_smoother_bandwidth`` takes them.
 
-    Cost: the fold columns are built once for all candidates. A mean
-    candidate then costs one moment pass for all folds and one
+    Cost: the fold columns are built once for all candidates, from the
+    streams' values or their within-subject pairs (``fpca._stream_pairs``).
+    A mean candidate then costs one moment pass for all folds and one
     interpolation at the distinct times per fold, or nothing more when the
     shared support count fails it; a surface candidate costs one smoother
     call and one interpolation per fold.
@@ -363,39 +360,30 @@ def cv_errors(subjects: list[Subject], kind: str, n_folds: int, candidates,
         raise ValueError(f"{kind} CV needs a response grid; scalar responses have none")
     if n_folds < 2:
         raise ValueError("need at least 2 folds")
-    if n_folds > len(subjects):
+    x, y = streams
+    n_subjects = x[2].size
+    if n_folds > n_subjects:
         raise ValueError(
-            f"fold count {n_folds} exceeds the {len(subjects)} subjects in the bin")
-    folds = np.arange(len(subjects)) % n_folds
-    # subject of each observation of the stream that the rows are indexed by
-    owner = np.repeat(np.arange(len(subjects)),
-                      [s.n_y if kind in ("mean_y", "cov_y") else s.n_x for s in subjects])
+            f"fold count {n_folds} exceeds the {n_subjects} subjects in the bin")
+    folds = np.arange(n_subjects) % n_folds
+    # the stream that the rows are indexed by, and the subject of each of
+    # its observations
+    stream = y if kind in ("mean_y", "cov_y") else x
+    owner = np.repeat(np.arange(n_subjects), stream[2])
 
     mean_kind = kind in ("mean_x", "mean_y")
     if mean_kind:
-        times = np.concatenate([s.x_times if kind == "mean_x" else s.y_times for s in subjects])
-        values = np.concatenate([s.x_values if kind == "mean_x" else s.y_values
-                                 for s in subjects])
+        times, values, _ = stream
         xu, group = np.unique(times, return_inverse=True)
         order, n_loc, mirror = slice(None), xu.size, False
     else:
-        if mean_bandwidths is None:
-            raise ValueError(f"{kind} CV needs mean_bandwidths to center observations")
-
-        def mean(stream):
-            i = "xy".index(stream)
-            return estimate_mean(
-                np.concatenate([getattr(s, f"{stream}_times") for s in subjects]),
-                np.concatenate([getattr(s, f"{stream}_values") for s in subjects]),
-                LocalFitConfig(mean_bandwidths[i], kernel), (s_grid, t_grid)[i])
-
         # a covariance's j < l pairs each stand for their mirror too
         mirror = kind != "cross"
         if mirror:
             grid = s_grid if kind == "cov_x" else t_grid
-            grids, (pairs, _) = (grid, grid), covariance_pairs(subjects, mean(kind[-1]), kind[-1])
+            grids, pairs = (grid, grid), _stream_pairs(stream, stream, True)
         else:
-            grids, pairs = (s_grid, t_grid), cross_pairs(subjects, mean("x"), mean("y"))
+            grids, pairs = (s_grid, t_grid), _stream_pairs(x, y, False)
         times_a, times_b, ia, ib, values = pairs
         owner = owner[ia]
         x1, x2, order, group = pair_locations(times_a, times_b, ia, ib)

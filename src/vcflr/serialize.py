@@ -15,11 +15,11 @@ import json
 import numpy as np
 
 from .data import BinPartition
-from .errors import ModelFormatError
+from .errors import GridMismatch, InvalidInterval, ModelFormatError
 from .fpca import BinEstimate, EigenSystem
 from .grids import Grid, GridFunction, GridSurface, make_grid
 from .kernels import Kernel1D
-from .regression import FittedModel
+from .regression import FittedModel, _positive
 from .selection import SelectionReport
 
 FORMAT_VERSION = 1
@@ -139,6 +139,11 @@ def save_model(model: FittedModel, path) -> None:
 
 
 def load_model(path) -> FittedModel:
+    """The model saved at ``path``; ModelFormatError for any document that
+    does not describe one: not JSON, another format version, a missing or
+    ill-typed field, arrays that do not fit their grids, partition and bins
+    of unequal lengths, or a refinement bandwidth that is not a finite
+    positive number."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -157,6 +162,17 @@ def load_model(path) -> FittedModel:
             np.asarray(part_doc["centers"], dtype=float), float(part_doc["width"]),
             [np.empty(c, dtype=int) for c in counts])
         bins = [_bin_from(b, s_grid, t_grid) for b in doc["bins"]]
+        lengths = (partition.n_bins, len(counts), len(bins))
+        if not bins or len(set(lengths)) > 1:
+            raise ModelFormatError(
+                f"{path}: {lengths[2]} bin(s) with {lengths[0]} partition center(s) and "
+                f"{lengths[1]} count(s); a model needs at least one bin, and one center "
+                f"and one count per bin")
+        bandwidth = doc["refine"]["bandwidth"]
+        if not _positive(bandwidth):
+            raise ModelFormatError(
+                f"{path}: refinement bandwidth must be a finite positive number, "
+                f"got {bandwidth!r}")
         sel = doc.get("selection")
         report = None
         if sel is not None:
@@ -175,12 +191,12 @@ def load_model(path) -> FittedModel:
             z_domain=tuple(doc["domains"]["z"]),
             partition=partition, bins=bins,
             truncation=(int(trunc[0]), None if trunc[1] is None else int(trunc[1])),
-            refine_bandwidth=float(doc["refine"]["bandwidth"]),
+            refine_bandwidth=float(bandwidth),
             kernel=Kernel1D(doc["refine"]["kernel"]),
             sigma2_x=float(doc["sigma2_x"]),
             sigma2_y=None if doc["sigma2_y"] is None else float(doc["sigma2_y"]),
             scalar_response=bool(doc["scalar_response"]),
             selection=report,
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, GridMismatch, InvalidInterval) as err:
         raise ModelFormatError(f"{path}: malformed model document ({err})") from None

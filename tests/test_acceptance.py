@@ -33,6 +33,8 @@ from vcflr.simulation import (
     mispe,
 )
 
+from reference import centered
+
 SEEDS = range(10)
 
 
@@ -240,7 +242,9 @@ class TestCriterion7TruncationSanity:
             part = model.partition
             subjects_by_bin = [[ds.subjects[i] for i in part.index_sets[p]]
                                for p in range(part.n_bins)]
-            _, k, _ = select_truncation(model.bins, subjects_by_bin,
+            streams = [centered(subs, b.mean_x, b.mean_y)
+                       for b, subs in zip(model.bins, subjects_by_bin)]
+            _, k, _ = select_truncation(model.bins, streams,
                                         (1, 2, 3, 4, 5, 6), "BIC", n_total=ds.n)
             chosen.append(k)
         hits = sum(1 for k in chosen if k == 3)

@@ -301,6 +301,26 @@ class TestPredict:
                      "--out", str(tmp_path / "o.csv")])
         assert code == 4
 
+    @pytest.mark.parametrize("field, value", [
+        ("centers", None), ("mean_x", None), ("grid", 1), ("bandwidth", -0.3)])
+    def test_malformed_model_exit_4(self, sim_dir, model_dir, tmp_path, capsys, field, value):
+        # each one-field edit used to end predict with a traceback and exit 1
+        doc = json.loads((model_dir / "model.json").read_text())
+        if field == "centers":
+            doc["partition"]["centers"].pop()
+        elif field == "mean_x":
+            doc["bins"][0]["mean_x"].pop()
+        elif field == "grid":
+            doc["s_grid"]["n"] = value
+        else:
+            doc["refine"]["bandwidth"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["predict", "--model", str(bad), "--test", str(sim_dir / "test.csv"),
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
     def test_out_of_domain_subjects_skipped(self, model_dir, tmp_path, capsys):
         test = tmp_path / "test.csv"
         test.write_text(
@@ -419,3 +439,22 @@ def test_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "False"
+
+
+def test_default_config_matches_fit_config():
+    # the CLI's config document and FitConfig each hold the defaults; only
+    # the bin count differs, by design: the CLI selects it unless told
+    from dataclasses import fields
+
+    from vcflr.cli import DEFAULT_CONFIG
+    from vcflr.regression import FitConfig
+
+    defaults = FitConfig()
+    shared = sorted(set(DEFAULT_CONFIG) & {f.name for f in fields(FitConfig)})
+    assert shared == sorted([
+        "grid_size", "truncation", "refine_bandwidth", "criterion", "binwidth_criterion",
+        "kernel", "bandwidths", "bandwidth_policy", "cv_surfaces", "eigen_floor",
+        "min_bin_count"])
+    assert {key: DEFAULT_CONFIG[key] for key in shared} \
+        == {key: getattr(defaults, key) for key in shared}
+    assert DEFAULT_CONFIG["bins"] is None and defaults.n_bins is not None

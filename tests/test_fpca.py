@@ -19,8 +19,6 @@ from vcflr.fpca import (
     BinBandwidths,
     blup_scores,
     covariance_diagonal,
-    covariance_pairs,
-    cross_pairs,
     eigendecompose,
     estimate_mean,
     estimate_sigma2,
@@ -35,7 +33,16 @@ from vcflr.grids import GridFunction, GridSurface, make_grid
 from vcflr.kernels import Kernel1D, kernel_eval
 from vcflr.smoothing import LocalFitConfig
 
-from reference import aggregate_2d, raw_covariances, raw_cross_products
+from reference import (
+    aggregate_2d,
+    bin_inputs,
+    centered,
+    centered_stream,
+    covariance_pairs,
+    cross_pairs,
+    raw_covariances,
+    raw_cross_products,
+)
 
 
 def basis(s):
@@ -253,7 +260,8 @@ class TestFitBinGroupsOnce:
                            diag_x=surface_bw, diag_y=surface_bw, cross=pair)
         attempts = self.count_attempts(monkeypatch)
         calls = count_rows(monkeypatch)
-        fit_bin(ds.subjects, 0.5, grid, grid, bw, Kernel1D(), 3, 3)
+        fit_bin(*bin_inputs(ds.subjects, (2.0, 2.0), Kernel1D(), grid, grid),
+                0.5, grid, grid, bw, Kernel1D(), 3, 3)
         assert len(calls) == 3
         # two means, two surfaces, two diagonals and the cross surface
         assert len(attempts) == 7
@@ -270,7 +278,8 @@ class TestFitBinGroupsOnce:
                            diag_x=0.3, diag_y=None, cross=2.0)
         attempts = self.count_attempts(monkeypatch)
         calls = count_rows(monkeypatch)
-        fit_bin(subjects, 0.5, grid, None, bw, Kernel1D(), 3, 1)
+        fit_bin(*bin_inputs(subjects, (2.0, None), Kernel1D(), grid, None),
+                0.5, grid, None, bw, Kernel1D(), 3, 1)
         assert len(calls) == 1
         assert max(attempts) > 1
 
@@ -344,14 +353,13 @@ def pair_rows_of(subjects, scalar):
     mean_x, mean_y = lattice_means()
     out = []
     for stream, mean in (("x", mean_x), ("y", mean_y))[:1 if scalar else 2]:
-        stream_ = fpca._centered(subjects, stream, mean)
+        stream_ = centered_stream(subjects, stream, mean)
         off, _ = oracle_raw_covariances(subjects, mean, stream, half=True)
         out.append((fpca.pair_rows(stream_, stream_, True),
                     oracle_aggregate_2d(off[:, 0], off[:, 1], off[:, 2])))
     if not scalar:
         raw = oracle_raw_cross_products(subjects, mean_x, mean_y)
-        out.append((fpca.pair_rows(fpca._centered(subjects, "x", mean_x),
-                                   fpca._centered(subjects, "y", mean_y), False),
+        out.append((fpca.pair_rows(*centered(subjects, mean_x, mean_y), False),
                     oracle_aggregate_2d(raw[:, 0], raw[:, 1], raw[:, 2])))
     return out
 
@@ -427,7 +435,8 @@ class TestByVectorEntries:
         grid = make_grid(0, 10, 21)
         bw = BinBandwidths(mean_x=2.0, mean_y=2.0, cov_x=(2.0, 2.0), cov_y=(2.0, 2.0),
                            diag_x=2.0, diag_y=2.0, cross=(2.0, 2.0))
-        fit_bin(ds.subjects, 0.5, grid, grid, bw, Kernel1D(), 3, 3)
+        fit_bin(*bin_inputs(ds.subjects, (2.0, 2.0), Kernel1D(), grid, grid),
+                0.5, grid, grid, bw, Kernel1D(), 3, 3)
         return ds.subjects
 
     def test_regular_bin_groups_one_entry_per_location(self, monkeypatch):
@@ -479,9 +488,9 @@ class TestFitBinMomentPaths:
 
 
 class TestFitBinCentersOnce:
-    """fit_bin concatenates each stream once and shares the centered stream
-    between its covariance and the cross surface, which are the same bits
-    as building it afresh."""
+    """A bin's streams are gathered once, and fit_bin shares each centered
+    stream between its covariance and the cross surface, which are the same
+    bits as building it afresh."""
 
     @pytest.mark.parametrize("scalar", [False, True])
     def test_one_stream_each(self, monkeypatch, scalar):
@@ -497,7 +506,9 @@ class TestFitBinCentersOnce:
                            cov_y=None if scalar else (2.0, 2.0), diag_x=2.0,
                            diag_y=None if scalar else 2.0, cross=cross_bw)
         streams = count_calls(monkeypatch, "_observations", lambda args, out: args[1])
-        est = fit_bin(subjects, 0.5, grid, None if scalar else grid, bw, Kernel1D(), 3, 3)
+        t_grid = None if scalar else grid
+        est = fit_bin(*bin_inputs(subjects, (2.0, bw.mean_y), Kernel1D(), grid, t_grid),
+                      0.5, grid, t_grid, bw, Kernel1D(), 3, 3)
         assert streams == ["x", "y"]
         fresh = smooth_cross_covariance(centered(subjects, est.mean_x, est.mean_y),
                                         LocalFitConfig(cross_bw, Kernel1D()),
@@ -889,11 +900,6 @@ class TestEigendecompose:
                 continue
             gram = (eig.functions * grid.weights[:, None]).T @ eig.functions
             assert np.max(np.abs(gram - np.eye(eig.n_components))) < 1e-8, case
-
-
-def centered(subjects, mean_x, mean_y):
-    """The centered predictor and response streams that fit_bin builds."""
-    return fpca._centered(subjects, "x", mean_x), fpca._centered(subjects, "y", mean_y)
 
 
 class TestCrossCovariance:

@@ -5,16 +5,23 @@ saving and loading."""
 
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from vcflr.data import LongitudinalDataset, Subject
+from vcflr.errors import VcflrError
 from vcflr.fpca import blup_scores
 from vcflr.grids import make_grid
 from vcflr.regression import FitConfig, fit, fit_global, predict
 from vcflr.selection import cv_smoother_bandwidth
 from vcflr.serialize import load_model, save_model
 from vcflr.simulation import REGULAR, SPARSE, generate
+
+from reference import gathered
 
 
 class TestEstimateScores:
@@ -72,7 +79,7 @@ class TestMeanBandwidthCv:
             n_obs = sum(s.n_y for s in ds.subjects)
             h0 = 10.0 * n_obs ** -0.2
             cands = tuple(h0 * f for f in (0.5, 0.7071, 1.0, 1.4142, 2.0))
-            got = cv_smoother_bandwidth(ds.subjects, "mean_y", 5, cands,
+            got = cv_smoother_bandwidth(gathered(ds.subjects), "mean_y", 5, cands,
                                         grid, grid)
             if got < cands[-1]:
                 rejected_top += 1
@@ -125,3 +132,60 @@ class TestScalarAutoSelection:
             loaded = predict(back, x_obs, s.z)
             assert fitted.mode == "sparse" and math.isfinite(fitted.y_hat)
             assert abs(fitted.y_hat - loaded.y_hat) <= 1e-12
+
+
+def perturbed(ds, ties, one_response, edges, constant_x, scalar):
+    """A legal variant of ``ds``: times rounded to 0.5 (ties within and
+    across subjects), every ``one_response``-th subject (none for 0) cut to
+    one response observation, every fifth covariate at a domain end, a
+    predictor constant at 1.5, and the response replaced by its mean."""
+    subjects = []
+    for i, s in enumerate(ds.subjects):
+        xt, xv, yt, yv, z = s.x_times, s.x_values, s.y_times, s.y_values, s.z
+        if ties:
+            ox = np.argsort(np.round(xt * 2), kind="stable")
+            oy = np.argsort(np.round(yt * 2), kind="stable")
+            xt, xv = np.round(xt * 2)[ox] / 2, xv[ox]
+            yt, yv = np.round(yt * 2)[oy] / 2, yv[oy]
+        if one_response and i % one_response == 0:
+            yt, yv = yt[:1], yv[:1]
+        if edges and i % 5 == 0:
+            z = ds.z_domain[i % 2]
+        if constant_x:
+            xv = np.full(xv.size, 1.5)
+        if scalar:
+            yt, yv = None, np.array([float(yv.mean())])
+        subjects.append(Subject(s.id, z, xt, xv, yt, yv))
+    return LongitudinalDataset(subjects, ds.s_domain, None if scalar else ds.t_domain,
+                               ds.z_domain, scalar_response=scalar)
+
+
+class TestLegalPerturbations:
+    """fit, save_model, load_model and predict on small sparse datasets with
+    legal perturbations end in a typed error or in a finite model whose
+    predictions are finite."""
+
+    @given(seed=st.integers(0, 2**16), ties=st.booleans(),
+           one_response=st.sampled_from([0, 1, 3]), edges=st.booleans(),
+           constant_x=st.booleans(), scalar=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_typed_error_or_finite_model(self, seed, ties, one_response, edges, constant_x,
+                                         scalar):
+        ds = perturbed(generate(SPARSE, 60, seed)[0], ties, one_response, edges, constant_x,
+                       scalar)
+        test = generate(SPARSE, 4, seed + 1)[0].subjects
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")   # skipped candidates and subjects
+                model = fit(ds, FitConfig(n_bins=2))
+            with tempfile.TemporaryDirectory() as tmp:
+                save_model(model, Path(tmp) / "model.json")
+                model = load_model(Path(tmp) / "model.json")
+            preds = [predict(model, np.column_stack([s.x_times, s.x_values]), z).y_hat
+                     for s, z in zip(test, (*ds.z_domain, test[2].z, test[3].z))]
+        except VcflrError:
+            return
+        arrays = [model.mean_x_stack, model.mean_y_stack, model.raw_beta_stack,
+                  [model.sigma2_x, model.sigma2_y or 0.0, model.refine_bandwidth]]
+        arrays += [[p] if scalar else p.values for p in preds]
+        assert all(np.isfinite(a).all() for a in arrays)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vcflr import selection
+from vcflr import fpca, regression, selection
 from vcflr.data import BinPartition, LongitudinalDataset, Subject
 from vcflr.errors import (
     CovariateOutOfDomain,
@@ -29,6 +29,8 @@ from vcflr.regression import (
 from vcflr.serialize import load_model, save_model
 from vcflr.simulation import REGULAR, SPARSE, generate
 from vcflr.smoothing import local_linear_weights
+
+from reference import gathered
 
 
 def basis(s):
@@ -315,6 +317,38 @@ class TestFit:
         assert all(2 <= m <= 4 for m in chosen)
 
 
+class TestEachBinGatheredOnce:
+    """A fit gathers each bin's two streams and fits its two mean curves
+    once, which bandwidth CV (surfaces included), the bin's smoothers and
+    truncation selection all read."""
+
+    @staticmethod
+    def count(monkeypatch, name):
+        """Calls of ``fpca.<name>``, through every module binding of it."""
+        calls = []
+        real = getattr(fpca, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args[1] if name == "_observations" else args[3])
+            return real(*args, **kwargs)
+
+        for module in (fpca, regression, selection):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("cv_surfaces", [False, True])
+    def test_two_streams_and_two_means_per_bin(self, monkeypatch, cv_surfaces):
+        ds, _ = generate(SPARSE, 200, seed=0)
+        means = self.count(monkeypatch, "estimate_mean")
+        streams = self.count(monkeypatch, "_observations")
+        model = fit(ds, FitConfig(n_bins=4, truncation=None, refine_bandwidth=0.3,
+                                  cv_surfaces=cv_surfaces))
+        assert model.selection.tables["M"] and model.selection.tables["K"]
+        assert means == [model.s_grid, model.t_grid] * 4
+        assert streams == ["x", "y"] * 4
+
+
 class TestBandwidthFallback:
     CFG = FitConfig(n_bins=2, truncation=(2, 2), refine_bandwidth=0.3, min_bin_count=2)
 
@@ -408,7 +442,7 @@ class TestBandwidthFallback:
         grid = make_grid(0, 10, 21)
         cfg = FitConfig(bandwidth_policy="default",
                         bandwidths={"cov_x": 1.0, "cross": [1.0, 2.0]})
-        bw = _resolve_bandwidths(ds.subjects, cfg, grid, grid)
+        bw, _, _ = _resolve_bandwidths(gathered(ds.subjects), cfg, grid, grid)
         h = default_bandwidth(10.0, sum(s.n_y * (s.n_y - 1) for s in ds.subjects))
         assert (bw.cov_x, bw.cov_y, bw.cross) == ((1.0, 1.0), (h, h), (1.0, 2.0))
 

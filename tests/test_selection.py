@@ -36,7 +36,14 @@ from vcflr.smoothing import (
     smoothing_matrix,
 )
 
-from reference import aggregate_2d, raw_covariances, raw_cross_products
+from reference import (
+    aggregate_2d,
+    bin_inputs,
+    centered,
+    gathered,
+    raw_covariances,
+    raw_cross_products,
+)
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +52,20 @@ def fitted():
     cfg = FitConfig(n_bins=4, truncation=(3, 3), refine_bandwidth=0.3,
                     bandwidth_policy="default", min_bin_count=2)
     return ds, fit(ds, cfg)
+
+
+def bin_streams(bins, subjects_by_bin):
+    """Each bin's streams centered by its mean curves, as ``fit`` keeps them."""
+    return [centered(subs, b.mean_x, b.mean_y) for b, subs in zip(bins, subjects_by_bin)]
+
+
+def cv_streams(subjects, kind, s_grid, t_grid, kernel=Kernel1D(), mean_bandwidths=None):
+    """The streams ``cv_errors`` takes for ``kind``: as gathered for a mean
+    kind, centered by mean curves fitted at ``mean_bandwidths`` for a
+    surface kind."""
+    if kind.startswith("mean"):
+        return gathered(subjects)
+    return bin_inputs(subjects, mean_bandwidths, kernel, s_grid, t_grid)[1]
 
 
 class TestSelectTruncation:
@@ -62,8 +83,8 @@ class TestSelectTruncation:
                                     b.mean_x.at(src.x_times), src.y_times,
                                     b.mean_y.at(src.y_times)))
             subjects_by_bin.append(subs)
-        m, k, tables = select_truncation(bins, subjects_by_bin, (1, 2, 3), "AIC",
-                                         n_total=20)
+        m, k, tables = select_truncation(bins, bin_streams(bins, subjects_by_bin),
+                                         (1, 2, 3), "AIC", n_total=20)
         assert (m, k) == (1, 1)
         # with zero residuals consecutive criterion values differ by the
         # penalty increment exactly: 2P for AIC
@@ -85,8 +106,8 @@ class TestSelectTruncation:
                                     b.mean_y.at(src.y_times)))
             subjects_by_bin.append(subs)
         n_total = 400
-        _, _, tables = select_truncation(bins, subjects_by_bin, (1, 2, 3), "BIC",
-                                         n_total=n_total)
+        _, _, tables = select_truncation(bins, bin_streams(bins, subjects_by_bin),
+                                         (1, 2, 3), "BIC", n_total=n_total)
         diffs = np.diff([score for _, score in tables["K"]])
         assert np.allclose(diffs, math.log(n_total) * len(bins), atol=1e-6)
         # spot check the absolute penalty arithmetic: P=8, K=3
@@ -99,7 +120,7 @@ class TestSelectTruncation:
                            for p in range(model.n_bins)]
         cap = min(b.eig_y.n_components for b in model.bins)
         with pytest.warns(UserWarning, match="skipping truncation"):
-            m, k, _ = select_truncation(model.bins, subjects_by_bin,
+            m, k, _ = select_truncation(model.bins, bin_streams(model.bins, subjects_by_bin),
                                         tuple(range(1, cap + 3)), "BIC",
                                         n_total=ds.n)
         assert k <= cap
@@ -408,9 +429,9 @@ class TestAutoSelectedFit:
         centers = []
         real = regression.fit_bin
 
-        def counting(subjects, center, *args, **kwargs):
+        def counting(means, streams, center, *args, **kwargs):
             centers.append(center)
-            return real(subjects, center, *args, **kwargs)
+            return real(means, streams, center, *args, **kwargs)
 
         monkeypatch.setattr(regression, "fit_bin", counting)
         model = fit(data, FitConfig(n_bins=None, bin_candidates=(3, 4)))
@@ -437,7 +458,7 @@ class TestCvSmootherBandwidth:
     def test_noiseless_affine_ties_to_largest(self):
         subjects = self.make_subjects(20, 65, affine=True)
         grid = make_grid(0, 10, 21)
-        got = cv_smoother_bandwidth(subjects, "mean_x", 4, (2.0, 3.0, 4.0),
+        got = cv_smoother_bandwidth(gathered(subjects), "mean_x", 4, (2.0, 3.0, 4.0),
                                     grid, grid)
         assert got == 4.0
 
@@ -445,7 +466,7 @@ class TestCvSmootherBandwidth:
         subjects = self.make_subjects(3, 66)
         grid = make_grid(0, 10, 11)
         with pytest.raises(ValueError):
-            cv_smoother_bandwidth(subjects, "mean_x", 5, (2.0,), grid, grid)
+            cv_smoother_bandwidth(gathered(subjects), "mean_x", 5, (2.0,), grid, grid)
 
     def test_interior_argmin_for_wiggly_mean(self):
         # CV should reject strong oversmoothing of a curved mean
@@ -454,7 +475,7 @@ class TestCvSmootherBandwidth:
         for seed in range(8):
             subjects = self.make_subjects(40, 70 + seed)
             cands = (0.75, 1.5, 3.0, 6.0, 12.0)
-            got = cv_smoother_bandwidth(subjects, "mean_x", 5, cands, grid, grid)
+            got = cv_smoother_bandwidth(gathered(subjects), "mean_x", 5, cands, grid, grid)
             if got < 12.0:
                 hits += 1
         assert hits >= 7
@@ -462,29 +483,30 @@ class TestCvSmootherBandwidth:
     def test_infeasible_candidates_skipped(self):
         subjects = self.make_subjects(10, 80)
         grid = make_grid(0, 10, 21)
-        got = cv_smoother_bandwidth(subjects, "mean_x", 3, (0.01, 5.0), grid, grid)
+        got = cv_smoother_bandwidth(gathered(subjects), "mean_x", 3, (0.01, 5.0), grid, grid)
         assert got == 5.0
 
     def test_covariance_kind_runs(self):
         subjects = self.make_subjects(25, 81)
         grid = make_grid(0, 10, 15)
-        got = cv_smoother_bandwidth(subjects, "cov_x", 5,
-                                    ((2.0, 2.0), (4.0, 4.0)), grid, grid,
-                                    mean_bandwidths=(2.0, 2.0))
+        streams = cv_streams(subjects, "cov_x", grid, grid, mean_bandwidths=(2.0, 2.0))
+        got = cv_smoother_bandwidth(streams, "cov_x", 5,
+                                    ((2.0, 2.0), (4.0, 4.0)), grid, grid)
         assert got in ((2.0, 2.0), (4.0, 4.0))
 
     def test_scalar_response_has_no_cross_kind(self):
         subjects = self.make_subjects(10, 83)
         grid = make_grid(0, 10, 21)
         with pytest.raises(ValueError, match="response grid"):
-            cv_smoother_bandwidth(subjects, "cross", 5, (2.0,), grid, None,
-                                  mean_bandwidths=(2.0, None))
+            cv_smoother_bandwidth(cv_streams(subjects, "cross", grid, None,
+                                             mean_bandwidths=(2.0, None)),
+                                  "cross", 5, (2.0,), grid, None)
 
     def test_all_fail_raises(self):
         subjects = self.make_subjects(10, 82)
         grid = make_grid(0, 10, 21)
         with pytest.raises(InsufficientLocalData):
-            cv_smoother_bandwidth(subjects, "mean_x", 3, (0.001,), grid, grid)
+            cv_smoother_bandwidth(gathered(subjects), "mean_x", 3, (0.001,), grid, grid)
 
 
 class TestCvTieRule:
@@ -614,13 +636,14 @@ class TestCvAgainstPerCandidateLoop:
         s_grid, t_grid = make_grid(0, 10, 21), make_grid(0, 10, 17)
         cands = self.CANDIDATES[kind]
         means = None if kind.startswith("mean") else self.MEANS
-        got, _ = cv_errors(subjects, kind, 5, cands, s_grid, t_grid, mean_bandwidths=means)
+        streams = cv_streams(subjects, kind, s_grid, t_grid, mean_bandwidths=means)
+        got, _ = cv_errors(streams, kind, 5, cands, s_grid, t_grid)
         want = oracle_cv_errors(subjects, kind, 5, cands, s_grid, t_grid,
                                 mean_bandwidths=means)
         assert len(want) >= 2
         self.assert_same(got, want)
-        assert cv_smoother_bandwidth(subjects, kind, 5, cands, s_grid, t_grid,
-                                     mean_bandwidths=means) == oracle_choice(want)
+        assert cv_smoother_bandwidth(streams, kind, 5, cands, s_grid, t_grid) \
+            == oracle_choice(want)
 
     @pytest.mark.parametrize("kind, small, wide", [
         ("mean_x", 1.0, 3.0), ("cov_x", (2.0, 2.0), (4.0, 4.0)), ("mean_y", 1.0, 3.0),
@@ -646,17 +669,18 @@ class TestCvAgainstPerCandidateLoop:
         grid = make_grid(0, 10, 21)
         means = None if kind.startswith("mean") else (3.0, 3.0)
         cands = (small, wide)
-        got, _ = cv_errors(subjects, kind, 3, cands, grid, grid, mean_bandwidths=means)
+        streams = cv_streams(subjects, kind, grid, grid, mean_bandwidths=means)
+        got, _ = cv_errors(streams, kind, 3, cands, grid, grid)
         want = oracle_cv_errors(subjects, kind, 3, cands, grid, grid, mean_bandwidths=means)
         assert [c for c, _ in want] == [wide]
         self.assert_same(got, want)
         # the small bandwidth fails only while subject 0 is held out: with a
         # copy of it in fold 1, every fold keeps data near s = 10
         copied = subjects[:1] + [replace(subjects[0], id="copy")] + subjects[1:]
-        rows, _ = cv_errors(copied, kind, 3, cands, grid, grid, mean_bandwidths=means)
+        rows, _ = cv_errors(cv_streams(copied, kind, grid, grid, mean_bandwidths=means),
+                            kind, 3, cands, grid, grid)
         assert [c for c, _ in rows] == [small, wide]
-        assert cv_smoother_bandwidth(subjects, kind, 3, cands, grid, grid,
-                                     mean_bandwidths=means) == wide
+        assert cv_smoother_bandwidth(streams, kind, 3, cands, grid, grid) == wide
 
     @pytest.mark.parametrize("kind, cands", [
         ("mean_x", (1.2, 1.4)), ("cov_x", ((2.2, 2.2), (2.4, 2.4))), ("mean_y", (1.2, 1.4)),
@@ -679,14 +703,14 @@ class TestCvAgainstPerCandidateLoop:
         grid = make_grid(0, 10, 11)
         uni = Kernel1D("uniform")
         means = None if kind.startswith("mean") else (3.0, 3.0)
-        got, _ = cv_errors(subjects, kind, 3, cands, grid, grid, kernel=uni,
-                           mean_bandwidths=means)
+        streams = cv_streams(subjects, kind, grid, grid, kernel=uni, mean_bandwidths=means)
+        got, _ = cv_errors(streams, kind, 3, cands, grid, grid, kernel=uni)
         want = oracle_cv_errors(subjects, kind, 3, cands, grid, grid, kernel=uni,
                                 mean_bandwidths=means)
         self.assert_same(got, want)
         assert got[0][1] == got[1][1]
-        assert cv_smoother_bandwidth(subjects, kind, 3, cands, grid, grid, kernel=uni,
-                                     mean_bandwidths=means) == cands[1]
+        assert cv_smoother_bandwidth(streams, kind, 3, cands, grid, grid, kernel=uni) \
+            == cands[1]
 
 
 def fold_column_cv_errors(subjects, kind, n_folds, candidates, grid, kernel=Kernel1D()):
@@ -742,7 +766,7 @@ class TestMeanCvIsTheFoldColumnFit:
         grid, cands = make_grid(0, 10, 51), (0.3, 0.6, 1.2, 2.4)
         n = sum(s.n_x if kind == "mean_x" else s.n_y for s in subjects)
         assert min(n // smoothing._TILE_POINTS_1D, int(10 / cands[1])) >= 2
-        got, _ = cv_errors(subjects, kind, 5, cands, grid, grid)
+        got, _ = cv_errors(gathered(subjects), kind, 5, cands, grid, grid)
         assert got == fold_column_cv_errors(subjects, kind, 5, cands, grid)
         assert len(got) == len(cands)
 
@@ -761,7 +785,7 @@ class TestMeanCvIsTheFoldColumnFit:
             subjects.append(Subject(f"s{i}", 0.5, st_, rng.normal(size=6), tt,
                                     rng.normal(size=5)))
         grid, kern, cands = make_grid(0, 10, 11), Kernel1D(family), (0.5, 1.0, 1.5, 3.0)
-        got, _ = cv_errors(subjects, kind, 5, cands, grid, grid, kernel=kern)
+        got, _ = cv_errors(gathered(subjects), kind, 5, cands, grid, grid, kernel=kern)
         assert got == fold_column_cv_errors(subjects, kind, 5, cands, grid, kernel=kern)
         assert [c for c, _ in got] == kept
 
@@ -777,12 +801,12 @@ class TestMeanCvIsTheFoldColumnFit:
             subjects.append(Subject(f"s{i}", 0.5, st_, np.sin(st_) + rng.normal(0, 0.3, st_.size),
                                     tt, np.cos(tt) + rng.normal(0, 0.3, tt.size)))
         grid, cands = make_grid(0, 10, 21), (1.0, 3.0)
-        got, _ = cv_errors(subjects, kind, 3, cands, grid, grid)
+        got, _ = cv_errors(gathered(subjects), kind, 3, cands, grid, grid)
         assert [c for c, _ in got] == [3.0]
         assert got == fold_column_cv_errors(subjects, kind, 3, cands, grid)
         # with a copy of subject 0 in fold 1 every fold keeps data near 10
         copied = subjects[:1] + [replace(subjects[0], id="copy")] + subjects[1:]
-        got, _ = cv_errors(copied, kind, 3, cands, grid, grid)
+        got, _ = cv_errors(gathered(copied), kind, 3, cands, grid, grid)
         assert [c for c, _ in got] == [1.0, 3.0]
         assert got == fold_column_cv_errors(copied, kind, 3, cands, grid)
 
@@ -800,6 +824,6 @@ class TestMeanCvIsTheFoldColumnFit:
         grid = make_grid(0, 10, 21)
         # 0.01 fails everywhere and 0.2 in some fold; neither forms moments
         cands = (0.01, 0.2, 1.5, 3.0)
-        got, _ = cv_errors(subjects, kind, 5, cands, grid, grid)
+        got, _ = cv_errors(gathered(subjects), kind, 5, cands, grid, grid)
         assert [c for c, _ in got] == [1.5, 3.0]
         assert calls == [1.5, 3.0]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -167,3 +168,64 @@ class TestFormatErrors:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="malformed"):
             load_model(path)
+
+
+def _drop_last_center(doc):
+    doc["partition"]["centers"].pop()
+
+
+def _drop_last_count(doc):
+    doc["partition"]["counts"].pop()
+
+
+def _drop_last_bin(doc):
+    doc["bins"].pop()
+
+
+def _short_mean_x(doc):
+    doc["bins"][0]["mean_x"].pop()
+
+
+def _one_point_grid(doc):
+    doc["s_grid"]["n"] = 1
+
+
+def _set_bandwidth(value):
+    def edit(doc):
+        doc["refine"]["bandwidth"] = value
+    return edit
+
+
+# one-field edits of a saved model, each of which used to escape load_model
+# (or the first predict) as an untyped error
+MALFORMED = {
+    "fewer centers": (_drop_last_center, "partition center"),
+    "fewer counts": (_drop_last_count, "partition center"),
+    "fewer bins": (_drop_last_bin, "partition center"),
+    "short mean_x": (_short_mean_x, "malformed"),
+    "one-point grid": (_one_point_grid, "malformed"),
+    "negative bandwidth": (_set_bandwidth(-0.3), "refinement bandwidth"),
+    "zero bandwidth": (_set_bandwidth(0), "refinement bandwidth"),
+    "boolean bandwidth": (_set_bandwidth(True), "refinement bandwidth"),
+}
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_one_field_edit_is_a_format_error(self, model, tmp_path, case):
+        edit, shown = MALFORMED[case]
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=shown):
+            load_model(path)
+
+    def test_non_finite_bandwidth(self, model, tmp_path):
+        # json writes NaN and Infinity, and reads them back
+        path = tmp_path / "model.json"
+        for value in (float("nan"), float("inf")):
+            save_model(dataclasses.replace(model, refine_bandwidth=value), path)
+            with pytest.raises(ModelFormatError, match="refinement bandwidth"):
+                load_model(path)
