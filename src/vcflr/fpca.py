@@ -538,8 +538,9 @@ def _blup_operator(times: np.ndarray, eig: EigenSystem,
     psi = eig.at(times)
     psi_t = psi.swapaxes(1, 2)
     gram = psi_t @ psi
-    diag = np.arange(eig.n_components)
-    gram[:, diag, diag] += floored_variance(sigma2, eig) / eig.values
+    # the diagonals, through a strided view of the contiguous product
+    k = eig.n_components
+    gram.reshape(-1, k * k)[:, ::k + 1] += floored_variance(sigma2, eig) / eig.values
     return psi[rows], np.linalg.solve(gram, psi_t)[rows]
 
 

@@ -54,7 +54,7 @@ class Grid:
         interpolates onto the grid rather than reconstructs from scores."""
         max_gap = 2.0 * (self.points[1] - self.points[0])
         return times[0] - self.lower <= max_gap and self.upper - times[-1] <= max_gap \
-            and (times.size == 1 or np.diff(times).max() <= max_gap)
+            and (times.size == 1 or (times[1:] - times[:-1]).max() <= max_gap)
 
     def same_as(self, other: "Grid") -> bool:
         return (

@@ -134,8 +134,10 @@ def save_model(model: FittedModel, path) -> None:
             "tables": {k: [[c, s] for c, s in v] for k, v in report.tables.items()},
         },
     }
+    # json.dumps takes the C encoder, which json.dump never does; the
+    # text is the same
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
 
 
 def load_model(path) -> FittedModel:

@@ -11,7 +11,7 @@ import numpy as np
 from vcflr import fpca
 from vcflr.fpca import group_pairs
 from vcflr.grids import GridFunction
-from vcflr.smoothing import LocalFitConfig
+from vcflr.smoothing import LocalFitConfig, local_linear_weights
 
 
 def aggregate_2d(x1, x2, y):
@@ -100,3 +100,43 @@ def raw_cross_products(subjects, mean_x, mean_y):
     if y_times is None:
         return np.column_stack([x_times[ia], products])
     return np.column_stack([x_times[ia], y_times[ib], products])
+
+
+def predict(model, x_obs, z_star):
+    """``regression.predict`` in plain form, with what it calls written
+    out: the refinement weights as a one-row batch of
+    ``local_linear_weights``, an unconditional stable sort, ``np.diff``
+    gaps for the coverage test and the BLUP operator of one time vector
+    with its diagonal loaded through fancy indexing. Returns
+    ``(y_hat, mode)``; the z and observation checks are left out."""
+    pts = np.asarray(x_obs, dtype=float).reshape(-1, 2)
+    times, values = pts[np.argsort(pts[:, 0], kind="stable")].T
+    w = local_linear_weights(model.partition.centers, [z_star], model.refine_bandwidth,
+                             model.kernel)[0]
+    stack = model.raw_beta_stack
+    beta = (w @ stack.reshape(stack.shape[0], -1)).reshape(stack.shape[1:])
+    mean_x = w @ model.mean_x_stack
+    mean_y = w @ model.mean_y_stack
+    m = model.truncation[0]
+    grid = model.s_grid
+    max_gap = 2.0 * (grid.points[1] - grid.points[0])
+    if times[0] - grid.lower <= max_gap and grid.upper - times[-1] <= max_gap \
+            and (times.size == 1 or np.diff(times).max() <= max_gap):
+        centered = np.interp(grid.points, times, values) - mean_x
+        mode = "dense"
+    else:
+        near = model.bins[model.partition.nearest_bin(z_star)]
+        eig = near.eig_x
+        resid = values - np.interp(times, grid.points, mean_x)
+        psi = eig.at(times[None, :])
+        psi_t = psi.swapaxes(1, 2)
+        gram = psi_t @ psi
+        diag = np.arange(eig.n_components)
+        gram[:, diag, diag] += fpca.floored_variance(near.sigma2_x, eig) / eig.values
+        scores = np.linalg.solve(gram, psi_t)[0, :m] @ resid
+        centered = eig.functions[:, :m] @ scores
+        mode = "sparse"
+    integ = grid.weights * centered
+    if model.scalar_response:
+        return float(mean_y + integ @ beta), mode
+    return mean_y + beta.T @ integ, mode

@@ -912,6 +912,40 @@ class TestLocalLinearWeightsBitEqual:
         assert got.shape == (self.CENTERS.size,)
         assert np.array_equal(got, reference_local_linear_weights(self.CENTERS, z, 0.05))
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("p", [1, 2, 8, 25])
+    def test_scalar_row_is_array_row(self, family, p):
+        # a scalar z takes its own row code; it must give the batch row's
+        # bits at the domain ends, at and between the centers, where the
+        # row widens, and raise where the batch raises
+        kernel = Kernel1D(family)
+        centers = (np.arange(p) + 0.5) / p
+        z = np.concatenate([[0.0, 1.0, 0.37], centers, (centers[:-1] + centers[1:]) / 2])
+        kinds = set()
+        for b in np.array([0.05, 0.3, 0.7, 1.2, 3.0]) / p:
+            for zz in z:
+                try:
+                    want = local_linear_weights(centers, [zz], b, kernel)[0]
+                except InsufficientCenters:
+                    with pytest.raises(InsufficientCenters):
+                        local_linear_weights(centers, zz, b, kernel)
+                    kinds.add("exhausted")
+                    continue
+                got = local_linear_weights(centers, zz, b, kernel)
+                assert got.shape == (p,)
+                assert np.array_equal(got, want), (b, zz)
+                if not kernel_eval(kernel, (centers - zz) / b).any():
+                    kinds.add("widened")
+                kinds.add("indicator" if np.count_nonzero(got) == 1 else "mixed")
+            try:
+                batch = local_linear_weights(centers, z, b, kernel)
+            except InsufficientCenters:
+                continue
+            rows = np.vstack([local_linear_weights(centers, zz, b, kernel) for zz in z])
+            assert np.array_equal(rows, batch), b
+        assert {"exhausted", "widened", "indicator"} <= kinds
+        assert p == 1 or "mixed" in kinds
+
     def test_single_center_carries_all_weight(self):
         got = local_linear_weights(self.CENTERS, [0.3], 0.05)
         assert np.array_equal(got, reference_local_linear_weights(self.CENTERS, [0.3], 0.05))

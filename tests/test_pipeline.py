@@ -7,12 +7,13 @@ import json
 import math
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from vcflr.data import LongitudinalDataset, Subject
+from vcflr.data import LongitudinalDataset, Subject, partition
 from vcflr.errors import VcflrError
 from vcflr.fpca import blup_scores
 from vcflr.grids import make_grid
@@ -160,6 +161,28 @@ def perturbed(ds, ties, one_response, edges, constant_x, scalar):
                                ds.z_domain, scalar_response=scalar)
 
 
+def typed_error_or_finite(ds, cfg, seed):
+    """Fit ``ds`` at ``cfg``, save, load and predict four sparse subjects,
+    two of them at the ends of the z domain: either a VcflrError or a model
+    whose stacks, variances, bandwidth and predictions are all finite."""
+    test = generate(SPARSE, 4, seed + 1)[0].subjects
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # skipped candidates and subjects
+            model = fit(ds, cfg)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_model(model, Path(tmp) / "model.json")
+            model = load_model(Path(tmp) / "model.json")
+        preds = [predict(model, np.column_stack([s.x_times, s.x_values]), z).y_hat
+                 for s, z in zip(test, (*ds.z_domain, test[2].z, test[3].z))]
+    except VcflrError:
+        return
+    arrays = [model.mean_x_stack, model.mean_y_stack, model.raw_beta_stack,
+              [model.sigma2_x, model.sigma2_y or 0.0, model.refine_bandwidth]]
+    arrays += [[p] if ds.scalar_response else p.values for p in preds]
+    assert all(np.isfinite(a).all() for a in arrays)
+
+
 class TestLegalPerturbations:
     """fit, save_model, load_model and predict on small sparse datasets with
     legal perturbations end in a typed error or in a finite model whose
@@ -173,19 +196,26 @@ class TestLegalPerturbations:
                                          scalar):
         ds = perturbed(generate(SPARSE, 60, seed)[0], ties, one_response, edges, constant_x,
                        scalar)
-        test = generate(SPARSE, 4, seed + 1)[0].subjects
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")   # skipped candidates and subjects
-                model = fit(ds, FitConfig(n_bins=2))
-            with tempfile.TemporaryDirectory() as tmp:
-                save_model(model, Path(tmp) / "model.json")
-                model = load_model(Path(tmp) / "model.json")
-            preds = [predict(model, np.column_stack([s.x_times, s.x_values]), z).y_hat
-                     for s, z in zip(test, (*ds.z_domain, test[2].z, test[3].z))]
-        except VcflrError:
-            return
-        arrays = [model.mean_x_stack, model.mean_y_stack, model.raw_beta_stack,
-                  [model.sigma2_x, model.sigma2_y or 0.0, model.refine_bandwidth]]
-        arrays += [[p] if scalar else p.values for p in preds]
-        assert all(np.isfinite(a).all() for a in arrays)
+        typed_error_or_finite(ds, FitConfig(n_bins=2), seed)
+
+    @given(seed=st.integers(0, 2**16), least=st.integers(2, 8), ties=st.booleans(),
+           one_response=st.sampled_from([0, 1, 3]), scalar=st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_bin_at_min_count(self, seed, least, ties, one_response, scalar):
+        # the first ``least`` subjects fill the lower bin, which then holds
+        # exactly min_bin_count subjects
+        ds = perturbed(generate(SPARSE, 60, seed)[0], ties, one_response, False, False,
+                       scalar)
+        subjects = [replace(s, z=s.z / 2 if i < least else 0.5 + s.z / 2)
+                    for i, s in enumerate(ds.subjects)]
+        ds = replace(ds, subjects=subjects)
+        cfg = FitConfig(n_bins=2, min_bin_count=least)
+        assert partition(ds, 2, min_count=least).counts.min() == least
+        typed_error_or_finite(ds, cfg, seed)
+
+    @given(seed=st.integers(0, 2**16), ties=st.booleans(), edges=st.booleans(),
+           constant_x=st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_scalar_auto_selection(self, seed, ties, edges, constant_x):
+        ds = perturbed(generate(SPARSE, 60, seed)[0], ties, 0, edges, constant_x, True)
+        typed_error_or_finite(ds, FitConfig(n_bins=None), seed)

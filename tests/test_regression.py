@@ -30,6 +30,7 @@ from vcflr.serialize import load_model, save_model
 from vcflr.simulation import REGULAR, SPARSE, generate
 from vcflr.smoothing import local_linear_weights
 
+import reference
 from reference import gathered
 
 
@@ -532,6 +533,45 @@ class TestPredictRejectsUnusableObservations:
     def test_times_at_domain_ends_accepted(self, small_fit):
         pred = predict(small_fit, np.array([[10.0, 7.0], [0.0, 2.0]]), 0.5)
         assert np.all(np.isfinite(pred.y_hat.values))
+
+
+class TestPredictIsReference:
+    """``predict`` gives the bits of ``reference.predict``, its plain form,
+    on every path and kind of model."""
+
+    @pytest.fixture(scope="class")
+    def models(self, small_fit):
+        cfg = FitConfig(n_bins=3, truncation=(2, 2), refine_bandwidth=0.3,
+                        bandwidth_policy="default", min_bin_count=2)
+        sparse = generate(SPARSE, 90, seed=48)[0]
+        regular = generate(REGULAR, 30, seed=49)[0]
+        mixed = LongitudinalDataset(regular.subjects + sparse.subjects[:45], sparse.s_domain,
+                                    sparse.t_domain, sparse.z_domain)
+        # one bin at z = 0.5: every z beyond 0.2 of it widens the weights
+        one_bin = fit_global(regular, replace(cfg, refine_bandwidth=0.2))
+        return {"dense": small_fit, "sparse": fit(sparse, cfg), "mixed": fit(mixed, cfg),
+                "scalar": scalar_fit(), "one-bin": one_bin}
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "mixed", "scalar", "one-bin"])
+    def test_bitwise(self, models, kind):
+        model = models[kind]
+        rng = np.random.default_rng(50)
+        grid = model.s_grid.points
+        modes = set()
+        for z in np.concatenate([[0.0, 1.0], model.partition.centers, rng.uniform(0, 1, 8)]):
+            for x_obs in (
+                    np.column_stack([grid, rng.normal(size=grid.size)]),
+                    np.column_stack([np.arange(31) / 3.0, rng.normal(size=31)])[::-1],
+                    np.column_stack([rng.uniform(0, 10, 5), rng.normal(size=5)]),
+                    np.array([[4.0, 1.0], [4.0, 2.0], [1.5, 0.5]]),
+                    np.array([[7.25, -1.0]])):
+                got = predict(model, x_obs, z)
+                want, mode = reference.predict(model, x_obs, z)
+                assert got.mode == mode
+                assert np.array_equal(got.y_hat if kind == "scalar" else got.y_hat.values,
+                                      want), (kind, z)
+                modes.add(mode)
+        assert modes == {"dense", "sparse"}
 
 
 def summed_refine(model, z):
