@@ -40,6 +40,11 @@ from .smoothing import (
 # otherwise produce exact zeros. Relative, so that a fit does not depend on
 # the units of the data.
 VARIANCE_FLOOR = 1e-8
+# Leading predictor eigenvalue, relative to the domain length times the
+# predictor's mean square, at or below which a bin's covariance is rounding
+# noise (``fit_bin``): a constant predictor's sits near eps², 1e4 eps² is
+# noise of 100 ulps, and a predictor 1e8 above its spread sits near 1e-17.
+ROUNDING_FLOOR = 1e4 * np.finfo(float).eps ** 2
 
 
 @dataclass
@@ -618,6 +623,8 @@ def fit_bin(means, centered, center: float, s_grid: Grid,
     that truncation selection can slice it without refitting. Each stream's
     j < l pairs, and the functional cross pairs, are grouped by
     location once and shared by every smoother and retry that uses them.
+    Raises InsufficientLocalData when a stream's covariance has no positive
+    eigenvalue, or the predictor's is rounding noise (``ROUNDING_FLOOR``).
 
     Cost: a bin whose subjects all share one time vector is grouped by
     summing each location's products across subjects, without a sort
@@ -643,6 +650,10 @@ def fit_bin(means, centered, center: float, s_grid: Grid,
     if m_avail == 0:
         raise InsufficientLocalData(
             f"bin at z={center:g}: predictor covariance has no positive eigenvalues")
+    level = s_grid.length * float(np.mean((x[1] + mean_x.at(x[0])) ** 2))
+    if eig_x.values[0] <= ROUNDING_FLOOR * level:
+        raise InsufficientLocalData(f"bin at z={center:g}: predictor covariance is rounding "
+                                    f"noise, leading eigenvalue {eig_x.values[0]:g}")
     if scalar:
         moments = sigma_mk(eig_x, None, cross, m_avail)
     else:

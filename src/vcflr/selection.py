@@ -37,7 +37,6 @@ from .fpca import (
 from .grids import Grid, GridSurface
 from .kernels import Kernel1D
 from .smoothing import (
-    _CV_TIE_RTOL,
     _check_bandwidths,
     _column_support,
     _local_linear_fit,
@@ -50,6 +49,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from .regression import FittedModel
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# Held-out squared error, relative to the held-out sum of squared values,
+# within which two cross-validated fits tie. A fit that reproduces the data
+# errs by rounding alone, a few hundred ulps of each value at most, which
+# squares to about 1e-27 of that sum; a gap of 1e-20 of it is an RMS
+# difference of 1e-10 of the data's scale, far below any real difference.
+_CV_TIE_RTOL = 1e-20
 
 
 @dataclass

@@ -37,13 +37,8 @@ from .kernels import Kernel1D, kernel_eval
 # entry, that such a system gets.
 _SINGULAR_RTOL = 1e-14
 _RIDGE = 1e-10
-# Held-out squared error, relative to the held-out sum of squared values,
-# within which two cross-validated fits tie. A fit that reproduces the data
-# errs by rounding alone, a few hundred ulps of each value at most, which
-# squares to about 1e-27 of that sum; a gap of 1e-20 of it is an RMS
-# difference of 1e-10 of the data's scale, far below any real difference.
-_CV_TIE_RTOL = 1e-20
-# Relative centered-moment determinant below which a 2D design is degenerate.
+# Relative centered-moment determinant at or below which a 2D local fit fails:
+# its weighted points are fewer than three, at one location or on one line.
 _DEGENERATE_RTOL = 1e-13
 # Bandwidth growth per retry, and retries, when a local fit lacks data.
 _WIDEN_FACTOR = 1.5
@@ -347,9 +342,7 @@ def _lattice_moments(codes, y_cols, w_cols, eval1, eval2, bandwidths, kernel: Ke
     With A_j[p, u] = K((u - s_p) / b1) (u - s_p)^j over the U1 distinct
     first coordinates, B_k the same over the U2 second ones, and a column's
     U1 x U2 lattices W of multiplicities and V of value sums (one
-    ``bincount`` each), S_jk = A_j W B_k^T and T_jk = A_j V B_k^T. The
-    support count is (A_0 > 0) P (B_0 > 0)^T, with P the lattice of points
-    of positive multiplicity, which is the integer that the tiles count.
+    ``bincount`` each), S_jk = A_j W B_k^T and T_jk = A_j V B_k^T.
 
     Cost: two matrix products for all columns and powers at once, each over
     the whole lattice and every evaluation point, whatever the bandwidth;
@@ -359,13 +352,11 @@ def _lattice_moments(codes, y_cols, w_cols, eval1, eval2, bandwidths, kernel: Ke
     b1, b2 = bandwidths
     n_cols, cells = w_cols.shape[1], u1.size * u2.size
     cell = c1 * u2.size + c2
-    lattice = np.empty((3, n_cols, cells))   # W | V | P, per column
+    lattice = np.empty((2, n_cols, cells))   # W | V, per column
     for f in range(n_cols):
         w = w_cols[:, f]
         lattice[0, f] = np.bincount(cell, weights=w, minlength=cells)
         lattice[1, f] = np.bincount(cell, weights=w * y_cols[:, f], minlength=cells)
-        lattice[2, f] = np.bincount(cell, weights=w > 0, minlength=cells)
-    lattice = lattice.reshape(3, n_cols, u1.size, u2.size)
 
     def powers(u, s, b):
         d = u[None, :] - s[:, None]   # d[p, i] = u_i - s_p
@@ -378,23 +369,20 @@ def _lattice_moments(codes, y_cols, w_cols, eval1, eval2, bandwidths, kernel: Ke
     a, bk = powers(u1, eval1, b1), powers(u2, eval2, b2)
     n1, n2 = eval1.size, eval2.size
     # every A_j [W | V] B_k^T: right products first, then one left product
-    right = lattice[:2].reshape(-1, u2.size) @ bk.reshape(-1, u2.size).T
+    right = lattice.reshape(-1, u2.size) @ bk.reshape(-1, u2.size).T
     right = right.reshape(-1, u1.size, 3 * n2).transpose(1, 0, 2).reshape(u1.size, -1)
     full = (a.reshape(-1, u1.size) @ right).reshape(3, n1, 2, n_cols, 3, n2)
     # (j, W or V, k) of s00, s10, t00, s20, t10 | s01, s11, t01 | s02
-    moments = full[[0, 1, 0, 2, 1, 0, 1, 0, 0], :, [0, 0, 1, 0, 1, 0, 0, 1, 0], :,
-                   [0, 0, 0, 0, 0, 1, 1, 1, 2]].transpose(0, 2, 1, 3)
-    count = (a[0] > 0).astype(float) @ lattice[2] @ (bk[0] > 0).astype(float).T
-    return moments, count
+    return full[[0, 1, 0, 2, 1, 0, 1, 0, 0], :, [0, 0, 1, 0, 1, 0, 0, 1, 0], :,
+                [0, 0, 0, 0, 0, 1, 1, 1, 2]].transpose(0, 2, 1, 3)
 
 
 def _tiled_moments(x1, x2, y_cols, w_cols, eval1, eval2, bandwidths, kernel: Kernel1D):
     """The nine moment surfaces of ``local_linear_2d_at``, (9, F, n1, n2) in
-    the order s00, s10, t00, s20, t10, s01, s11, t01, s02, and the support
-    count (F, n1, n2), the points of positive multiplicity that the kernel
-    weighs, at sorted evaluation points. Each block of a tile's points gives
-    them in three stacked matrix products: [a0, a1, y a0, a2, y a1] against
-    b0, [a0, a1, y a0] against b1 and a0 against b2.
+    the order s00, s10, t00, s20, t10, s01, s11, t01, s02, at sorted
+    evaluation points. Each block of a tile's points gives them in three
+    stacked matrix products: [a0, a1, y a0, a2, y a1] against b0,
+    [a0, a1, y a0] against b1 and a0 against b2.
 
     Cost: each ``_support_tiles`` tile (at most sqrt(N / 200) per axis, so
     under 800 points is one tile) only touches the evaluation rows and
@@ -410,7 +398,6 @@ def _tiled_moments(x1, x2, y_cols, w_cols, eval1, eval2, bandwidths, kernel: Ker
     w_t, y_t = w_cols[order].T, y_cols[order].T   # (F, U)
 
     moments = np.zeros((9, n_cols, n1, n2))
-    count = np.zeros((n_cols, n1, n2))
     for data, (rows, cols) in tiles:
         d1 = x1[None, data] - eval1[rows, None]   # d1[p, i] = x1_i - eval1_p
         d2 = x2[None, data] - eval2[cols, None]
@@ -429,8 +416,7 @@ def _tiled_moments(x1, x2, y_cols, w_cols, eval1, eval2, bandwidths, kernel: Ker
         tile[:5] += (a.reshape(-1, n) @ bk[0].T).reshape(5, n_cols, m1, m2)
         tile[5:8] += (a[:3].reshape(-1, n) @ bk[1].T).reshape(3, n_cols, m1, m2)
         tile[8] += a[0] @ bk[2].T
-        count[:, rows, cols] += (a[0] > 0).astype(float) @ (bk[0] > 0).astype(float).T
-    return moments, count
+    return moments
 
 
 # The moment that each of the nine (s00, s10, t00, s20, t10, s01, s11, t01,
@@ -438,28 +424,13 @@ def _tiled_moments(x1, x2, y_cols, w_cols, eval1, eval2, bandwidths, kernel: Ker
 _MIRROR = [0, 5, 2, 8, 7, 1, 6, 4, 3]
 
 
-def _diagonal_count(x1, x2, w_cols, eval1, eval2, bandwidths, kernel: Kernel1D):
-    """The points on the diagonal x1 == x2 of positive multiplicity that
-    the kernel weighs at each evaluation point, (F, n1, n2): the ones that
-    a support count and its mirror both hold."""
-    on = x1 == x2
-    if not np.any(on):
-        return 0.0
-    x, (b1, b2) = x1[on], bandwidths
-    present = (w_cols[on] > 0).T   # (F, D)
-    e1 = kernel_eval(kernel, (x[None, :] - eval1[:, None]) / b1) > 0
-    e2 = kernel_eval(kernel, (x[None, :] - eval2[:, None]) / b2) > 0
-    return (e1 & present[:, None, :]).astype(float) @ e2.T.astype(float)
-
-
 def _moments(x1, x2, y_cols, w_cols, eval1, eval2, bandwidths, kernel: Kernel1D,
              mirror: bool):
-    """The nine moment surfaces and the support count of
-    ``local_linear_2d_at`` at sorted evaluation points, from the lattice or
-    the support tiles. With ``mirror`` each moment S_jk gains its mirror's,
-    which is S_kj at the evaluation axes and bandwidths swapped, transposed
-    (the same surfaces when the axes are alike), and the count gains its
-    transpose less the diagonal points that both hold."""
+    """The nine moment surfaces of ``local_linear_2d_at`` at sorted
+    evaluation points, from the lattice or the support tiles. With
+    ``mirror`` each moment S_jk gains its mirror's, which is S_kj at the
+    evaluation axes and bandwidths swapped, transposed (the same surfaces
+    when the axes are alike)."""
     codes = _lattice_codes(x1, x2)
 
     def form(e1, e2, bw):
@@ -467,15 +438,24 @@ def _moments(x1, x2, y_cols, w_cols, eval1, eval2, bandwidths, kernel: Kernel1D,
             return _tiled_moments(x1, x2, y_cols, w_cols, e1, e2, bw, kernel)
         return _lattice_moments(codes, y_cols, w_cols, e1, e2, bw, kernel)
 
-    moments, count = form(eval1, eval2, bandwidths)
+    moments = form(eval1, eval2, bandwidths)
     if mirror:
         b1, b2 = bandwidths
         alike = b1 == b2 and np.array_equal(eval1, eval2)
-        swapped, swapped_count = (moments, count) if alike else form(eval2, eval1, (b2, b1))
+        swapped = moments if alike else form(eval2, eval1, (b2, b1))
         moments += swapped[_MIRROR].swapaxes(-1, -2)   # indexing copies: no aliasing
-        count = count + swapped_count.swapaxes(-1, -2) \
-            - _diagonal_count(x1, x2, w_cols, eval1, eval2, bandwidths, kernel)
-    return moments, count
+    return moments
+
+
+def _weighted_points(x1, x2, w, s1: float, s2: float, bandwidths, kernel: Kernel1D,
+                     mirror: bool) -> int:
+    """The points of positive multiplicity ``w`` that the kernel weighs at
+    (s1, s2), with ``mirror`` each x1 < x2 point's mirror (x2, x1) too."""
+    if mirror:
+        off = x1 != x2
+        x1, x2, w = (np.concatenate(p) for p in ((x1, x2[off]), (x2, x1[off]), (w, w[off])))
+    return int(np.count_nonzero((w > 0) & (kernel_eval(kernel, (x1 - s1) / bandwidths[0]) > 0)
+                                & (kernel_eval(kernel, (x2 - s2) / bandwidths[1]) > 0)))
 
 
 def local_linear_2d_at(
@@ -506,18 +486,21 @@ def local_linear_2d_at(
     the moment S_jk is a_j b_k^T and T_jk is (y a_j) b_k^T. The nine moment
     surfaces of every column therefore come from matrix products, formed one
     of two ways (``_lattice_moments`` and ``_tiled_moments``, which return
-    the same moments and support count).
+    the same moments).
 
     The intercept is solved in closed form: with weighted means μ = (s10,
     s01) / s00 and ȳ = t00 / s00, the slopes β solve the centred 2x2 system
-    [v11 v12; v12 v22] β = c, and the intercept is ȳ - β·μ. A point with
-    fewer than three weighted locations, or whose centred determinant
-    cdet = v11 v22 - v12² is at most 1e-13 b1² b2² (all weight at one
-    location, or on one line), raises InsufficientLocalData. No ridge is
-    needed past that check: the 3x3 determinant is det M = s00³ cdet, and on
-    the kernel's support s20 <= b1² s00 and s02 <= b2² s00, so a
-    near-singular system with det M <= 1e-14 s00 s20 s02 has
-    cdet <= 1e-14 b1² b2² and has already been rejected as degenerate.
+    [v11 v12; v12 v22] β = c, and the intercept is ȳ - β·μ. An entry whose
+    centred determinant cdet = v11 v22 - v12² is not above 1e-13 b1² b2²
+    raises InsufficientLocalData: all weight at one location or on one line,
+    which includes fewer than three weighted points (their cdet is rounding,
+    about 1e-16 b1² b2² as |d| <= b on the kernel's support), or no weight
+    (NaN). The error names the first failing entry, column by column, and
+    counts its weighted points. No ridge is needed past that rule: the 3x3
+    determinant is det M = s00³ cdet, and on the kernel's support
+    s20 <= b1² s00 and s02 <= b2² s00, so a near-singular system with
+    det M <= 1e-14 s00 s20 s02 has cdet <= 1e-14 b1² b2² and has already
+    been rejected.
 
     Cost: points on a lattice of at most ``_LATTICE_CELLS`` cells per point
     (a regular design's pairs: 465 covariance or 961 cross rows on 30 x 30
@@ -531,7 +514,7 @@ def local_linear_2d_at(
     the moments are formed from half the rows and their mirrors added as
     transposes (``_moments``): a regular bin's covariance is 465 rows per
     stream, not 930. Unless eval1 == eval2 and b1 == b2, the mirrors need a
-    second moment pass.
+    second moment pass. Only a failing call counts points, at one entry.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -549,34 +532,25 @@ def local_linear_2d_at(
     eval1, eval2 = eval1[order1], eval2[order2]
     n1, n2, n_cols = eval1.size, eval2.size, w_cols.shape[1]
 
-    moments, count = _moments(x1, x2, y_cols, w_cols, eval1, eval2, (b1, b2), kernel,
-                              mirror)
+    s00, s10, t00, s20, t10, s01, s11, t01, s02 = _moments(
+        x1, x2, y_cols, w_cols, eval1, eval2, (b1, b2), kernel, mirror)
 
-    def first(bad: np.ndarray) -> tuple[tuple, str]:
-        """The first failing (column, row, col) entry, column by column,
-        and the evaluation point it names."""
-        f, p1, p2 = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        return (f, p1, p2), (f"evaluation point ({eval1[p1]:g}, {eval2[p2]:g})"
-                             + (f" in column {f}" if stacked else ""))
-
-    s00, s10, t00, s20, t10, s01, s11, t01, s02 = moments
-    if np.any(count < 3):
-        at, where = first(count < 3)
-        raise InsufficientLocalData(
-            f"only {int(count[at])} point(s) within bandwidths ({b1:g}, {b2:g}) of {where}")
-
-    # Degenerate designs (all weighted points at one location or collinear)
-    # have a vanishing centered second-moment determinant.
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore"):   # s00 = 0: nothing weighed
         mu1, mu2, ybar = s10 / s00, s01 / s00, t00 / s00
         v11 = s20 / s00 - mu1 ** 2
         v22 = s02 / s00 - mu2 ** 2
         v12 = s11 / s00 - mu1 * mu2
     centered_det = v11 * v22 - v12 * v12
-    degenerate = centered_det <= _DEGENERATE_RTOL * (b1 * b1) * (b2 * b2)
-    if np.any(degenerate):
-        _, where = first(degenerate)
+    failed = ~(centered_det > _DEGENERATE_RTOL * (b1 * b1) * (b2 * b2))
+    if np.any(failed):
+        f, p1, p2 = np.unravel_index(int(np.argmax(failed)), failed.shape)
+        where = (f"evaluation point ({eval1[p1]:g}, {eval2[p2]:g})"
+                 + (f" in column {f}" if stacked else ""))
+        count = _weighted_points(x1, x2, w_cols[:, f], eval1[p1], eval2[p2], (b1, b2),
+                                 kernel, mirror)
         raise InsufficientLocalData(
+            f"only {count} point(s) within bandwidths ({b1:g}, {b2:g}) of {where}"
+            if count < 3 else
             f"degenerate local design (no affinely independent points) at {where}")
 
     c1 = t10 / s00 - ybar * mu1

@@ -434,7 +434,7 @@ def lattice_points(draw):
 class TestLatticeLocalLinear2D:
     """Points on a lattice of distinct coordinates (a regular design's pairs)
     get their moments as A_j W B_k^T over that lattice: the same fits, the
-    same support counts and the same failures as the support tiles."""
+    same moments and the same failures as the support tiles."""
 
     @given(drawn=lattice_points(), frac=st.floats(0.1, 1.0),
            family=st.sampled_from(FAMILIES))
@@ -468,10 +468,9 @@ class TestLatticeLocalLinear2D:
         b = (l1 * frac, l2 * frac)
         kern = Kernel1D(family)
         e1, e2 = np.linspace(-0.1 * l1, l1, 9), np.linspace(0, 1.1 * l2, 8)
-        lat, lat_count = smoothing._lattice_moments(smoothing._lattice_codes(x1, x2), y, w,
-                                                    e1, e2, b, kern)
-        tiled, tiled_count = smoothing._tiled_moments(x1, x2, y, w, e1, e2, b, kern)
-        assert np.array_equal(lat_count, tiled_count)
+        lat = smoothing._lattice_moments(smoothing._lattice_codes(x1, x2), y, w, e1, e2, b,
+                                         kern)
+        tiled = smoothing._tiled_moments(x1, x2, y, w, e1, e2, b, kern)
         for got, want in zip(lat, tiled):
             assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1e-300)
 
@@ -520,8 +519,8 @@ def unfold(x1, x2, y, w):
 
 class TestMirroredRows:
     """A covariance's j < l rows with ``mirror`` fit the surface of all its
-    rows: the same support counts, the same failures at every widening
-    step and the same surfaces to rounding, on either moment path."""
+    rows: the same moments and failures at every widening step and the
+    same surfaces to rounding, on either moment path."""
 
     @staticmethod
     def rows(case):
@@ -545,9 +544,9 @@ class TestMirroredRows:
         return x1, x2, y, w, e
 
     @staticmethod
-    def fit_and_count(monkeypatch, call):
+    def fit_and_moments(monkeypatch, call):
         """``call()``'s surface, or the message it raised, and the moments
-        and support count it formed."""
+        it formed."""
         formed = []
         real = smoothing._moments
 
@@ -579,13 +578,12 @@ class TestMirroredRows:
         b = 0.5   # on the uniform kernel's closed support, rounded times lie b from e
         for _ in range(smoothing._WIDEN_ATTEMPTS + 1):   # the widening steps
             bw = (b, b * axes)
-            half, (half_moments, half_count) = self.fit_and_count(
+            half, half_moments = self.fit_and_moments(
                 monkeypatch, lambda: local_linear_2d_at(x1, x2, y, e, e2, bw, kernel=kern,
                                                         weights=w, mirror=True))
-            want, (moments, count) = self.fit_and_count(
+            want, moments = self.fit_and_moments(
                 monkeypatch, lambda: local_linear_2d_at(*full[:3], e, e2, bw, kernel=kern,
                                                         weights=full[3]))
-            assert np.array_equal(half_count, count)
             for got_m, want_m in zip(half_moments, moments):
                 assert np.abs(got_m - want_m).max() <= 1e-13 * np.abs(want_m).max()
             raised.append(isinstance(want, str))
@@ -619,6 +617,83 @@ class TestMirroredRows:
         with pytest.raises(InsufficientLocalData, match="no data"):
             local_linear_2d_at(np.empty(0), np.empty(0), np.empty(0), e, e, (1.0, 1.0),
                                weights=np.empty((0, 3)), mirror=mirror)
+
+
+class TestOneFailureRule:
+    """The centred-determinant test is the 2D smoother's only failure rule:
+    a surface that fits has at least three weighted points and affine
+    spread at every entry, and a failure names its entry's weighted points
+    (the converse of ``TestLocalLinear2DAgainstOracle.test_matches_direct_solve``)."""
+
+    @given(lattice=st.booleans(), mirror=st.booleans(), fold=st.booleans(),
+           family=st.sampled_from(FAMILIES), n=st.integers(40, 400),
+           frac=st.floats(0.15, 1.0), aspect=st.floats(0.7, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_fit_implies_support(self, lattice, mirror, fold, family, n, frac, aspect, seed):
+        rng = np.random.default_rng(seed)
+        x1, x2 = rng.uniform(0, 10, (2, n))
+        if lattice:   # on the 11 x 11 lattice of the integers
+            x1, x2 = np.round(x1), np.round(x2)
+        if mirror:
+            x1, x2 = np.minimum(x1, x2), np.maximum(x1, x2)
+        assert (smoothing._lattice_codes(x1, x2) is not None) == lattice
+        w = rng.integers(1, 4, (n, 3)).astype(float)
+        if fold:   # a fold's held-out rows
+            w[rng.permutation(n)[:n // 3], 1] = 0.0
+        y = rng.normal(size=(n, 3))
+        b = (10.0 * frac, 10.0 * frac * aspect)
+        kern = Kernel1D(family)
+        e1, e2 = make_grid(0, 10, 7).points, make_grid(0, 10, 6).points
+        try:
+            local_linear_2d_at(x1, x2, y, e1, e2, b, kernel=kern, weights=w, mirror=mirror)
+        except InsufficientLocalData:
+            return
+        r1, r2, _, rw = unfold(x1, x2, y, w) if mirror else (x1, x2, y, w)
+        for f in range(3):
+            for s1 in e1:
+                for s2 in e2:
+                    count, cdet = TestLocalLinear2DAgainstOracle.oracle_support(
+                        r1, r2, rw[:, f], s1, s2, b, kern)
+                    assert count >= 3 and cdet > 0.99 * smoothing._DEGENERATE_RTOL
+
+    @pytest.mark.parametrize("case, want", [
+        # (0, 0) has three points; (0, 5) none, which makes its cdet NaN
+        ("none", "only 0 point(s) within bandwidths (1, 1) of evaluation point (0, 5)"),
+        ("one", "only 1 point(s) within bandwidths (1, 1) of evaluation point (1, 1)"),
+        ("two", "only 2 point(s) within bandwidths (1, 1) of evaluation point (1, 1)"),
+        # one off-diagonal row stands for two points
+        ("mirrored", "only 2 point(s) within bandwidths (1, 1) of evaluation point (1, 1)"),
+        # the far point's weight is 1e-18 of the near one's
+        ("unequal", "only 2 point(s) within bandwidths (1, 1) of evaluation point (0, 0)"),
+        # column 1 does not hold the third point
+        ("column", "only 2 point(s) within bandwidths (1, 1) of evaluation point (0, 0) "
+                   "in column 1"),
+        ("collinear", "degenerate local design (no affinely independent points) at "
+                      "evaluation point (1, 1)"),
+        # the first failing entry is named, whatever the kind: (1, 5) holds no point
+        ("first", "degenerate local design (no affinely independent points) at "
+                  "evaluation point (1, 1)"),
+    ])
+    def test_messages(self, case, want):
+        x1, x2, w, e1, e2 = {
+            "none": ([0.0, 0.5, 0.0], [0.0, 0.5, 0.5], None, [0.0], [0.0, 5.0]),
+            "one": ([1.0], [1.0], None, [1.0], [1.0]),
+            "two": ([1.0, 1.5], [1.0, 1.2], None, [1.0], [1.0]),
+            "mirrored": ([0.5], [1.5], None, [1.0], [1.0]),
+            "unequal": ([0.0, 0.999999], [0.0, 0.999999], [1e6, 1.0], [0.0], [0.0]),
+            "column": ([0.0, 0.5, 0.0], [0.0, 0.5, 0.5], [[1.0, 1.0], [1.0, 1.0], [1.0, 0.0]],
+                       [0.0], [0.0]),
+            "collinear": ([0.5, 1.0, 1.5], [0.5, 1.0, 1.5], None, [1.0], [1.0]),
+            "first": ([0.5, 1.0, 1.5], [0.5, 1.0, 1.5], None, [1.0], [1.0, 5.0]),
+        }[case]
+        x1, x2 = np.array(x1), np.array(x2)
+        y = np.ones(x1.size) if w is None or np.ndim(w) == 1 else np.ones((x1.size, 2))
+        with pytest.raises(InsufficientLocalData) as err:
+            local_linear_2d_at(x1, x2, y, np.array(e1), np.array(e2), (1.0, 1.0),
+                               weights=None if w is None else np.array(w),
+                               mirror=case == "mirrored")
+        assert str(err.value) == want
 
 
 class TestLocalLinear1DColumns:

@@ -11,10 +11,11 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from vcflr.data import LongitudinalDataset, Subject, partition
-from vcflr.errors import VcflrError
+from vcflr.errors import InsufficientLocalData, VcflrError
 from vcflr.fpca import blup_scores
 from vcflr.grids import make_grid
 from vcflr.regression import FitConfig, fit, fit_global, predict
@@ -219,3 +220,27 @@ class TestLegalPerturbations:
     def test_scalar_auto_selection(self, seed, ties, edges, constant_x):
         ds = perturbed(generate(SPARSE, 60, seed)[0], ties, 0, edges, constant_x, True)
         typed_error_or_finite(ds, FitConfig(n_bins=None), seed)
+
+
+class TestConstantPredictor:
+    """A predictor constant within rounding has a covariance of rounding
+    noise, and its fit raises InsufficientLocalData instead of dividing by
+    that noise (it fitted P=10 with slopes up to 5e15); a predictor far
+    from zero but varying still fits, with the slopes of the unshifted
+    data."""
+
+    @pytest.mark.parametrize("n_bins", [None, 2])
+    def test_constant_predictor_raises(self, n_bins):
+        ds = perturbed(generate(SPARSE, 200, 0)[0], False, 0, False, True, False)
+        with pytest.raises(InsufficientLocalData, match="rounding noise"):
+            fit(ds, FitConfig(n_bins=n_bins))
+
+    def test_shifted_predictor_fits(self):
+        ds = generate(SPARSE, 200, 0)[0]
+        shifted = replace(ds, subjects=[replace(s, x_values=s.x_values + 1e8)
+                                        for s in ds.subjects])
+        cfg = FitConfig(n_bins=4, truncation=(3, 3), refine_bandwidth=0.25,
+                        bandwidth_policy="default")
+        for got, want in zip(fit(shifted, cfg).bins, fit(ds, cfg).bins):
+            scale = np.abs(want.raw_beta.values).max()
+            assert np.abs(got.raw_beta.values - want.raw_beta.values).max() <= 1e-6 * scale
